@@ -216,12 +216,6 @@ class AbelFunction:
     def seed(self, y: float) -> float:
         return self._polyval(self._p_desc, y)
 
-    def seed_d(self, y: float) -> float:
-        return self._polyval(self._dp_desc, y)
-
-    def seed_d2(self, y: float) -> float:
-        return self._polyval(self._d2p_desc, y)
-
     # -- scalar evaluation -------------------------------------------------
 
     def eval_phi(self, x: float) -> float:

@@ -4,7 +4,8 @@ A census run is a branch-and-prune search over a box: the Krawczyk test
 certifies or excludes zeros per box, undecided boxes are bisected until a
 depth cap, and whatever remains undecided is reported rather than guessed.
 Zeros exactly on a bisection face are caught by inflating each child box a
-little before testing and deduplicating the certified points afterwards.
+little before testing; two certificates count as one zero when one's
+enclosure lies inside the other's tested box.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ DEFAULT_DEPTH = 40
 
 _INFLATE = 0.05          # relative child-box inflation against face zeros
 _DET_FLOOR = 1e-6
-_ZERO_MERGE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,10 @@ def _inflate(box: Box, outer: Box) -> Box:
     return Box(tuple(coords))
 
 
-def _polish(system: SquareSystem, point: Sequence[float]) -> list[float]:
-    x = np.array(point, dtype=float)
+def _polish(system: SquareSystem, enclosure: Box) -> list[float]:
+    # Newton from the midpoint, kept inside the certified enclosure
+    lo, hi = np.array(enclosure.bounds()).T
+    x = np.array(enclosure.midpoint(), dtype=float)
     for _ in range(20):
         vals, grads = gradient_compiled(system.compiled, x, system.abel)
         j = np.array(grads, dtype=float)
@@ -265,7 +267,7 @@ def _polish(system: SquareSystem, point: Sequence[float]) -> list[float]:
             step = np.linalg.solve(j, f)
         except np.linalg.LinAlgError:
             break
-        x = x - step
+        x = np.clip(x - step, lo, hi)
         if float(np.max(np.abs(step))) < 1e-14 * (1.0 + float(np.max(np.abs(x)))):
             break
     return [float(v) for v in x]
@@ -274,22 +276,30 @@ def _polish(system: SquareSystem, point: Sequence[float]) -> list[float]:
 def _count_over_box(system: SquareSystem, root: Box, max_depth: int,
                     radius_label: float) -> CensusReport:
     stack = [(root, 0)]
+    certs: list[tuple[Box, Box]] = []   # (tested box, enclosure) of each hit
     zeros: list[list[float]] = []
     unknown: list[Box] = []
     depth_used = 0
     while stack:
         box, depth = stack.pop()
         depth_used = max(depth_used, depth)
-        result = krawczyk_test(system, _inflate(box, root))
+        tested = _inflate(box, root)
+        result = krawczyk_test(system, tested)
         if result.verdict == "NoZero":
             continue
         if result.verdict == "UniqueZero":
-            z = _polish(system, result.contracted.midpoint())
-            tol = _ZERO_MERGE_TOL * (1.0 + max(abs(v) for v in z))
-            if not any(max(abs(a - b) for a, b in zip(z, w)) <= tol
-                       for w in zeros):
-                zeros.append(z)
-            continue
+            enc = result.contracted
+            # a tested box holds exactly one zero, which lies in its
+            # enclosure: an enclosure inside another certificate's tested
+            # box encloses that certificate's zero, and disjoint enclosures
+            # hold distinct zeros; any other overlap is bisected like an
+            # undecided box
+            same = any(enc.within(t) or e.within(tested) for t, e in certs)
+            if same or not any(enc.intersects(e) for _, e in certs):
+                certs.append((tested, enc))
+                if not same:
+                    zeros.append(_polish(system, enc))
+                continue
         if depth >= max_depth or box.max_width == 0.0:
             unknown.append(box)
             continue

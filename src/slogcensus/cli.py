@@ -13,13 +13,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .abel import AbelFunction, build_abel, exp_n
+from .abel import AbelFunction, build_abel
 from .census import (DEFAULT_DEPTH, DeformationPath, SystemParams,
                      count_nonsingular_zeros, load_system_file,
                      search_radius, track_path)
 from .errors import (BuildError, CertificationError, DomainError, PathError,
                      SlogcensusError, TermSyntaxError)
-from .morse import component_bound, gamma_estimate, load_formula_file
+from .morse import (CENSUS_DEPTH, component_bound, gamma_estimate,
+                    load_formula_file)
 from .terms import eval_term, gradient, parse_term
 
 _EXIT_OK = 0
@@ -181,7 +182,7 @@ def cmd_zeros(args) -> int:
     report = {
         "version": __version__,
         "command": "zeros",
-        "config": _config(args, ("seed", "depth", "threads")),
+        "config": _config(args, ("seed", "depth")),
         "radius": radius,
         "radius_source": source,
         "report": census.to_dict(),
@@ -225,7 +226,7 @@ def cmd_track(args) -> int:
     report = {
         "version": __version__,
         "command": "track",
-        "config": _config(args, ("seed", "depth", "threads")),
+        "config": _config(args, ("seed", "depth")),
         "radius": radius,
         "radius_source": source,
         "steps": steps,
@@ -244,15 +245,13 @@ def cmd_components(args) -> int:
     radius, source = _pick_radius(args, file_radius)
     from .morse import AffineSubspace
 
-    kwargs = {}
-    if args.depth is not None:
-        kwargs["census_depth"] = args.depth
+    depth = args.depth if args.depth is not None else CENSUS_DEPTH
     rep = component_bound(formula, AffineSubspace.full(), radius,
-                          seed=args.seed, abel=abel, **kwargs)
+                          seed=args.seed, abel=abel, census_depth=depth)
     report = {
         "version": __version__,
         "command": "components",
-        "config": _config(args, ("seed", "depth", "threads")),
+        "config": _config(args, ("seed", "depth")),
         "radius": radius,
         "radius_source": source,
         "report": rep.to_dict(),
@@ -265,12 +264,13 @@ def cmd_gamma(args) -> int:
     abel = _load_abel(args.abel)
     formula, file_radius = load_formula_file(args.formula_file)
     radius, source = _pick_radius(args, file_radius)
+    depth = args.depth if args.depth is not None else CENSUS_DEPTH
     rep = gamma_estimate(formula, formula.n, args.trials, radius,
-                         args.seed, abel=abel)
+                         args.seed, abel=abel, census_depth=depth)
     report = {
         "version": __version__,
         "command": "gamma",
-        "config": _config(args, ("seed", "threads")),
+        "config": _config(args, ("seed", "depth")),
         "radius": radius,
         "radius_source": source,
         "trials": args.trials,
@@ -288,8 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--radius", type=float, default=None)
     common.add_argument("--depth", type=int, default=None)
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap (evaluation is sequential)")
     common.add_argument("--abel", default=None, metavar="FILE",
                         help="saved super-logarithm seed to use")
     common.add_argument("--out", default=None, metavar="FILE",

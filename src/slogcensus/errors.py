@@ -26,8 +26,9 @@ class GrowthAnalysisError(SlogcensusError, ValueError):
 
 
 class DifferentiationError(SlogcensusError, ValueError):
-    """The symbolic derivative of a node is not expressible in the term
-    language (currently only dphi, whose derivative would need phi'')."""
+    """A derivative is not available: a restricted-analytic primitive has
+    none, or the symbolic derivative of a node is not expressible in the
+    term language (dphi, whose derivative would need phi'')."""
 
 
 class BuildError(SlogcensusError, RuntimeError):

@@ -7,8 +7,7 @@ evaluation over cells is vectorized with numpy and processed in chunks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,8 +15,8 @@ from scipy import ndimage
 
 from .errors import DomainError
 from .intervals import Box
-from .terms import (ADD, CONST, DPHI, EXP, LOG, MUL, NEG, PHI, RA, SQR, VAR,
-                    CompiledTerms, TermNode, compile_terms)
+from .terms import (CompiledTerms, FloatArith, TermNode, compile_terms,
+                    run_tape)
 
 _CHUNK = 32768
 _EXP_CLIP = 709.8
@@ -71,99 +70,51 @@ def _exp_arr(x: np.ndarray) -> np.ndarray:
     return np.where(x < _EXP_CLIP, np.exp(np.minimum(x, _EXP_CLIP)), np.inf)
 
 
+class PointArith(FloatArith):
+    """Arrays of points for run_tape, one array per variable."""
+
+    def __init__(self, abel, like: np.ndarray):
+        super().__init__(abel)
+        self.like = like
+
+    def const(self, c):
+        return np.full_like(self.like, c)
+
+    def exp(self, x, grad):
+        v = _exp_arr(x)
+        return v, v
+
+    def log(self, x, grad):
+        if np.any(x <= 0.0):
+            raise DomainError("log of non-positive value on grid")
+        return np.log(x), (1.0 / x if grad else None)
+
+    def ra(self, prim, x, grad):
+        if np.any(x < prim.lo) or np.any(x > prim.hi):
+            raise DomainError(f"{prim.name} argument leaves domain on grid")
+        d = np.asarray(prim.derivative().fn(x), dtype=float) if grad else None
+        return np.asarray(prim.fn(x), dtype=float), d
+
+    def phi(self, x, grad):
+        d = self.abel.eval_dphi_array(x) if grad else None
+        return self.abel.eval_phi_array(x), d
+
+    def dphi(self, x, grad):
+        v = self.abel.eval_dphi_array(x)
+        if not grad:
+            return v, None
+        d = np.array([self.abel.eval_d2phi(float(u)) for u in np.ravel(x)])
+        return v, d.reshape(x.shape)
+
+
 def eval_points(ct: CompiledTerms, coords: Sequence[np.ndarray], abel) -> list:
     """Values of every root at an array of points (one array per variable)."""
-    vals: list = [None] * len(ct.ops)
-    for i, (code, a, b, payload) in enumerate(ct.ops):
-        if code == VAR:
-            vals[i] = coords[payload]
-        elif code == CONST:
-            vals[i] = np.full_like(coords[0], payload)
-        elif code == ADD:
-            vals[i] = vals[a] + vals[b]
-        elif code == MUL:
-            vals[i] = vals[a] * vals[b]
-        elif code == SQR:
-            vals[i] = vals[a] * vals[a]
-        elif code == NEG:
-            vals[i] = -vals[a]
-        elif code == EXP:
-            vals[i] = _exp_arr(vals[a])
-        elif code == LOG:
-            if np.any(vals[a] <= 0.0):
-                raise DomainError("log of non-positive value on grid")
-            vals[i] = np.log(vals[a])
-        elif code == RA:
-            x = vals[a]
-            if np.any(x < payload.lo) or np.any(x > payload.hi):
-                raise DomainError(f"{payload.name} argument leaves domain on grid")
-            vals[i] = np.asarray(payload.fn(x), dtype=float)
-        elif code == PHI:
-            vals[i] = abel.eval_phi_array(vals[a])
-        else:  # DPHI
-            vals[i] = abel.eval_dphi_array(vals[a])
-    return [vals[r] for r in ct.roots]
+    return run_tape(ct, coords, PointArith(abel, coords[0]))
 
 
 def gradient_points(ct: CompiledTerms, coords: Sequence[np.ndarray], abel):
     """Forward-mode values and gradients at an array of points."""
-    n = ct.n_vars
-    m = coords[0].shape
-    vals: list = [None] * len(ct.ops)
-    grads: list = [None] * len(ct.ops)
-    for i, (code, a, b, payload) in enumerate(ct.ops):
-        if code == VAR:
-            vals[i] = coords[payload]
-            g = [np.zeros(m) for _ in range(n)]
-            g[payload] = np.ones(m)
-            grads[i] = g
-        elif code == CONST:
-            vals[i] = np.full(m, payload)
-            grads[i] = [np.zeros(m)] * n
-        elif code == ADD:
-            vals[i] = vals[a] + vals[b]
-            grads[i] = [p + q for p, q in zip(grads[a], grads[b])]
-        elif code == MUL:
-            va, vb = vals[a], vals[b]
-            vals[i] = va * vb
-            grads[i] = [va * q + vb * p for p, q in zip(grads[a], grads[b])]
-        elif code == SQR:
-            va = vals[a]
-            vals[i] = va * va
-            grads[i] = [2.0 * va * p for p in grads[a]]
-        elif code == NEG:
-            vals[i] = -vals[a]
-            grads[i] = [-p for p in grads[a]]
-        elif code == EXP:
-            v = _exp_arr(vals[a])
-            vals[i] = v
-            grads[i] = [v * p for p in grads[a]]
-        elif code == LOG:
-            if np.any(vals[a] <= 0.0):
-                raise DomainError("log of non-positive value on grid")
-            vals[i] = np.log(vals[a])
-            inv = 1.0 / vals[a]
-            grads[i] = [inv * p for p in grads[a]]
-        elif code == RA:
-            x = vals[a]
-            if np.any(x < payload.lo) or np.any(x > payload.hi):
-                raise DomainError(f"{payload.name} argument leaves domain on grid")
-            if payload.deriv is None:
-                raise DomainError(f"primitive {payload.name!r} has no derivative")
-            vals[i] = np.asarray(payload.fn(x), dtype=float)
-            d = np.asarray(payload.deriv.fn(x), dtype=float)
-            grads[i] = [d * p for p in grads[a]]
-        elif code == PHI:
-            vals[i] = abel.eval_phi_array(vals[a])
-            d = abel.eval_dphi_array(vals[a])
-            grads[i] = [d * p for p in grads[a]]
-        else:  # DPHI
-            vals[i] = abel.eval_dphi_array(vals[a])
-            x = vals[a]
-            d = np.array([abel.eval_d2phi(float(v)) for v in np.ravel(x)])
-            d = d.reshape(x.shape)
-            grads[i] = [d * p for p in grads[a]]
-    return [vals[r] for r in ct.roots], [grads[r] for r in ct.roots]
+    return run_tape(ct, coords[:ct.n_vars], PointArith(abel, coords[0]), grad=True)
 
 
 def _mul_corners(al, ah, bl, bh):
@@ -182,61 +133,68 @@ def _out(lo: np.ndarray, hi: np.ndarray):
     return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
 
 
+def _per_cell(range_fn, al: np.ndarray, ah: np.ndarray):
+    pairs = [range_fn(float(p), float(q)) for p, q in zip(np.ravel(al), np.ravel(ah))]
+    lo = np.array([p[0] for p in pairs]).reshape(al.shape)
+    hi = np.array([p[1] for p in pairs]).reshape(al.shape)
+    return lo, hi
+
+
+class CellArith:
+    """(lo, hi) array pairs for run_tape: enclosures over grid cells. No
+    caller takes gradients over cells, so there are no derivative factors."""
+
+    def __init__(self, abel, like: np.ndarray):
+        self.abel = abel
+        self.like = like
+
+    def const(self, c):
+        v = np.full_like(self.like, c)
+        return v, v
+
+    def add(self, x, y):
+        lo, hi = x[0] + y[0], x[1] + y[1]
+        return _out(np.nan_to_num(lo, nan=-np.inf), np.nan_to_num(hi, nan=np.inf))
+
+    def mul(self, x, y):
+        return _out(*_mul_corners(*x, *y))
+
+    def sqr(self, x):
+        al, ah = x
+        lo, hi = _mul_corners(al, ah, al, ah)
+        lo = np.where((al <= 0.0) & (ah >= 0.0), 0.0, np.maximum(lo, 0.0))
+        return _out(lo, hi)
+
+    def neg(self, x):
+        return -x[1], -x[0]
+
+    def exp(self, x, grad):
+        return (np.maximum(np.nextafter(_exp_arr(x[0]), -np.inf), 0.0),
+                np.nextafter(_exp_arr(x[1]), np.inf)), None
+
+    def log(self, x, grad):
+        if np.any(x[0] <= 0.0):
+            raise DomainError("log reaches non-positive values on grid")
+        return _out(np.log(x[0]), np.log(x[1])), None
+
+    def ra(self, prim, x, grad):
+        if np.any(x[0] < prim.lo) or np.any(x[1] > prim.hi):
+            raise DomainError(f"{prim.name} argument leaves domain on grid")
+        return _out(*_out(*_per_cell(prim.range_fn, *x))), None
+
+    def phi(self, x, grad):
+        w = self.abel.seed_error
+        return _out(self.abel.eval_phi_array(x[0]) - w,
+                    self.abel.eval_phi_array(x[1]) + w), None
+
+    def dphi(self, x, grad):
+        return _per_cell(self.abel.interval_dphi, *x), None
+
+
 def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],
                his: Sequence[np.ndarray], abel) -> list:
     """Interval enclosures of every root over an array of cells."""
-    vals: list = [None] * len(ct.ops)
-    for i, (code, a, b, payload) in enumerate(ct.ops):
-        if code == VAR:
-            vals[i] = (los[payload], his[payload])
-        elif code == CONST:
-            c = np.full_like(los[0], payload)
-            vals[i] = (c, c)
-        elif code == ADD:
-            lo = vals[a][0] + vals[b][0]
-            hi = vals[a][1] + vals[b][1]
-            vals[i] = _out(np.nan_to_num(lo, nan=-np.inf),
-                           np.nan_to_num(hi, nan=np.inf))
-        elif code == MUL:
-            lo, hi = _mul_corners(*vals[a], *vals[b])
-            vals[i] = _out(lo, hi)
-        elif code == SQR:
-            al, ah = vals[a]
-            lo, hi = _mul_corners(al, ah, al, ah)
-            lo = np.where((al <= 0.0) & (ah >= 0.0), 0.0, np.maximum(lo, 0.0))
-            vals[i] = _out(lo, hi)
-        elif code == NEG:
-            vals[i] = (-vals[a][1], -vals[a][0])
-        elif code == EXP:
-            vals[i] = (np.maximum(np.nextafter(_exp_arr(vals[a][0]), -np.inf), 0.0),
-                       np.nextafter(_exp_arr(vals[a][1]), np.inf))
-        elif code == LOG:
-            al, ah = vals[a]
-            if np.any(al <= 0.0):
-                raise DomainError("log reaches non-positive values on grid")
-            vals[i] = _out(np.log(al), np.log(ah))
-        elif code == RA:
-            al, ah = vals[a]
-            if np.any(al < payload.lo) or np.any(ah > payload.hi):
-                raise DomainError(f"{payload.name} argument leaves domain on grid")
-            pairs = [payload.range_fn(float(p), float(q))
-                     for p, q in zip(np.ravel(al), np.ravel(ah))]
-            lo = np.array([p[0] for p in pairs]).reshape(al.shape)
-            hi = np.array([p[1] for p in pairs]).reshape(al.shape)
-            vals[i] = _out(*_out(lo, hi))
-        elif code == PHI:
-            al, ah = vals[a]
-            w = abel.seed_error
-            vals[i] = _out(abel.eval_phi_array(al) - w,
-                           abel.eval_phi_array(ah) + w)
-        else:  # DPHI
-            al, ah = vals[a]
-            pairs = [abel.interval_dphi(float(p), float(q))
-                     for p, q in zip(np.ravel(al), np.ravel(ah))]
-            lo = np.array([p[0] for p in pairs]).reshape(al.shape)
-            hi = np.array([p[1] for p in pairs]).reshape(al.shape)
-            vals[i] = (lo, hi)
-    return [vals[r] for r in ct.roots]
+    return run_tape(ct, list(zip(los, his)), CellArith(abel, los[0]))
 
 
 def _chunked_cells(grid: GridSpec):

@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .terms import (ADD, CONST, DPHI, EXP, LOG, MUL, NEG, PHI, RA, SQR, VAR,
-                    CompiledTerms, TermNode, compile_terms, eval_compiled)
+from .terms import CompiledTerms, TermNode, compile_terms, eval_compiled, run_tape
 
 _INF = math.inf
 
@@ -176,6 +175,13 @@ class Box:
     def contains(self, point: Sequence[float]) -> bool:
         return all(c.contains(float(v)) for c, v in zip(self.coords, point))
 
+    def within(self, other: "Box") -> bool:
+        return all(o.lo <= c.lo and c.hi <= o.hi
+                   for c, o in zip(self.coords, other.coords))
+
+    def intersects(self, other: "Box") -> bool:
+        return all(c.intersects(o) for c, o in zip(self.coords, other.coords))
+
     def bounds(self) -> list[tuple[float, float]]:
         return [(c.lo, c.hi) for c in self.coords]
 
@@ -202,40 +208,47 @@ def subdivide(box: Box) -> tuple[Box, Box]:
 # ---------------------------------------------------------------------------
 # interval evaluation over compiled tapes
 
+def _ra_range(prim, x: Interval) -> Interval:
+    lo, hi = prim.range_fn(x.lo, x.hi)
+    return Interval(_dn(_dn(lo)), _up(_up(hi)))
+
+
+class IntervalArith:
+    """Outward-rounded intervals for run_tape: enclosures over one box."""
+
+    const = staticmethod(Interval.point)
+    add = staticmethod(iadd)
+    mul = staticmethod(imul)
+    sqr = staticmethod(isqr)
+    neg = staticmethod(ineg)
+
+    def __init__(self, abel):
+        self.abel = abel
+
+    def exp(self, x, grad):
+        v = iexp(x)
+        return v, v
+
+    def log(self, x, grad):
+        return ilog(x), (iinv_pos(x) if grad else None)
+
+    def ra(self, prim, x, grad):
+        if x.lo < prim.lo or x.hi > prim.hi:
+            raise DomainError(
+                f"{prim.name} argument range {x} leaves [{prim.lo}, {prim.hi}]")
+        return _ra_range(prim, x), (_ra_range(prim.derivative(), x) if grad else None)
+
+    def phi(self, x, grad):
+        v = Interval(*self.abel.interval_phi(x.lo, x.hi))
+        return v, (Interval(*self.abel.interval_dphi(x.lo, x.hi)) if grad else None)
+
+    def dphi(self, x, grad):
+        v = Interval(*self.abel.interval_dphi(x.lo, x.hi))
+        return v, (Interval(*self.abel.interval_d2phi(x.lo, x.hi)) if grad else None)
+
+
 def interval_eval_compiled(ct: CompiledTerms, box: Box, abel) -> list[Interval]:
-    vals: list = [None] * len(ct.ops)
-    for i, (code, a, b, payload) in enumerate(ct.ops):
-        if code == VAR:
-            vals[i] = box.coords[payload]
-        elif code == CONST:
-            vals[i] = Interval.point(payload)
-        elif code == ADD:
-            vals[i] = iadd(vals[a], vals[b])
-        elif code == MUL:
-            vals[i] = imul(vals[a], vals[b])
-        elif code == SQR:
-            vals[i] = isqr(vals[a])
-        elif code == NEG:
-            vals[i] = ineg(vals[a])
-        elif code == EXP:
-            vals[i] = iexp(vals[a])
-        elif code == LOG:
-            vals[i] = ilog(vals[a])
-        elif code == RA:
-            x = vals[a]
-            if x.lo < payload.lo or x.hi > payload.hi:
-                raise DomainError(
-                    f"{payload.name} argument range {x} leaves "
-                    f"[{payload.lo}, {payload.hi}]")
-            lo, hi = payload.range_fn(x.lo, x.hi)
-            vals[i] = Interval(_dn(_dn(lo)), _up(_up(hi)))
-        elif code == PHI:
-            lo, hi = abel.interval_phi(vals[a].lo, vals[a].hi)
-            vals[i] = Interval(lo, hi)
-        else:  # DPHI
-            lo, hi = abel.interval_dphi(vals[a].lo, vals[a].hi)
-            vals[i] = Interval(lo, hi)
-    return [vals[r] for r in ct.roots]
+    return run_tape(ct, box.coords, IntervalArith(abel))
 
 
 def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
@@ -249,73 +262,9 @@ def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
 
 def interval_jacobian_compiled(ct: CompiledTerms, box: Box, abel):
     """Interval forward mode: values plus per-root interval gradients."""
-    n = ct.n_vars
-    nb = box.n
-    if nb < n:
-        raise DomainError(f"box dimension {nb} below term arity {n}")
-    zero = tuple(Interval.point(0.0) for _ in range(nb))
-    vals: list = [None] * len(ct.ops)
-    grads: list = [None] * len(ct.ops)
-    for i, (code, a, b, payload) in enumerate(ct.ops):
-        if code == VAR:
-            vals[i] = box.coords[payload]
-            g = list(zero)
-            g[payload] = Interval.point(1.0)
-            grads[i] = tuple(g)
-        elif code == CONST:
-            vals[i] = Interval.point(payload)
-            grads[i] = zero
-        elif code == ADD:
-            vals[i] = iadd(vals[a], vals[b])
-            grads[i] = tuple(iadd(p, q) for p, q in zip(grads[a], grads[b]))
-        elif code == MUL:
-            va, vb = vals[a], vals[b]
-            vals[i] = imul(va, vb)
-            grads[i] = tuple(iadd(imul(va, q), imul(vb, p))
-                             for p, q in zip(grads[a], grads[b]))
-        elif code == SQR:
-            va = vals[a]
-            vals[i] = isqr(va)
-            f = iscale(va, 2.0)
-            grads[i] = tuple(imul(f, p) for p in grads[a])
-        elif code == NEG:
-            vals[i] = ineg(vals[a])
-            grads[i] = tuple(ineg(p) for p in grads[a])
-        elif code == EXP:
-            v = iexp(vals[a])
-            vals[i] = v
-            grads[i] = tuple(imul(v, p) for p in grads[a])
-        elif code == LOG:
-            vals[i] = ilog(vals[a])
-            f = iinv_pos(vals[a])
-            grads[i] = tuple(imul(f, p) for p in grads[a])
-        elif code == RA:
-            x = vals[a]
-            if x.lo < payload.lo or x.hi > payload.hi:
-                raise DomainError(
-                    f"{payload.name} argument range {x} leaves "
-                    f"[{payload.lo}, {payload.hi}]")
-            if payload.deriv is None:
-                raise DomainError(
-                    f"primitive {payload.name!r} has no derivative")
-            lo, hi = payload.range_fn(x.lo, x.hi)
-            vals[i] = Interval(_dn(_dn(lo)), _up(_up(hi)))
-            dlo, dhi = payload.deriv.range_fn(x.lo, x.hi)
-            f = Interval(_dn(_dn(dlo)), _up(_up(dhi)))
-            grads[i] = tuple(imul(f, p) for p in grads[a])
-        elif code == PHI:
-            lo, hi = abel.interval_phi(vals[a].lo, vals[a].hi)
-            vals[i] = Interval(lo, hi)
-            dlo, dhi = abel.interval_dphi(vals[a].lo, vals[a].hi)
-            f = Interval(dlo, dhi)
-            grads[i] = tuple(imul(f, p) for p in grads[a])
-        else:  # DPHI
-            lo, hi = abel.interval_dphi(vals[a].lo, vals[a].hi)
-            vals[i] = Interval(lo, hi)
-            dlo, dhi = abel.interval_d2phi(vals[a].lo, vals[a].hi)
-            f = Interval(dlo, dhi)
-            grads[i] = tuple(imul(f, p) for p in grads[a])
-    return [vals[r] for r in ct.roots], [grads[r] for r in ct.roots]
+    if box.n < ct.n_vars:
+        raise DomainError(f"box dimension {box.n} below term arity {ct.n_vars}")
+    return run_tape(ct, box.coords, IntervalArith(abel), grad=True)
 
 
 # ---------------------------------------------------------------------------

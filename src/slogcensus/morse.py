@@ -31,6 +31,7 @@ from .terms import (TermNode, add_all, compile_terms, const, differentiate,
 
 _ORTHO_TOL = 1e-12
 _ORACLE_RES = {1: 2048, 2: 512, 3: 128}
+CENSUS_DEPTH = 36
 
 
 def _sq(t: TermNode) -> TermNode:
@@ -405,7 +406,7 @@ def component_bound(formula, subspace: AffineSubspace, radius: float,
                     schedule: MilnorSchedule | None = None, seed: int = 0,
                     abel=None, n: int | None = None,
                     include_oracle: bool = True,
-                    census_depth: int = 36) -> ComponentReport:
+                    census_depth: int = CENSUS_DEPTH) -> ComponentReport:
     """Certified critical-count bound on connected components.
 
     Per stage: rotate by a seeded Haar draw, count the critical system's
@@ -488,7 +489,8 @@ def _stable_sublevel_count(term: TermNode, nv: int, radius: float, abel):
 
 def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
                    abel=None, schedule: MilnorSchedule | None = None,
-                   include_bound: bool = True) -> GammaReport:
+                   include_bound: bool = True,
+                   census_depth: int = CENSUS_DEPTH) -> GammaReport:
     """Sampled estimate of the worst affine-slice component count.
 
     Each trial draws a row count k in {0..n} and k affine rows with
@@ -519,7 +521,7 @@ def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
         subspace = AffineSubspace(rows)
         rep = component_bound(formula, subspace, radius, schedule,
                               seed=seed + 1000 + t, abel=abel,
-                              include_oracle=False)
+                              include_oracle=False, census_depth=census_depth)
         eps_f, delta_f = rep.schedule[-1]
         f_l = affine_restrict(f, subspace, formula.n)
         tube = milnor_tube(f_l, eps_f, delta_f, nv)

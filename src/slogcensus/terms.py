@@ -18,6 +18,7 @@ iterated-exponential growth analysis.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -50,6 +51,7 @@ __all__ = [
     "parse_term",
     "to_text",
     "compile_terms",
+    "run_tape",
     "eval_compiled",
     "gradient_compiled",
     "eval_term",
@@ -91,6 +93,11 @@ class RAPrimitive:
     @property
     def growth_level(self) -> int:
         return _level_for_bound(self.sup_abs)
+
+    def derivative(self) -> "RAPrimitive":
+        if self.deriv is None:
+            raise DifferentiationError(f"primitive {self.name!r} has no derivative")
+        return self.deriv
 
 
 # exp composed s times at 0: exp_0(0)=0, exp_1(0)=1, exp_2(0)=e, ...
@@ -572,106 +579,114 @@ def compile_terms(roots: Sequence[TermNode]) -> CompiledTerms:
     return CompiledTerms(ops, root_idx, n_vars)
 
 
-def eval_compiled(ct: CompiledTerms, point: Sequence[float], abel) -> list[float]:
-    vals = [0.0] * len(ct.ops)
+def run_tape(ct: CompiledTerms, inputs: Sequence, arith, grad: bool = False):
+    """Values of every root of a tape in the number kind of ``arith``, and
+    with ``grad`` their forward-mode gradients, one entry per input.
+
+    The one interpreter of the opcodes and of the chain rule. ``arith``
+    supplies const/add/mul/sqr/neg, plus exp/log/phi/dphi(x, grad) and
+    ra(prim, x, grad), which return the value and, with ``grad``, its
+    derivative factor. Returns the root values, or (values, gradients).
+    """
+    const, add, mul, sqr, neg = arith.const, arith.add, arith.mul, arith.sqr, arith.neg
+    vals: list = [None] * len(ct.ops)
+    grads: list = [None] * len(ct.ops)
+    if grad:
+        zero, one = [const(0.0)] * len(inputs), const(1.0)
     for i, (code, a, b, payload) in enumerate(ct.ops):
         if code == VAR:
-            vals[i] = float(point[payload])
+            v = inputs[payload]
         elif code == CONST:
-            vals[i] = payload
+            v = const(payload)
         elif code == ADD:
-            vals[i] = vals[a] + vals[b]
+            v = add(vals[a], vals[b])
         elif code == MUL:
-            vals[i] = vals[a] * vals[b]
+            v = mul(vals[a], vals[b])
         elif code == SQR:
-            vals[i] = vals[a] * vals[a]
+            v = sqr(vals[a])
+            f = add(vals[a], vals[a]) if grad else None  # 2x, exactly 2.0 * x
         elif code == NEG:
-            vals[i] = -vals[a]
+            v = neg(vals[a])
         elif code == EXP:
-            vals[i] = math.exp(vals[a]) if vals[a] < 709.8 else math.inf
+            v, f = arith.exp(vals[a], grad)
         elif code == LOG:
-            if vals[a] <= 0.0:
-                raise DomainError(f"log of non-positive value {vals[a]}")
-            vals[i] = math.log(vals[a])
+            v, f = arith.log(vals[a], grad)
         elif code == RA:
-            x = vals[a]
-            if not (payload.lo <= x <= payload.hi):
-                raise DomainError(
-                    f"{payload.name} evaluated at {x} outside [{payload.lo}, {payload.hi}]")
-            vals[i] = float(payload.fn(x))
+            v, f = arith.ra(payload, vals[a], grad)
         elif code == PHI:
-            vals[i] = abel.eval_phi(vals[a])
+            v, f = arith.phi(vals[a], grad)
         else:  # DPHI
-            vals[i] = abel.eval_dphi(vals[a])
-    return [vals[r] for r in ct.roots]
+            v, f = arith.dphi(vals[a], grad)
+        vals[i] = v
+        if not grad:
+            continue
+        if code == VAR:
+            g = list(zero)
+            g[payload] = one
+        elif code == CONST:
+            g = zero
+        elif code == ADD:
+            g = [add(p, q) for p, q in zip(grads[a], grads[b])]
+        elif code == MUL:
+            va, vb = vals[a], vals[b]
+            g = [add(mul(va, q), mul(vb, p)) for p, q in zip(grads[a], grads[b])]
+        elif code == NEG:
+            g = [neg(p) for p in grads[a]]
+        else:  # one-argument ops scale by their derivative factor
+            g = [mul(f, p) for p in grads[a]]
+        grads[i] = g
+    roots = [vals[r] for r in ct.roots]
+    return (roots, [grads[r] for r in ct.roots]) if grad else roots
+
+
+class FloatArith:
+    """Plain floats for run_tape: evaluation at one point."""
+
+    const = staticmethod(float)
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    sqr = staticmethod(lambda x: x * x)
+    neg = staticmethod(operator.neg)
+
+    def __init__(self, abel):
+        self.abel = abel
+
+    def exp(self, x, grad):
+        v = math.exp(x) if x < 709.8 else math.inf
+        return v, v
+
+    def log(self, x, grad):
+        if x <= 0.0:
+            raise DomainError(f"log of non-positive value {x}")
+        return math.log(x), (1.0 / x if grad else None)
+
+    def ra(self, prim, x, grad):
+        if not (prim.lo <= x <= prim.hi):
+            raise DomainError(
+                f"{prim.name} evaluated at {x} outside [{prim.lo}, {prim.hi}]")
+        return float(prim.fn(x)), (float(prim.derivative().fn(x)) if grad else None)
+
+    def phi(self, x, grad):
+        return self.abel.eval_phi(x), (self.abel.eval_dphi(x) if grad else None)
+
+    def dphi(self, x, grad):
+        return self.abel.eval_dphi(x), (self.abel.eval_d2phi(x) if grad else None)
+
+
+def eval_compiled(ct: CompiledTerms, point: Sequence[float], abel) -> list[float]:
+    return run_tape(ct, [float(v) for v in point], FloatArith(abel))
 
 
 def gradient_compiled(ct: CompiledTerms, point: Sequence[float], abel,
                       n_vars: int | None = None):
     """Forward-mode values and gradients for every root term.
 
-    Returns (values, gradients) with gradients[r][j] = d root_r / d x_j.
+    Returns (values, gradients) with gradients[r][j] = d root_r / d x_j
+    for the first ``n_vars`` coordinates (default: the tape's variables).
     """
     n = ct.n_vars if n_vars is None else n_vars
-    vals = [0.0] * len(ct.ops)
-    grads = [None] * len(ct.ops)
-    zero = [0.0] * n
-    for i, (code, a, b, payload) in enumerate(ct.ops):
-        if code == VAR:
-            vals[i] = float(point[payload])
-            g = list(zero)
-            g[payload] = 1.0
-            grads[i] = g
-        elif code == CONST:
-            vals[i] = payload
-            grads[i] = zero
-        elif code == ADD:
-            vals[i] = vals[a] + vals[b]
-            ga, gb = grads[a], grads[b]
-            grads[i] = [ga[j] + gb[j] for j in range(n)]
-        elif code == MUL:
-            va, vb = vals[a], vals[b]
-            vals[i] = va * vb
-            ga, gb = grads[a], grads[b]
-            grads[i] = [va * gb[j] + vb * ga[j] for j in range(n)]
-        elif code == SQR:
-            va = vals[a]
-            vals[i] = va * va
-            ga = grads[a]
-            grads[i] = [2.0 * va * ga[j] for j in range(n)]
-        elif code == NEG:
-            vals[i] = -vals[a]
-            grads[i] = [-g for g in grads[a]]
-        elif code == EXP:
-            v = math.exp(vals[a]) if vals[a] < 709.8 else math.inf
-            vals[i] = v
-            grads[i] = [v * g for g in grads[a]]
-        elif code == LOG:
-            if vals[a] <= 0.0:
-                raise DomainError(f"log of non-positive value {vals[a]}")
-            vals[i] = math.log(vals[a])
-            inv = 1.0 / vals[a]
-            grads[i] = [inv * g for g in grads[a]]
-        elif code == RA:
-            x = vals[a]
-            if not (payload.lo <= x <= payload.hi):
-                raise DomainError(
-                    f"{payload.name} evaluated at {x} outside [{payload.lo}, {payload.hi}]")
-            if payload.deriv is None:
-                raise DifferentiationError(
-                    f"primitive {payload.name!r} has no derivative")
-            vals[i] = float(payload.fn(x))
-            d = float(payload.deriv.fn(x))
-            grads[i] = [d * g for g in grads[a]]
-        elif code == PHI:
-            vals[i] = abel.eval_phi(vals[a])
-            d = abel.eval_dphi(vals[a])
-            grads[i] = [d * g for g in grads[a]]
-        else:  # DPHI
-            vals[i] = abel.eval_dphi(vals[a])
-            d = abel.eval_d2phi(vals[a])
-            grads[i] = [d * g for g in grads[a]]
-    return [vals[r] for r in ct.roots], [grads[r] for r in ct.roots]
+    return run_tape(ct, [float(point[j]) for j in range(n)], FloatArith(abel),
+                    grad=True)
 
 
 def eval_term(t: TermNode, point: Sequence[float], abel=None) -> float:
@@ -856,10 +871,8 @@ def differentiate(t: TermNode, i: int) -> TermNode:
         elif k == "log":
             d = _fmul(go(node.children[0]), exp(neg(node)))
         elif k == "ra":
-            if node.prim.deriv is None:
-                raise DifferentiationError(
-                    f"primitive {node.prim.name!r} has no derivative")
-            d = _fmul(go(node.children[0]), ra(node.prim.deriv, node.children[0]))
+            d = _fmul(go(node.children[0]),
+                      ra(node.prim.derivative(), node.children[0]))
         elif k == "phi":
             d = _fmul(go(node.children[0]), dphi(node.children[0]))
         else:  # dphi

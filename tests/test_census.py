@@ -45,6 +45,27 @@ def test_known_zero_locations(abel):
         [-0.739261611, 2.032338983], abs=1e-7)
 
 
+@pytest.mark.parametrize("eq,roots", [
+    ("(x1 - 0.00000001)*(x1 + 0.00000001)", (-1e-8, 1e-8)),
+    ("(x1-0.3)*(x1-0.30000005)", (0.3, 0.30000005)),
+])
+def test_close_roots_are_counted_apart(abel, eq, roots):
+    rep = count_nonsingular_zeros(build_system([eq], abel=abel), 2.0)
+    assert rep.exact
+    assert rep.certified_count == 2
+    assert [z[0] for z in rep.zeros] == pytest.approx(roots, rel=0, abs=1e-15)
+
+
+def test_close_roots_in_two_dimensions_are_never_merged(abel):
+    # the depth cap may stop short of separating them, but an exact
+    # report must count both
+    rep = count_nonsingular_zeros(
+        build_system(["(x1-0.3)*(x1-0.30000005)", "x2"], abel=abel), 2.0)
+    assert rep.certified_count <= 2
+    if rep.exact:
+        assert rep.certified_count == 2
+
+
 def test_census_report_shape(abel):
     rep = count_nonsingular_zeros(
         build_system(["x1*x1 - 1"], abel=abel), 2.0)

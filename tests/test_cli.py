@@ -101,6 +101,13 @@ def test_zeros_certified(files):
     doc = json.loads(r.stdout)
     assert doc["report"]["certified_count"] == 2
     assert doc["radius_source"] == "file"
+    assert doc["config"] == {"seed": 0}
+
+
+def test_threads_flag_removed(files):
+    r = _run("zeros", str(files / "circle_line.json"), "--threads", "1")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --threads" in r.stderr
 
 
 def test_zeros_radius_flag_overrides(files):
@@ -175,6 +182,15 @@ def test_gamma_small(files):
     doc = json.loads(r.stdout)
     assert doc["report"]["estimate"] == 1
     assert doc["trials"] == 2
+    assert doc["config"] == {"seed": 3}
+
+
+def test_depth_flag_reaches_the_census(files):
+    formula = str(files / "circle_formula.json")
+    assert _run("components", formula, "--depth", "2").returncode == 3
+    r = _run("gamma", formula, "--trials", "1", "--depth", "2")
+    assert r.returncode == 3
+    assert "no Morse rotation found" in r.stderr
 
 
 # ---------------------------------------------------------------------------
