@@ -328,6 +328,11 @@ class AbelFunction:
             fac[lo] *= work[lo]
         return fac * np.polyval(self._dp_desc, work - 1.0)
 
+    def eval_d2phi_array(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.array([self.eval_d2phi(float(u)) for u in np.ravel(x)]
+                        ).reshape(x.shape)
+
     # -- interval enclosures -------------------------------------------------
 
     def interval_phi(self, lo: float, hi: float) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BuildError, CertificationError, DomainError, PathError
 from .intervals import (Box, Interval, interval_eval_compiled, krawczyk_test,
@@ -540,51 +539,36 @@ def probe_boundedness(system: SquareSystem, radii: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# complexity reduction: replace phi nodes by spline primitives on the ball
+# complexity reduction: restrict phi and its derivatives to the ball
 
-_SPLINE_STEP = 0.004
-
-
-def _spline_primitive(abel, lo: float, hi: float, use_dphi: bool,
-                      label: str) -> RAPrimitive:
+def _abel_primitive(abel, lo: float, hi: float, use_dphi: bool,
+                    label: str) -> RAPrimitive:
+    # the AbelFunction's own evaluators and enclosures, restricted to a
+    # padded interval; each level's derivative is the next level down.
+    # The pad absorbs the arithmetics' different rounding of argument
+    # ranges (cell arrays round a square's lower end to -5e-324, not 0).
     pad = 0.5 + 0.05 * (hi - lo)
     a, b = lo - pad, hi + pad
-    count = max(65, int(math.ceil((b - a) / _SPLINE_STEP)) + 1)
-    xs = np.linspace(a, b, count)
-    ys = abel.eval_dphi_array(xs) if use_dphi else abel.eval_phi_array(xs)
-    sp = CubicSpline(xs, ys)
-    d1 = sp.derivative()
-    d2 = sp.derivative(2)
-
-    def make_range(pp):
-        droots = pp.derivative().roots(extrapolate=False)
-
-        def range_fn(p, q, _pp=pp, _droots=droots):
-            cand = [float(_pp(p)), float(_pp(q))]
-            inside = _droots[(_droots >= p) & (_droots <= q)]
-            cand.extend(float(v) for v in np.atleast_1d(_pp(inside)))
-            slack = 1e-8
-            return min(cand) - slack, max(cand) + slack
-
-        return range_fn
-
-    def sup_of(pp):
-        xs_chk = np.linspace(a, b, 4 * count)
-        return float(np.max(np.abs(pp(xs_chk)))) + 1e-8
-
-    p2 = RAPrimitive(f"{label}_d2", a, b, d2, make_range(d2), sup_of(d2))
-    p1 = RAPrimitive(f"{label}_d1", a, b, d1, make_range(d1), sup_of(d1),
-                     deriv=p2)
-    return RAPrimitive(label, a, b, sp, make_range(sp), sup_of(sp), deriv=p1)
+    levels = [(abel.eval_phi_array, abel.interval_phi),
+              (abel.eval_dphi_array, abel.interval_dphi),
+              (abel.eval_d2phi_array, abel.interval_d2phi)][use_dphi:]
+    prim = None
+    for k in reversed(range(len(levels))):
+        fn, range_fn = levels[k]
+        sup = max(abs(v) for v in range_fn(a, b))
+        prim = RAPrimitive(label + (f"_d{k}" if k else ""), a, b, fn,
+                           range_fn, sup, deriv=prim)
+    return prim
 
 
 def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:
-    """Replace each phi/dphi node by a spline primitive valid on the ball.
+    """Replace each phi/dphi node by its restriction to the ball.
 
     The argument of every phi/dphi occurrence must have a finite range
-    enclosure over the search box; the replacement matches the exact
-    function to far better than seed accuracy there, so certified counts
-    on the ball are expected to agree (and are tested to).
+    enclosure over the search box. phi restricted to a compact interval
+    is itself a restricted-analytic primitive: it evaluates and encloses
+    exactly as the phi node does, so the reduced system is the original
+    one reached through the RA opcode.
     """
     if not system.phi_args and not system.dphi_args:
         return system
@@ -605,7 +589,7 @@ def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:
                 f"the radius-{radius} box")
         counter[0] += 1
         label = f"slog_patch{counter[0]}" + ("_d" if use_dphi else "")
-        prim = _spline_primitive(abel, rng.lo, rng.hi, use_dphi, label)
+        prim = _abel_primitive(abel, rng.lo, rng.hi, use_dphi, label)
         cache[key] = prim
         return prim
 

@@ -101,10 +101,7 @@ class PointArith(FloatArith):
 
     def dphi(self, x, grad):
         v = self.abel.eval_dphi_array(x)
-        if not grad:
-            return v, None
-        d = np.array([self.abel.eval_d2phi(float(u)) for u in np.ravel(x)])
-        return v, d.reshape(x.shape)
+        return v, (self.abel.eval_d2phi_array(x) if grad else None)
 
 
 def eval_points(ct: CompiledTerms, coords: Sequence[np.ndarray], abel) -> list:

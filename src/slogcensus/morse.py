@@ -489,7 +489,6 @@ def _stable_sublevel_count(term: TermNode, nv: int, radius: float, abel):
 
 def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
                    abel=None, schedule: MilnorSchedule | None = None,
-                   include_bound: bool = True,
                    census_depth: int = CENSUS_DEPTH) -> GammaReport:
     """Sampled estimate of the worst affine-slice component count.
 
@@ -527,15 +526,13 @@ def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
         tube = milnor_tube(f_l, eps_f, delta_f, nv)
         est, stable = _stable_sublevel_count(
             tube, nv, delta_f / math.sqrt(eps_f) * 1.01, abel)
-        entry = {"k": k, "components": est, "oracle_stable": stable}
-        if include_bound:
-            entry["bound"] = rep.component_bound
-            best_bound = max(best_bound, rep.component_bound)
-            if est > rep.component_bound:
-                raise CertificationError(
-                    f"trial {t}: oracle count {est} exceeds certified "
-                    f"bound {rep.component_bound}")
-        per_trial.append(entry)
+        if est > rep.component_bound:
+            raise CertificationError(
+                f"trial {t}: oracle count {est} exceeds certified "
+                f"bound {rep.component_bound}")
+        per_trial.append({"k": k, "components": est, "oracle_stable": stable,
+                          "bound": rep.component_bound})
+        best_bound = max(best_bound, rep.component_bound)
         best = max(best, est)
     return GammaReport(best, best_bound, per_trial)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -113,6 +114,48 @@ def test_interval_d2phi_encloses_samples(abel):
         a, b = abel.interval_d2phi(lo, hi)
         for x in np.linspace(lo, hi, 97):
             assert a - 1e-12 <= abel.eval_d2phi(float(x)) <= b + 1e-12
+
+
+def _mp_phi_jet(abel, x):
+    """(phi, phi', phi'') at x in 50-digit arithmetic, by the chain rules."""
+    if x > mpmath.e:
+        y = mpmath.log(x)
+        p, d1, d2 = _mp_phi_jet(abel, y)
+        return p + 1, d1 / x, (d2 - d1) / (x * x)
+    if x < 1:
+        y = mpmath.exp(x)
+        p, d1, d2 = _mp_phi_jet(abel, y)
+        return p - 1, d1 * y, d2 * y * y + d1 * y
+    u = x - 1
+    coeffs = [mpmath.mpf(c) for c in abel.coeffs]  # p(y) = sum a_m u^(m+1)
+    p = sum(c * u ** (m + 1) for m, c in enumerate(coeffs))
+    d1 = sum((m + 1) * c * u ** m for m, c in enumerate(coeffs))
+    d2 = sum((m + 1) * m * c * u ** (m - 1)
+             for m, c in enumerate(coeffs) if m >= 1)
+    return p, d1, d2
+
+
+@pytest.mark.parametrize("lo_end,hi_end,log_scale", [
+    (-5.0, 10.0, False),     # the junctions at 0, 1 and e
+    (-300.0, -20.0, False),  # deep left: two or more exp steps
+    (1e6, 1e300, True),      # far right: two or more log steps
+])
+def test_interval_enclosures_contain_high_precision_values(
+        abel, lo_end, hi_end, log_scale):
+    # reduced systems enclose phi, phi' and phi'' through these routines
+    # alone, so each must hold the true value, not just the float one
+    rng = np.random.default_rng(17)
+    enclosures = (abel.interval_phi, abel.interval_dphi, abel.interval_d2phi)
+    with mpmath.workdps(50):
+        for _ in range(12):
+            ends = rng.uniform(lo_end, hi_end, 2) if not log_scale else \
+                np.exp(rng.uniform(math.log(lo_end), math.log(hi_end), 2))
+            lo, hi = sorted(float(v) for v in ends)
+            boxes = [f(lo, hi) for f in enclosures]
+            for x in [lo, hi] + [float(v) for v in rng.uniform(lo, hi, 6)]:
+                jet = _mp_phi_jet(abel, mpmath.mpf(x))
+                for k, ((a, b), v) in enumerate(zip(boxes, jet)):
+                    assert a <= v <= b, (k, lo, hi, x, a, float(v), b)
 
 
 # ---------------------------------------------------------------------------

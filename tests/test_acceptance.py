@@ -261,7 +261,7 @@ def test_gate_8_reduction_equivalence(abel, capsys):
         rows.append((name, rep.exact and rep.certified_count == expected))
     ok = all(good for _, good in rows)
     _verdict(capsys, 8, ok,
-             f"spline replacement keeps exact counts on "
+             f"exact restriction of phi keeps exact counts on "
              f"{len(rows)} slog systems: "
              + ", ".join(name for name, _ in rows))
     assert all(good for _, good in rows), rows

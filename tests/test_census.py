@@ -1,6 +1,8 @@
 """Certified zero census: counting, radii, deformation, reduction."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from slogcensus.errors import (BuildError, CertificationError, DomainError,
                                PathError)
 from slogcensus.gridoracle import GridSpec, oracle_zero_count
 from slogcensus.intervals import Box
-from slogcensus.terms import fcpx
+from slogcensus.terms import RAPrimitive, fcpx
 
 from conftest import CORPUS, ORACLE_RES, PHI_CORPUS
 
@@ -64,6 +66,15 @@ def test_close_roots_in_two_dimensions_are_never_merged(abel):
     assert rep.certified_count <= 2
     if rep.exact:
         assert rep.certified_count == 2
+
+
+def test_flat_cubic_never_exact_with_a_wrong_count(abel):
+    # one real zero near 1.0001; a float f(m) in Krawczyk once made this
+    # an exact count of 5
+    sys_ = build_system(["x1*x1*x1 - 3*x1*x1 + 3*x1 - 1.000000000001"],
+                        abel=abel)
+    rep = count_over_box(sys_, Box.from_bounds([(0.5, 1.5)]), max_depth=28)
+    assert not rep.exact or rep.certified_count == 1
 
 
 def test_census_report_shape(abel):
@@ -271,9 +282,23 @@ def test_reduction_preserves_counts(abel, name, eqs, radius, expected):
     sys_ = build_system(eqs, abel=abel)
     red = reduce_phi_complexity(sys_, radius)
     assert max(fcpx(t) for t in red.equations) == 0
+    prims = {op[3].name for op in red.compiled.ops
+             if isinstance(op[3], RAPrimitive)}
+    assert prims and all(p.startswith("slog_patch") for p in prims)
     rep = count_nonsingular_zeros(red, radius)
     assert rep.exact
     assert rep.certified_count == expected
+    # the patches are phi itself restricted to the ball, so the census
+    # sees the same values and enclosures as on the original system
+    assert rep.to_dict() == count_nonsingular_zeros(sys_, radius).to_dict()
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    code = ("import sys, slogcensus; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_reduction_identity_without_phi(abel):

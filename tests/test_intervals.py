@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,6 +205,19 @@ def test_krawczyk_phi_system(abel):
     res = krawczyk_test(sys_, Box.from_bounds([(1.2, 2.0)]))
     assert res.verdict == "UniqueZero"
     assert res.contracted.contains([1.646292558082848])
+
+
+@pytest.mark.parametrize("w", [1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
+def test_krawczyk_encloses_midpoint_value(abel, w):
+    # a flat expanded cubic: its float value at the midpoint is pure
+    # rounding, so only an enclosure of f(m) keeps the zero in the box
+    c = 1.000000000000001
+    with mpmath.workdps(40):
+        r = 1 + mpmath.cbrt(mpmath.mpf(c) - 1)
+    sys_ = build_system([f"x1*x1*x1 - 3*x1*x1 + 3*x1 - {c!r}"], abel=abel)
+    box = Box.from_bounds([(float(r) - w, float(r) + w)])
+    assert box.coords[0].lo < r < box.coords[0].hi
+    assert krawczyk_test(sys_, box).verdict != "NoZero"
 
 
 def test_krawczyk_dimension_mismatch(abel):

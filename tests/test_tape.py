@@ -24,7 +24,8 @@ RADIUS = 1.5
 
 def _tapes(abel):
     tapes = [compile_terms([parse_term(s)]) for s in SOURCES]
-    # spline primitives with derivative chains, from the phi elimination
+    # restricted phi and phi' primitives with derivative chains, from
+    # the phi elimination
     reduced = reduce_phi_complexity(
         build_system(["phi(x1) - x2", "dphi(x2)*x1"], abel=abel), 2.0)
     return tapes + [reduced.compiled]
@@ -75,7 +76,7 @@ def test_four_arithmetics_agree(abel):
                         assert jac[r][j].contains(g), (r, j, box, p)
 
         # point arrays against the float walk, to rounding of the
-        # vectorised exp, log and spline routines
+        # vectorised exp, log and phi routines
         coords = [np.array([p[j] for p, _, _ in points]) for j in range(2)]
         arr = eval_points(ct, coords, abel)
         garr, gradarr = gradient_points(ct, coords, abel)
