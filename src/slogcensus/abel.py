@@ -114,6 +114,22 @@ def _poly_real_roots(coeffs_desc: Sequence[float], lo: float, hi: float) -> list
     return sorted(out)
 
 
+def _horner(desc, u):
+    # numpy.polyval's float operations in its order, for floats and arrays
+    acc = 0.0
+    for c in desc:
+        acc = acc * u + c
+    return acc
+
+
+def _band_range(desc, crits, lo: float, hi: float) -> tuple[float, float]:
+    """(min, max) over [lo, hi] inside [1, e] of the polynomial ``desc`` in
+    u = y - 1, from the ends and the critical points ``crits`` between."""
+    vals = [_horner(desc, y - 1.0)
+            for y in (lo, hi, *(r for r in crits if lo <= r <= hi))]
+    return min(vals), max(vals)
+
+
 class AbelFunction:
     """Immutable super-logarithm with seed polynomial on [1, e].
 
@@ -135,37 +151,28 @@ class AbelFunction:
         self.tol = float(tol)
         self.recursion_cap = RECURSION_CAP
 
-        # powers-of-(y-1) coefficient vectors, descending for polyval
-        a = np.array(self.coeffs)
-        deg = len(a)
-        self._p_desc = np.concatenate([a[::-1], [0.0]])
-        d1 = a * np.arange(1, deg + 1)
-        self._dp_desc = d1[::-1].copy()
-        d2 = d1[1:] * np.arange(1, deg)
-        self._d2p_desc = d2[::-1].copy()
-        d3 = d2[1:] * np.arange(1, deg - 1)
-        self._d3p_desc = d3[::-1].copy()
-        d4 = d3[1:] * np.arange(1, deg - 2)
-        self._d4p_desc = d4[::-1].copy()
+        # powers-of-(y-1) coefficient tuples, descending for _horner
+        d1 = [c * m for m, c in enumerate(self.coeffs, 1)]
+        d2 = [c * m for m, c in enumerate(d1[1:], 1)]
+        self._p_desc = (*reversed(self.coeffs), 0.0)
+        self._dp_desc = tuple(reversed(d1))
+        self._d2p_desc = tuple(reversed(d2))
 
-        # critical-point tables on [1, e]: where p', p'', p''' change direction
+        # critical-point tables on [1, e]: where p' and p'' change direction
         self._dp_crit = self._roots_in_band(self._d2p_desc)
-        self._d2p_crit = self._roots_in_band(self._d3p_desc)
-        self._d3p_crit = self._roots_in_band(self._d4p_desc)
+        self._d2p_crit = self._roots_in_band(np.polyder(self._d2p_desc))
 
         # certified uniform bound on the float Horner error of the seed
+        deg = len(self.coeffs)
         gam = 2 * deg * _EPS / (1.0 - 2 * deg * _EPS)
         mag = sum(abs(c) * (_E - 1.0) ** (m + 1) for m, c in enumerate(self.coeffs))
         self.seed_error = gam * mag + _PHI_SLACK_FLOOR
 
         # published derivative bounds
-        self.sup_dphi_fundamental = self._band_max(self._dp_desc, self._dp_crit)
+        self.inf_dphi_fundamental, self.sup_dphi_fundamental = _band_range(
+            self._dp_desc, self._dp_crit, 1.0, _E)
         self.sup_dphi_global = self._sup_dphi_global()
         self.sup_dphi_nonpos = self._sup_dphi_nonpos()
-        self.inf_dphi_fundamental = self._band_min(self._dp_desc, self._dp_crit)
-        self.sup_d2phi_fundamental = max(
-            abs(self._band_max(self._d2p_desc, self._d2p_crit)),
-            abs(self._band_min(self._d2p_desc, self._d2p_crit)))
 
         self._phi_top = None  # filled lazily: phi at the largest double
 
@@ -178,20 +185,6 @@ class AbelFunction:
         # roots are of polynomials in u = y-1, so band is u in [0, e-1]
         return [r + 1.0 for r in _poly_real_roots(desc, 0.0, _E - 1.0)]
 
-    def _polyval(self, desc, y: float) -> float:
-        return float(np.polyval(desc, y - 1.0))
-
-    def _band_candidates(self, desc, crits, lo: float, hi: float):
-        vals = [self._polyval(desc, lo), self._polyval(desc, hi)]
-        vals.extend(self._polyval(desc, r) for r in crits if lo <= r <= hi)
-        return vals
-
-    def _band_max(self, desc, crits, lo: float = 1.0, hi: float = _E) -> float:
-        return max(self._band_candidates(desc, crits, lo, hi))
-
-    def _band_min(self, desc, crits, lo: float = 1.0, hi: float = _E) -> float:
-        return min(self._band_candidates(desc, crits, lo, hi))
-
     def _sup_dphi_global(self) -> float:
         # the global sup of |phi'| is sup over [1,e] of y*p'(y): on (0,1) the
         # chain gives phi'(x) = p'(e^x) e^x, deeper bands contract by e^x < 1,
@@ -199,139 +192,120 @@ class AbelFunction:
         # exceeds 1 because phi' averages to 1 over [0,1]
         yd = np.polymul(self._dp_desc, [1.0, 1.0])  # p'(y) * (u + 1) = y p'(y)
         crits = self._roots_in_band(np.polyder(yd))
-        return self._band_max(yd, crits)
+        return _band_range(yd.tolist(), crits, 1.0, _E)[1]
 
     def _sup_dphi_nonpos(self) -> float:
         # sup of phi' over (-inf, 0]: there phi'(x) = p'(w) * w * log(w) with
         # w = exp(exp(x)) ranging over (1, e]; dense scan of that band
         ws = np.linspace(1.0, _E, 32769)
-        h = np.polyval(self._dp_desc, ws - 1.0) * ws * np.log(ws)
+        h = _horner(self._dp_desc, ws - 1.0) * ws * np.log(ws)
         i = int(np.argmax(h))
         lo = ws[max(i - 1, 0)]
         hi = ws[min(i + 1, len(ws) - 1)]
         fine = np.linspace(lo, hi, 4097)
-        hf = np.polyval(self._dp_desc, fine - 1.0) * fine * np.log(fine)
+        hf = _horner(self._dp_desc, fine - 1.0) * fine * np.log(fine)
         return float(max(h[i], hf.max()))
 
     def seed(self, y: float) -> float:
-        return self._polyval(self._p_desc, y)
+        return _horner(self._p_desc, y - 1.0)
 
-    # -- scalar evaluation -------------------------------------------------
+    # -- the band walk: x to y in [1, e] by log/exp steps --------------------
 
-    def eval_phi(self, x: float) -> float:
+    def _walk(self, x: float) -> tuple[float, int, float, float, float]:
+        """(y, shift, d1, c2, c1) with y in [1, e] and
+        phi(x) = p(y) + shift, phi'(x) = d1 p'(y) and
+        phi''(x) = c2 p''(y) + c1 p'(y)."""
         x = float(x)
         if not math.isfinite(x):
             raise DomainError(f"phi argument must be finite, got {x}")
-        shift = 0
-        steps = 0
+        shift, d1, c2, c1 = 0, 1.0, 1.0, 0.0
         while x > _E:
-            x = math.log(x)
-            shift += 1
-            steps += 1
-            if steps > self.recursion_cap:
-                raise DomainError("recursion cap exceeded in phi")
-        while x < 1.0:
-            x = math.exp(x)
-            shift -= 1
-            steps += 1
-            if steps > self.recursion_cap:
-                raise DomainError("recursion cap exceeded in phi")
-        return float(np.polyval(self._p_desc, x - 1.0)) + shift
-
-    def eval_dphi(self, x: float) -> float:
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError(f"phi' argument must be finite, got {x}")
-        fac = 1.0
-        steps = 0
-        while x > _E:
-            fac /= x
-            x = math.log(x)
-            steps += 1
-            if steps > self.recursion_cap:
-                raise DomainError("recursion cap exceeded in phi'")
-        while x < 1.0:
-            x = math.exp(x)
-            fac *= x
-            steps += 1
-            if steps > self.recursion_cap:
-                raise DomainError("recursion cap exceeded in phi'")
-        return fac * float(np.polyval(self._dp_desc, x - 1.0))
-
-    def eval_d2phi(self, x: float) -> float:
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError(f"phi'' argument must be finite, got {x}")
-        # accumulate the linear map (d2_band, d1_band) -> d2 at x
-        c2, c1 = 1.0, 0.0
-        steps = 0
-        while x > _E:
-            # d2_x = (d2_y - d1_y)/x^2, d1_x = d1_y/x
+            # phi'(x) = phi'(y)/x, phi''(x) = (phi''(y) - phi'(y))/x^2
+            d1 /= x
             inv = 1.0 / x
             c1 = (c1 - c2 * inv) * inv
             c2 = c2 * inv * inv
             x = math.log(x)
-            steps += 1
-            if steps > self.recursion_cap:
-                raise DomainError("recursion cap exceeded in phi''")
+            shift += 1
         while x < 1.0:
-            y = math.exp(x)
-            # d2_x = d2_y y^2 + d1_y y, d1_x = d1_y y
-            c1 = c2 * y + c1 * y
-            c2 = c2 * y * y
-            x = y
-            steps += 1
-            if steps > self.recursion_cap:
-                raise DomainError("recursion cap exceeded in phi''")
-        return c2 * float(np.polyval(self._d2p_desc, x - 1.0)) \
-            + c1 * float(np.polyval(self._dp_desc, x - 1.0))
+            # phi'(x) = phi'(y) y, phi''(x) = phi''(y) y^2 + phi'(y) y
+            x = math.exp(x)
+            d1 *= x
+            c1 = c2 * x + c1 * x
+            c2 = c2 * x * x
+            shift -= 1
+        if abs(shift) > self.recursion_cap:
+            raise DomainError("recursion cap exceeded in phi")
+        return x, shift, d1, c2, c1
 
-    # -- vectorized evaluation (oracle/scan hot path) -----------------------
-
-    def eval_phi_array(self, x: np.ndarray) -> np.ndarray:
+    def _walk_array(self, x, order: int):
+        """_walk over an array, updating only what derivative ``order``
+        reads: shift for 0, d1 for 1, c2 and c1 for 2."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return self._walk(x)
         if not np.all(np.isfinite(x)):
             raise DomainError("phi argument must be finite")
-        work = x.copy()
-        shift = np.zeros(x.shape)
+        y = x.copy()
+        shift = np.zeros(x.shape) if order == 0 else None
+        d1 = np.ones(x.shape) if order == 1 else None
+        c2, c1 = (np.ones(x.shape), np.zeros(x.shape)) if order == 2 else (None, None)
         for _ in range(self.recursion_cap):
-            hi = work > _E
-            if not hi.any():
+            m = y > _E
+            if not m.any():
                 break
-            work[hi] = np.log(work[hi])
-            shift[hi] += 1.0
+            v = y[m]
+            if order == 0:
+                shift[m] += 1.0
+            elif order == 1:
+                d1[m] /= v
+            else:
+                inv = 1.0 / v
+                c1[m] = (c1[m] - c2[m] * inv) * inv
+                c2[m] = c2[m] * inv * inv
+            y[m] = np.log(v)
         for _ in range(self.recursion_cap):
-            lo = work < 1.0
-            if not lo.any():
+            m = y < 1.0
+            if not m.any():
                 break
-            work[lo] = np.exp(work[lo])
-            shift[lo] -= 1.0
-        return np.polyval(self._p_desc, work - 1.0) + shift
+            v = np.exp(y[m])
+            y[m] = v
+            if order == 0:
+                shift[m] -= 1.0
+            elif order == 1:
+                d1[m] *= v
+            else:
+                c1[m] = c2[m] * v + c1[m] * v
+                c2[m] = c2[m] * v * v
+        return y, shift, d1, c2, c1
+
+    # -- point evaluation: scalar, and array (oracle/scan hot path) ----------
+
+    def eval_phi(self, x: float) -> float:
+        y, shift, _, _, _ = self._walk(x)
+        return _horner(self._p_desc, y - 1.0) + shift
+
+    def eval_dphi(self, x: float) -> float:
+        y, _, d1, _, _ = self._walk(x)
+        return d1 * _horner(self._dp_desc, y - 1.0)
+
+    def eval_d2phi(self, x: float) -> float:
+        y, _, _, c2, c1 = self._walk(x)
+        u = y - 1.0
+        return c2 * _horner(self._d2p_desc, u) + c1 * _horner(self._dp_desc, u)
+
+    def eval_phi_array(self, x: np.ndarray) -> np.ndarray:
+        y, shift, _, _, _ = self._walk_array(x, 0)
+        return _horner(self._p_desc, y - 1.0) + shift
 
     def eval_dphi_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise DomainError("phi' argument must be finite")
-        work = x.copy()
-        fac = np.ones(x.shape)
-        for _ in range(self.recursion_cap):
-            hi = work > _E
-            if not hi.any():
-                break
-            fac[hi] /= work[hi]
-            work[hi] = np.log(work[hi])
-        for _ in range(self.recursion_cap):
-            lo = work < 1.0
-            if not lo.any():
-                break
-            work[lo] = np.exp(work[lo])
-            fac[lo] *= work[lo]
-        return fac * np.polyval(self._dp_desc, work - 1.0)
+        y, _, d1, _, _ = self._walk_array(x, 1)
+        return d1 * _horner(self._dp_desc, y - 1.0)
 
     def eval_d2phi_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([self.eval_d2phi(float(u)) for u in np.ravel(x)]
-                        ).reshape(x.shape)
+        y, _, _, c2, c1 = self._walk_array(x, 2)
+        u = y - 1.0
+        return c2 * _horner(self._d2p_desc, u) + c1 * _horner(self._dp_desc, u)
 
     # -- interval enclosures -------------------------------------------------
 
@@ -347,73 +321,60 @@ class AbelFunction:
         """Enclosure of {phi'(x) : x in [lo, hi]} by band splitting."""
         if lo > hi:
             raise DomainError("empty interval")
-        a, b = self._interval_dphi(lo, hi, 0)
+        (a, b), = self._interval_jet(lo, hi, 1, 0)
         return (math.nextafter(a - _DPHI_SLACK, -math.inf),
                 math.nextafter(b + _DPHI_SLACK, math.inf))
-
-    def _interval_dphi(self, lo, hi, depth) -> tuple[float, float]:
-        if depth > self.recursion_cap:
-            raise DomainError("recursion cap exceeded in interval phi'")
-        if lo >= 1.0 and hi <= _E:
-            c = self._band_candidates(self._dp_desc, self._dp_crit, lo, hi)
-            return min(c), max(c)
-        if lo > _E:
-            ra, rb = self._interval_dphi(math.log(lo), math.log(hi), depth + 1)
-            # multiply by 1/x over [lo, hi]; enclosure of phi' is >= 0
-            pieces = [ra / lo, ra / hi, rb / lo, rb / hi]
-            return min(pieces), max(pieces)
-        if hi < 1.0:
-            ea, eb = math.exp(lo), math.exp(hi)
-            ra, rb = self._interval_dphi(ea, eb, depth + 1)
-            pieces = [ra * ea, ra * eb, rb * ea, rb * eb]
-            return min(pieces), max(pieces)
-        # straddles a junction: split
-        if lo < 1.0:
-            a1, b1 = self._interval_dphi(lo, math.nextafter(1.0, 0.0), depth + 1)
-            a2, b2 = self._interval_dphi(1.0, hi, depth + 1)
-            return min(a1, a2), max(b1, b2)
-        a1, b1 = self._interval_dphi(lo, _E, depth + 1)
-        a2, b2 = self._interval_dphi(math.nextafter(_E, math.inf), hi, depth + 1)
-        return min(a1, a2), max(b1, b2)
 
     def interval_d2phi(self, lo: float, hi: float) -> tuple[float, float]:
         """Enclosure of {phi''(x) : x in [lo, hi]} by band splitting."""
         if lo > hi:
             raise DomainError("empty interval")
-        a, b = self._interval_d2phi(lo, hi, 0)
+        _, (a, b) = self._interval_jet(lo, hi, 2, 0)
         return (math.nextafter(a - _D2PHI_SLACK, -math.inf),
                 math.nextafter(b + _D2PHI_SLACK, math.inf))
 
-    def _interval_d2phi(self, lo, hi, depth) -> tuple[float, float]:
+    def _interval_jet(self, lo, hi, order: int, depth: int):
+        """[(min, max) of phi'] over [lo, hi], followed by that of phi'' when
+        order is 2; unrounded, the public enclosures add the slack."""
         if depth > self.recursion_cap:
-            raise DomainError("recursion cap exceeded in interval phi''")
+            raise DomainError("recursion cap exceeded in interval phi' or phi''")
         if lo >= 1.0 and hi <= _E:
-            c = self._band_candidates(self._d2p_desc, self._d2p_crit, lo, hi)
-            return min(c), max(c)
+            bands = ((self._dp_desc, self._dp_crit), (self._d2p_desc, self._d2p_crit))
+            return [_band_range(desc, crits, lo, hi) for desc, crits in bands[:order]]
         if lo > _E:
-            y0, y1 = math.log(lo), math.log(hi)
-            d2a, d2b = self._interval_d2phi(y0, y1, depth + 1)
-            d1a, d1b = self._interval_dphi(y0, y1, depth + 1)
-            na, nb = d2a - d1b, d2b - d1a  # phi''(y) - phi'(y)
-            # times 1/x^2 with x in [lo, hi], positive factor
-            fa, fb = 1.0 / (hi * hi), 1.0 / (lo * lo)
-            pieces = [na * fa, na * fb, nb * fa, nb * fb]
-            return min(pieces), max(pieces)
+            jet = self._interval_jet(math.log(lo), math.log(hi), order, depth + 1)
+            # phi'(y)/x with x in [lo, hi]; phi' >= 0
+            ra, rb = jet[0]
+            q1 = [ra / lo, ra / hi, rb / lo, rb / hi]
+            out = [(min(q1), max(q1))]
+            if order == 2:
+                na, nb = jet[1][0] - rb, jet[1][1] - ra  # phi''(y) - phi'(y)
+                # times 1/x^2 with x in [lo, hi], positive factor
+                fa, fb = 1.0 / (hi * hi), 1.0 / (lo * lo)
+                q2 = [na * fa, na * fb, nb * fa, nb * fb]
+                out.append((min(q2), max(q2)))
+            return out
         if hi < 1.0:
             ya, yb = math.exp(lo), math.exp(hi)
-            d2a, d2b = self._interval_d2phi(ya, yb, depth + 1)
-            d1a, d1b = self._interval_dphi(ya, yb, depth + 1)
-            # phi''(y) y^2 + phi'(y) y with y in [ya, yb] > 0
-            q2 = [d2a * ya * ya, d2a * yb * yb, d2b * ya * ya, d2b * yb * yb]
-            q1 = [d1a * ya, d1a * yb, d1b * ya, d1b * yb]
-            return min(q2) + min(q1), max(q2) + max(q1)
+            jet = self._interval_jet(ya, yb, order, depth + 1)
+            # phi'(y) y and phi''(y) y^2 + phi'(y) y with y in [ya, yb] > 0
+            ra, rb = jet[0]
+            q1 = [ra * ya, ra * yb, rb * ya, rb * yb]
+            out = [(min(q1), max(q1))]
+            if order == 2:
+                d2a, d2b = jet[1]
+                q2 = [d2a * ya * ya, d2a * yb * yb, d2b * ya * ya, d2b * yb * yb]
+                out.append((min(q2) + min(q1), max(q2) + max(q1)))
+            return out
+        # straddles a junction: split
         if lo < 1.0:
-            a1, b1 = self._interval_d2phi(lo, math.nextafter(1.0, 0.0), depth + 1)
-            a2, b2 = self._interval_d2phi(1.0, hi, depth + 1)
-            return min(a1, a2), max(b1, b2)
-        a1, b1 = self._interval_d2phi(lo, _E, depth + 1)
-        a2, b2 = self._interval_d2phi(math.nextafter(_E, math.inf), hi, depth + 1)
-        return min(a1, a2), max(b1, b2)
+            left = self._interval_jet(lo, math.nextafter(1.0, 0.0), order, depth + 1)
+            right = self._interval_jet(1.0, hi, order, depth + 1)
+        else:
+            left = self._interval_jet(lo, _E, order, depth + 1)
+            right = self._interval_jet(math.nextafter(_E, math.inf), hi, order,
+                                       depth + 1)
+        return [(min(a1, a2), max(b1, b2)) for (a1, b1), (a2, b2) in zip(left, right)]
 
     # -- inverse ---------------------------------------------------------------
 
@@ -455,7 +416,7 @@ class AbelFunction:
             return 1.0
         if f >= 1.0:
             return _E
-        return float(brentq(lambda x: float(np.polyval(self._p_desc, x - 1.0)) - f,
+        return float(brentq(lambda x: self.seed(x) - f,
                             1.0, _E, xtol=1e-15, rtol=8.9e-16))
 
     def check_transexp(self, i: int, x: float) -> bool:

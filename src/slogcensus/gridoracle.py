@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError
 from .intervals import Box
@@ -245,6 +244,10 @@ def grid_zero_cells(system, grid: GridSpec) -> list:
 
 
 def _label(mask: np.ndarray):
+    # imported here, not at module level: scipy.ndimage takes about 0.3 s
+    # to import and nothing else needs it
+    from scipy import ndimage
+
     structure = ndimage.generate_binary_structure(mask.ndim, 1)
     return ndimage.label(mask, structure=structure)
 

@@ -92,6 +92,34 @@ def test_derivative_matches_finite_differences(abel):
         assert abel.eval_d2phi(x) == pytest.approx(fd2, rel=1e-5, abs=1e-10)
 
 
+def test_array_evaluators_on_a_float_equal_the_scalar_ones(abel):
+    # a reduced system's phi patches are the array evaluators, and point
+    # evaluation (Newton polishing, gradients) hands them one float at a time
+    pairs = [(abel.eval_phi_array, abel.eval_phi),
+             (abel.eval_dphi_array, abel.eval_dphi),
+             (abel.eval_d2phi_array, abel.eval_d2phi)]
+    for x in np.linspace(-50.0, 50.0, 4001):
+        x = float(x)
+        for array_fn, scalar_fn in pairs:
+            assert array_fn(x) == scalar_fn(x), (array_fn.__name__, x)
+
+
+@pytest.mark.parametrize("lo_end,hi_end,log_scale", [
+    (-5.0, 10.0, False),     # the junctions at 0, 1 and e
+    (-300.0, -20.0, False),  # deep left: two or more exp steps
+    (1e6, 1e300, True),      # far right: two or more log steps
+])
+def test_d2phi_array_matches_scalar(abel, lo_end, hi_end, log_scale):
+    # the array walk steps with np.log/np.exp, the scalar one with math
+    rng = np.random.default_rng(23)
+    xs = rng.uniform(lo_end, hi_end, 2000) if not log_scale else \
+        np.exp(rng.uniform(math.log(lo_end), math.log(hi_end), 2000))
+    want = [abel.eval_d2phi(float(x)) for x in xs]
+    np.testing.assert_allclose(abel.eval_d2phi_array(xs), want,
+                               rtol=1e-13, atol=0.0)
+    assert abel.eval_d2phi_array(xs.reshape(40, 50)).shape == (40, 50)
+
+
 # ---------------------------------------------------------------------------
 # interval enclosures
 
@@ -114,6 +142,15 @@ def test_interval_d2phi_encloses_samples(abel):
         a, b = abel.interval_d2phi(lo, hi)
         for x in np.linspace(lo, hi, 97):
             assert a - 1e-12 <= abel.eval_d2phi(float(x)) <= b + 1e-12
+
+
+@pytest.mark.parametrize("lo,hi", [(3.0, math.inf), (-math.inf, math.inf)])
+def test_interval_derivatives_stop_at_the_depth_cap(abel, lo, hi):
+    # log(inf) = inf, so the right end never reaches the band; only the
+    # depth cap ends the band splitting
+    for enclosure in (abel.interval_dphi, abel.interval_d2phi):
+        with pytest.raises(DomainError, match="recursion cap"):
+            enclosure(lo, hi)
 
 
 def _mp_phi_jet(abel, x):

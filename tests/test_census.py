@@ -293,12 +293,13 @@ def test_reduction_preserves_counts(abel, name, eqs, radius, expected):
     assert rep.to_dict() == count_nonsingular_zeros(sys_, radius).to_dict()
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    code = ("import sys, slogcensus; "
-            "print('scipy.interpolate' in sys.modules)")
+def test_import_leaves_scipy_interpolate_and_ndimage_unloaded():
+    code = ("import sys, slogcensus, slogcensus.cli; "
+            "print([m in sys.modules for m in "
+            "('scipy.interpolate', 'scipy.ndimage')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def test_reduction_identity_without_phi(abel):
