@@ -54,10 +54,19 @@ _DPHI_SLACK = 1e-11
 _D2PHI_SLACK = 1e-10
 
 
+# the largest double whose exp is finite; exp of the next double overflows
+EXP_MAX = math.log(sys.float_info.max)
+
+
+def exp_sat(x: float) -> float:
+    """exp(x), saturated to +inf where it overflows (and for NaN)."""
+    return math.exp(x) if x <= EXP_MAX else math.inf
+
+
 def exp_n(x: float, n: int) -> float:
     """n-fold exponential; saturates to +inf on overflow."""
     for _ in range(n):
-        x = math.exp(x) if x < 709.8 else math.inf
+        x = exp_sat(x)
     return x
 
 
@@ -398,7 +407,7 @@ class AbelFunction:
         x = self._seed_inverse(f)
         if m >= 0:
             for _ in range(m):
-                if x >= 709.8:
+                if x > EXP_MAX:
                     raise DomainError("inverse exceeds double range")
                 x = math.exp(x)
         else:

@@ -12,13 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .abel import EXP_MAX
 from .errors import DomainError
 from .intervals import Box
 from .terms import (CompiledTerms, FloatArith, TermNode, compile_terms,
                     run_tape)
 
 _CHUNK = 32768
-_EXP_CLIP = 709.8
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class GridSpec:
 # vectorized tape evaluation over point arrays and cell-interval arrays
 
 def _exp_arr(x: np.ndarray) -> np.ndarray:
-    return np.where(x < _EXP_CLIP, np.exp(np.minimum(x, _EXP_CLIP)), np.inf)
+    return np.where(x <= EXP_MAX, np.exp(np.minimum(x, EXP_MAX)), np.inf)
 
 
 class PointArith(FloatArith):

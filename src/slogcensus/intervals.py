@@ -4,20 +4,31 @@ Every arithmetic helper widens its result by one ulp per operation, so a
 computed interval always contains the exact real-number result. Enclosures
 of the super-logarithm and its derivatives come from the AbelFunction,
 which already folds in its own seed evaluation error.
+
+An Interval is checked (no NaN, lo <= hi) where it is built from outside
+values: the constructor, ``Interval.point``, ``intersect`` and the
+enclosures of exp, log, 1/x, RA primitives and phi. ``iadd``, ``isub``,
+``ineg``, ``imul``, ``isqr`` and ``iscale`` skip the check: from valid
+operands they yield ordered, NaN-free bounds by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
+from .abel import exp_sat
 from .errors import DomainError
 from .terms import CompiledTerms, TermNode, compile_terms, run_tape
 
 _INF = math.inf
+_NINF = -math.inf
+_nextafter = math.nextafter
+_tuple_new = tuple.__new__
 
 
 def _dn(x: float) -> float:
@@ -28,99 +39,122 @@ def _up(x: float) -> float:
     return math.nextafter(x, _INF)
 
 
-def _mul0(a: float, b: float) -> float:
-    # containment-safe corner product: a factor that is exactly 0 pins the
-    # product to 0 even against an infinite partner
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
+class Interval(tuple):
+    """Closed interval [lo, hi] with lo <= hi, stored as the pair (lo, hi).
 
+    Being a tuple, an Interval is immutable and hashable, and compares
+    equal to the plain tuple ``(lo, hi)``.
+    """
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with lo <= hi."""
+    __slots__ = ()
 
-    lo: float
-    hi: float
+    def __new__(cls, lo: float, hi: float) -> "Interval":
+        if not lo <= hi:    # also false when either end is NaN
+            raise DomainError(f"invalid interval [{lo}, {hi}]")
+        return _tuple_new(cls, (lo, hi))
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise DomainError(f"invalid interval [{self.lo}, {self.hi}]")
+    def __getnewargs__(self):
+        return tuple(self)
+
+    lo = property(itemgetter(0))
+    hi = property(itemgetter(1))
 
     @classmethod
     def point(cls, v: float) -> "Interval":
-        return cls(v, v)
+        if v != v:
+            raise DomainError(f"invalid interval [{v}, {v}]")
+        return _tuple_new(cls, (v, v))
 
     @property
     def mid(self) -> float:
-        if self.lo == -_INF or self.hi == _INF:
-            return 0.0 if self.lo == -_INF and self.hi == _INF else (
-                min(self.hi, 0.0) if self.lo == -_INF else max(self.lo, 0.0))
-        return 0.5 * (self.lo + self.hi)
+        lo, hi = self
+        if lo == -_INF or hi == _INF:
+            return 0.0 if lo == -_INF and hi == _INF else (
+                min(hi, 0.0) if lo == -_INF else max(lo, 0.0))
+        return 0.5 * (lo + hi)
 
     @property
     def width(self) -> float:
-        return self.hi - self.lo
+        return self[1] - self[0]
 
     def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
+        return self[0] <= v <= self[1]
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
+        return self[0] <= 0.0 <= self[1]
 
     def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        return self[0] <= other[1] and other[0] <= self[1]
 
     def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
+        return Interval(max(self[0], other[0]), min(self[1], other[1]))
 
     def strictly_inside(self, other: "Interval") -> bool:
-        return other.lo < self.lo and self.hi < other.hi
+        return other[0] < self[0] and self[1] < other[1]
 
     def __repr__(self):
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{self[0]}, {self[1]}]"
 
 
 def iadd(x: Interval, y: Interval) -> Interval:
-    lo, hi = x.lo + y.lo, x.hi + y.hi
-    if math.isnan(lo):
-        lo = -_INF
-    if math.isnan(hi):
+    lo, hi = x[0] + y[0], x[1] + y[1]
+    if lo != lo:    # -inf + inf
+        lo = _NINF
+    if hi != hi:
         hi = _INF
-    return Interval(_dn(lo), _up(hi))
-
-
-def ineg(x: Interval) -> Interval:
-    return Interval(-x.hi, -x.lo)
+    return _tuple_new(Interval, (_nextafter(lo, _NINF), _nextafter(hi, _INF)))
 
 
 def isub(x: Interval, y: Interval) -> Interval:
-    return iadd(x, ineg(y))
+    lo, hi = x[0] - y[1], x[1] - y[0]
+    if lo != lo:
+        lo = _NINF
+    if hi != hi:
+        hi = _INF
+    return _tuple_new(Interval, (_nextafter(lo, _NINF), _nextafter(hi, _INF)))
+
+
+def ineg(x: Interval) -> Interval:
+    return _tuple_new(Interval, (-x[1], -x[0]))
+
+
+def _pin(p: float) -> float:
+    # a corner product is NaN only as 0 * inf; a factor that is exactly 0
+    # pins the product to 0 even against an infinite partner
+    return 0.0 if p != p else p
 
 
 def imul(x: Interval, y: Interval) -> Interval:
-    c = (_mul0(x.lo, y.lo), _mul0(x.lo, y.hi),
-         _mul0(x.hi, y.lo), _mul0(x.hi, y.hi))
-    return Interval(_dn(min(c)), _up(max(c)))
+    xl, xh = x
+    yl, yh = y
+    a, b, c, d = xl * yl, xl * yh, xh * yl, xh * yh
+    s = a + b + c + d
+    if s != s:      # some corner may be NaN
+        a, b, c, d = _pin(a), _pin(b), _pin(c), _pin(d)
+    return _tuple_new(Interval, (_nextafter(min(a, b, c, d), _NINF),
+                                 _nextafter(max(a, b, c, d), _INF)))
 
 
 def isqr(x: Interval) -> Interval:
-    a, b = _mul0(x.lo, x.lo), _mul0(x.hi, x.hi)
-    if x.contains_zero():
-        return Interval(0.0, _up(max(a, b)))
-    return Interval(_dn(min(a, b)), _up(max(a, b)))
+    lo, hi = x
+    a, b = lo * lo, hi * hi
+    if lo <= 0.0 <= hi:
+        return _tuple_new(Interval, (0.0, _nextafter(max(a, b), _INF)))
+    return _tuple_new(Interval, (_nextafter(min(a, b), _NINF),
+                                 _nextafter(max(a, b), _INF)))
 
 
 def iscale(x: Interval, c: float) -> Interval:
-    if c >= 0.0:
-        return Interval(_dn(_mul0(c, x.lo)), _up(_mul0(c, x.hi)))
-    return Interval(_dn(_mul0(c, x.hi)), _up(_mul0(c, x.lo)))
+    lo, hi = _pin(c * x[0]), _pin(c * x[1])
+    if c < 0.0:
+        lo, hi = hi, lo
+    return _tuple_new(Interval, (_nextafter(lo, _NINF), _nextafter(hi, _INF)))
 
 
 def iexp(x: Interval) -> Interval:
-    lo = _dn(math.exp(x.lo)) if x.lo < 709.8 else _INF
-    hi = _up(math.exp(x.hi)) if x.hi < 709.8 else _INF
-    return Interval(max(lo, 0.0), hi)
+    # above EXP_MAX, exp_sat gives inf and _dn(inf) the largest double,
+    # a sound lower bound since exp overflows there
+    return Interval(max(_dn(exp_sat(x[0])), 0.0), _up(exp_sat(x[1])))
 
 
 def ilog(x: Interval) -> Interval:
@@ -315,6 +349,7 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
         return KrawczykResult("Unknown")
     if not np.all(np.isfinite(C)):
         return KrawczykResult("Unknown")
+    C = C.tolist()
 
     # K = m - C f(m) + (I - C J)(X - m), evaluated row by row in intervals
     shifted = [isub(box.coords[j], Interval.point(m[j])) for j in range(n)]
@@ -322,11 +357,11 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
     for i in range(n):
         acc = Interval.point(m[i])
         for j in range(n):
-            acc = isub(acc, iscale(fm[j], C[i, j]))
+            acc = isub(acc, iscale(fm[j], C[i][j]))
         for j in range(n):
             entry = Interval.point(1.0 if i == j else 0.0)
             for k in range(n):
-                entry = isub(entry, iscale(jac_iv[k][j], C[i, k]))
+                entry = isub(entry, iscale(jac_iv[k][j], C[i][k]))
             acc = iadd(acc, imul(entry, shifted[j]))
         k_rows.append(acc)
 

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from .abel import exp_sat
 from .errors import (
     DifferentiationError,
     DomainError,
@@ -652,7 +653,7 @@ class FloatArith:
         self.abel = abel
 
     def exp(self, x, grad):
-        v = math.exp(x) if x < 709.8 else math.inf
+        v = exp_sat(x)
         return v, v
 
     def log(self, x, grad):

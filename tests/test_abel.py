@@ -237,6 +237,7 @@ def test_exp_log_towers():
     assert exp_n(1.0, 0) == 1.0
     assert exp_n(0.0, 2) == pytest.approx(_E)
     assert log_n(exp_n(1.0, 3), 3) == pytest.approx(1.0, rel=1e-12)
+    assert exp_n(709.79, 1) == exp_n(7.0, 3) == math.inf
 
 
 def test_domination_threshold_level_one(abel):

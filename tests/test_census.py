@@ -77,6 +77,17 @@ def test_flat_cubic_never_exact_with_a_wrong_count(abel):
     assert not rep.exact or rep.certified_count == 1
 
 
+def test_zero_past_exp_overflow_is_never_exact(abel):
+    # the zero ln(2e308) ~ 709.889 lies where exp(x1) overflows; an exp
+    # enclosure of [inf, inf] once excluded it and reported 0, exact. No
+    # box of this census is ever decided, so a small depth keeps it short
+    sys_ = build_system(["0.5*exp(x1) - 1e308"], abel=abel)
+    rep = count_over_box(sys_, Box.from_bounds([(709.85, 709.95)]),
+                         max_depth=6)
+    assert not rep.exact
+    assert rep.certified_count == 0
+
+
 def test_census_report_shape(abel):
     rep = count_nonsingular_zeros(
         build_system(["x1*x1 - 1"], abel=abel), 2.0)

@@ -81,6 +81,14 @@ def test_eval_value_and_gradient():
     assert doc["gradient"] == [4.0, 1.0]
 
 
+def test_eval_saturates_exp_overflow():
+    # exp overflows above ln(max double) ~ 709.7827; 709.79 used to raise
+    r = _run("eval", "exp(x1)", "--at", "709.79", "--grad")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["value"] == doc["gradient"][0] == float("inf")
+
+
 def test_eval_syntax_error():
     r = _run("eval", "x1 + * x2", "--at", "1,2")
     assert r.returncode == 2

@@ -1,11 +1,15 @@
 """Interval arithmetic, boxes, enclosures, and the Krawczyk certifier."""
 
+import itertools
 import math
+import pickle
+import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slogcensus.abel import EXP_MAX, exp_sat
 from slogcensus.census import build_system
 from slogcensus.errors import DomainError
 from slogcensus.intervals import (Box, Interval, iadd, iexp, ilog, imul,
@@ -30,8 +34,41 @@ def test_interval_basics():
 
 
 def test_interval_rejects_inverted_bounds():
-    with pytest.raises((DomainError, ValueError)):
-        Interval(2.0, 1.0)
+    for lo, hi in ((2.0, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                   (math.nan, math.nan), (math.inf, -math.inf)):
+        with pytest.raises(DomainError):
+            Interval(lo, hi)
+    with pytest.raises(DomainError):
+        Interval.point(math.nan)
+    with pytest.raises(DomainError):
+        Interval(0.0, 1.0).intersect(Interval(2.0, 3.0))
+
+
+def test_interval_public_behaviour():
+    x = Interval(1.0, 2.0)
+    assert repr(x) == "[1.0, 2.0]"
+    assert repr(Interval.point(-0.0)) == "[-0.0, -0.0]"
+    # an Interval is the pair (lo, hi): equal to it, hashed like it
+    assert x == (1.0, 2.0) and x == Interval(1.0, 2.0)
+    assert x != Interval(1.0, 3.0)
+    assert hash(x) == hash(Interval(1.0, 2.0)) == hash((1.0, 2.0))
+    assert len({x, Interval(1.0, 2.0), Interval(0.0, 2.0)}) == 2
+    assert {x: "a"}[Interval(1.0, 2.0)] == "a"
+    with pytest.raises(AttributeError):
+        x.lo = 0.0
+    back = pickle.loads(pickle.dumps(x))
+    assert type(back) is Interval and back == x
+    a = Box.from_bounds([(0.0, 1.0), (-1.0, 1.0)])
+    assert a == Box.from_bounds([(0.0, 1.0), (-1.0, 1.0)])
+    assert a != Box.from_bounds([(0.0, 1.0), (-1.0, 2.0)])
+    assert a.bounds() == [(0.0, 1.0), (-1.0, 1.0)]
+    assert all(type(c) is Interval for c in a.coords)
+    assert repr(a) == "[0.0, 1.0] x [-1.0, 1.0]"
+    inner = Box.from_bounds([(0.25, 0.5), (0.0, 1.0)])
+    assert inner.within(a) and not a.within(inner)
+    assert a.intersects(inner)
+    assert a.intersects(Box.from_bounds([(1.0, 2.0), (1.0, 2.0)]))
+    assert not a.intersects(Box.from_bounds([(1.5, 2.0), (0.0, 1.0)]))
 
 
 def test_interval_set_operations():
@@ -65,6 +102,87 @@ def test_add_mul_soundness(a, b, c, d):
     assert _contains(iscale(x, 3.0), 3.0 * x.mid)
 
 
+# the helpers as they were with the validating dataclass: every corner
+# product through _mul0, isub as iadd(x, ineg(y)); bounds as plain pairs
+
+def _ref_mul0(a, b):
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    return a * b
+
+
+def _ref_iadd(x, y):
+    lo, hi = x[0] + y[0], x[1] + y[1]
+    if math.isnan(lo):
+        lo = -math.inf
+    if math.isnan(hi):
+        hi = math.inf
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _ref_isub(x, y):
+    return _ref_iadd(x, (-y[1], -y[0]))
+
+
+def _ref_imul(x, y):
+    c = (_ref_mul0(x[0], y[0]), _ref_mul0(x[0], y[1]),
+         _ref_mul0(x[1], y[0]), _ref_mul0(x[1], y[1]))
+    return math.nextafter(min(c), -math.inf), math.nextafter(max(c), math.inf)
+
+
+def _ref_isqr(x):
+    a, b = _ref_mul0(x[0], x[0]), _ref_mul0(x[1], x[1])
+    if x[0] <= 0.0 <= x[1]:
+        return 0.0, math.nextafter(max(a, b), math.inf)
+    return math.nextafter(min(a, b), -math.inf), math.nextafter(max(a, b), math.inf)
+
+
+def _ref_iscale(x, c):
+    if c >= 0.0:
+        return (math.nextafter(_ref_mul0(c, x[0]), -math.inf),
+                math.nextafter(_ref_mul0(c, x[1]), math.inf))
+    return (math.nextafter(_ref_mul0(c, x[1]), -math.inf),
+            math.nextafter(_ref_mul0(c, x[0]), math.inf))
+
+
+def _same_bits(got, ref):
+    # unchecked results must still be ordered and NaN-free
+    assert type(got) is Interval and got.lo <= got.hi
+    assert (got.lo.hex(), got.hi.hex()) == (float(ref[0]).hex(), float(ref[1]).hex())
+
+
+def _check_helpers(x, y, c):
+    _same_bits(iadd(x, y), _ref_iadd(x, y))
+    _same_bits(isub(x, y), _ref_isub(x, y))
+    _same_bits(imul(x, y), _ref_imul(x, y))
+    _same_bits(isqr(x), _ref_isqr(x))
+    _same_bits(iscale(x, c), _ref_iscale(x, c))
+    neg = ineg(x)
+    assert neg.lo <= neg.hi and (neg.lo, neg.hi) == (-x.hi, -x.lo)
+
+
+_MAX = sys.float_info.max
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.1, _MAX, -_MAX,
+            math.inf, -math.inf)
+_SPECIAL_IV = [Interval(a, b) for a in _SPECIAL for b in _SPECIAL if a <= b]
+
+
+def test_unchecked_helpers_keep_every_bit_on_special_values():
+    for x, y in itertools.product(_SPECIAL_IV, repeat=2):
+        for c in (y.lo, y.hi):
+            _check_helpers(x, y, c)
+
+
+_any = st.floats(allow_nan=False)
+
+
+@settings(max_examples=500)
+@given(_any, _any, _any, _any, st.floats(allow_nan=False, allow_infinity=False))
+def test_unchecked_helpers_keep_every_bit(a, b, c, d, k):
+    _check_helpers(Interval(min(a, b), max(a, b)),
+                   Interval(min(c, d), max(c, d)), k)
+
+
 def test_outward_rounding_strict():
     z = iadd(Interval.point(0.1), Interval.point(0.2))
     assert z.lo < 0.1 + 0.2 < z.hi or (z.lo <= 0.30000000000000004 <= z.hi
@@ -78,6 +196,27 @@ def test_exp_soundness(a, b):
     z = iexp(x)
     for p in (x.lo, x.mid, x.hi):
         assert _contains(z, math.exp(p))
+
+
+def test_exp_saturates_at_the_end_of_the_double_range():
+    assert math.isfinite(math.exp(EXP_MAX))
+    with pytest.raises(OverflowError):
+        math.exp(math.nextafter(EXP_MAX, math.inf))
+    assert exp_sat(EXP_MAX) == math.exp(EXP_MAX)
+    assert exp_sat(709.79) == math.inf
+    z = iexp(Interval(709.79, 709.79))
+    assert z.lo == _MAX and z.hi == math.inf
+
+
+@settings(max_examples=200)
+@given(st.floats(700.0, _MAX), st.floats(0.0, 20.0))
+def test_exp_lower_end_stays_finite_near_overflow(a, w):
+    # exp(a) > max double once math.exp(a) overflows, so max is a sound
+    # lower end; inf would not bound the finite real exp(a) from below
+    z = iexp(Interval(a, a + w))
+    assert z.lo <= _MAX
+    with mpmath.workdps(30):
+        assert z.lo <= mpmath.exp(mpmath.mpf(a))
 
 
 @settings(max_examples=200)
@@ -158,7 +297,7 @@ def test_enclosure_soundness(abel, t, c0, c1):
     try:
         rng = interval_eval(t, box, abel)
         v = eval_term(t, box.midpoint(), abel)
-    except (DomainError, OverflowError):
+    except DomainError:
         return
     assert rng.lo <= v <= rng.hi
 
