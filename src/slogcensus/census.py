@@ -255,18 +255,24 @@ def _inflate(box: Box, outer: Box) -> Box:
 
 
 def _polish(system: SquareSystem, enclosure: Box) -> list[float]:
-    # Newton from the midpoint, kept inside the certified enclosure
+    # Newton from the midpoint, kept inside the certified enclosure; it
+    # stops at the last finite point when a value or a step is not finite
     lo, hi = np.array(enclosure.bounds()).T
     x = np.array(enclosure.midpoint(), dtype=float)
     for _ in range(20):
         vals, grads = gradient_compiled(system.compiled, x, system.abel)
         j = np.array(grads, dtype=float)
         f = np.array(vals, dtype=float)
+        if not (np.isfinite(j).all() and np.isfinite(f).all()):
+            break
         try:
             step = np.linalg.solve(j, f)
         except np.linalg.LinAlgError:
             break
-        x = np.clip(x - step, lo, hi)
+        if not np.isfinite(step).all():
+            break
+        with np.errstate(over="ignore"):    # clipped back into the box
+            x = np.clip(x - step, lo, hi)
         if float(np.max(np.abs(step))) < 1e-14 * (1.0 + float(np.max(np.abs(x)))):
             break
     return [float(v) for v in x]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .abel import exp_sat
@@ -534,6 +534,9 @@ class CompiledTerms:
     ops: list          # (code, a, b, payload) per slot
     roots: list        # slot index per root term
     n_vars: int
+    # state an arithmetic keeps per tape: intervals keeps its call counts
+    # and generated code here, so both go with the tape
+    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def compile_terms(roots: Sequence[TermNode]) -> CompiledTerms:
@@ -584,7 +587,9 @@ def run_tape(ct: CompiledTerms, inputs: Sequence, arith, grad: bool = False):
     """Values of every root of a tape in the number kind of ``arith``, and
     with ``grad`` their forward-mode gradients, one entry per input.
 
-    The one interpreter of the opcodes and of the chain rule. ``arith``
+    The one interpreter of the opcodes and of the chain rule;
+    ``intervals._generate`` writes the same steps out as code for hot
+    interval tapes and must agree with it to the bit. ``arith``
     supplies const/add/mul/sqr/neg, plus exp/log/phi/dphi(x, grad) and
     ra(prim, x, grad), which return the value and, with ``grad``, its
     derivative factor. Returns the root values, or (values, gradients).

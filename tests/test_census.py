@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from slogcensus.census import (CensusReport, DeformationPath, SystemParams,
+                               _polish,
                                build_system, count_nonsingular_zeros,
                                count_over_box, is_regular_value,
                                probe_boundedness, reduce_phi_complexity,
@@ -86,6 +87,25 @@ def test_zero_past_exp_overflow_is_never_exact(abel):
                          max_depth=6)
     assert not rep.exact
     assert rep.certified_count == 0
+
+
+def test_census_near_the_end_of_the_double_range(abel):
+    # the midpoint of [9e307, 1e308] used to overflow to inf
+    rep = count_over_box(build_system(["x1 - 1.5e308"], abel=abel),
+                         Box.from_bounds([(1e308, 1.7e308)]))
+    assert rep.certified_count == 1 and rep.exact
+    assert rep.zeros == [[1.5e308]]
+    rep = count_nonsingular_zeros(
+        build_system(["x1 - 1e308", "x2"], abel=abel), 1.7e308)
+    assert rep.certified_count == 1 and rep.exact
+    assert rep.zeros == [[1e308, 0.0]]
+
+
+def test_polish_stays_finite(abel):
+    # x^3 overflows at the midpoint, so Newton has no finite step
+    enc = Box.from_bounds([(1e200, 1.7e308)])
+    (z,) = _polish(build_system(["x1*x1*x1"], abel=abel), enc)
+    assert math.isfinite(z) and enc.contains([z])
 
 
 def test_census_report_shape(abel):

@@ -264,6 +264,22 @@ def test_subdivide_point_box_rejected():
         subdivide(Box.from_bounds([(1.0, 1.0)]))
 
 
+def test_midpoint_never_overflows():
+    for lo, hi in ((9e307, 1e308), (-1e308, -9e307), (_MAX, _MAX),
+                   (-_MAX, -_MAX), (1e308, _MAX)):
+        m = Interval(lo, hi).mid
+        assert math.isfinite(m) and lo <= m <= hi
+    # finite sums keep the plain formula's bits
+    for lo, hi in ((1.0, 3.0), (-_MAX, _MAX), (5e-324, 5e-324), (0.1, 0.7)):
+        assert Interval(lo, hi).mid.hex() == (0.5 * (lo + hi)).hex()
+
+
+def test_subdivide_near_the_end_of_the_double_range():
+    left, right = subdivide(Box.from_bounds([(1e308, 1.7e308)]))
+    m = left.coords[0].hi
+    assert m == right.coords[0].lo and 1e308 < m < 1.7e308
+
+
 # ---------------------------------------------------------------------------
 # term enclosures
 

@@ -1,16 +1,25 @@
 """One tape walker, four arithmetics: floats, intervals, point arrays and
 cell arrays must agree with each other on every opcode."""
 
+import gc
+import math
+import sys
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slogcensus.census import build_system, reduce_phi_complexity
 from slogcensus.errors import DifferentiationError, DomainError
 from slogcensus.gridoracle import eval_cells, eval_points, gradient_points
-from slogcensus.intervals import (Box, interval_eval_compiled,
+from slogcensus.intervals import (HOT_CALLS, Box, Interval, IntervalArith,
+                                  interval_eval_compiled,
                                   interval_jacobian_compiled)
-from slogcensus.terms import (RAPrimitive, compile_terms, default_catalog,
-                              eval_compiled, gradient_compiled, parse_term)
+from slogcensus.terms import (RAPrimitive, add, compile_terms, const,
+                              default_catalog, eval_compiled,
+                              gradient_compiled, log, mul, parse_term,
+                              run_tape, var)
 
 # every tape reads both variables, so gradients have two entries
 SOURCES = [
@@ -141,3 +150,168 @@ def test_gradients_of_a_primitive_without_derivative_fail_alike(abel):
     for name in ("eval_compiled", "interval_eval_compiled", "eval_points",
                  "eval_cells"):
         walks[name]()
+
+
+# ---------------------------------------------------------------------------
+# generated straight-line code for hot interval tapes, against run_tape
+
+_MAX = sys.float_info.max
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, _MAX, -_MAX,
+            math.inf, -math.inf)
+# every ordered pair of special ends, point boxes included
+_SPECIAL_IV = [(a, b) for a in _SPECIAL for b in _SPECIAL if a <= b]
+# partners for them: infinite points, zeros against infinities
+_PARTNERS = [(-math.inf, -math.inf), (math.inf, math.inf), (0.0, 0.0),
+             (-0.0, math.inf), (-math.inf, 5e-324), (-math.inf, math.inf),
+             (-_MAX, _MAX), (-1.0, 0.5), (5e-324, 5e-324), (0.5, 1.0)]
+_SAFE = Box.from_bounds([(0.5, 0.6), (0.5, 0.6)])
+
+
+def _generated_tapes(abel):
+    """Tapes over x1 and x2 whose hot code has every opcode, folded
+    constants of each kind, 0 * inf corners and domain faults."""
+    cat = default_catalog(restriction=2.0)
+    sources = [
+        "x1*x2 - x1*x1 + 3.0*x1 - 0.5*x2 + 3.0*3.0*x2",
+        "(x1 + x2)*(x1 - x2)",
+        "(2.0 + 1.5*2.0)*x1*x2 + exp(1.0)*x2 - x1*(1.0 - 1.0)",
+        "log(x1) + log(2.0) - sin(x2)*atan(x1)",
+        "exp(x1 - x2)*x1*x1 + dphi(x2)*phi(x1)",
+        "d3atan(x1) + x2",      # a primitive without derivative
+    ]
+    extra = [compile_terms([parse_term(s, catalog=cat)]) for s in sources]
+    # signed zero constants, a nonzero constant root and a log of a
+    # negative constant, which must fail on every call
+    extra.append(compile_terms([add(mul(const(-0.0), var(0)),
+                                    mul(const(-0.25), var(1))),
+                                const(-2.5),
+                                add(mul(var(0), var(1)), const(5e-324))]))
+    extra.append(compile_terms([add(log(const(-1.0)), var(0)), var(1)]))
+    return _tapes(abel) + extra
+
+
+def _bits(x):
+    if isinstance(x, Interval):
+        return (x.lo.hex(), x.hi.hex())
+    assert not isinstance(x, tuple), x
+    return [_bits(v) for v in x]
+
+
+def _outcome(fn):
+    """Every bit of a result, or the type and message of its exception."""
+    try:
+        return _bits(fn())
+    except Exception as exc:     # must match the reference's exactly
+        return type(exc), str(exc)
+
+
+def _heat(ct, abel):
+    for _ in range(HOT_CALLS + 1):
+        for walk in (interval_eval_compiled, interval_jacobian_compiled):
+            try:
+                walk(ct, _SAFE, abel)
+            except (DomainError, DifferentiationError):
+                pass
+
+
+def _generated_matches_run_tape(ct, box, abel):
+    """Compares both passes; returns run_tape's outcomes."""
+    outcomes = []
+    for grad, walk in ((False, interval_eval_compiled),
+                       (True, interval_jacobian_compiled)):
+        want = _outcome(lambda: run_tape(ct, box.coords, IntervalArith(abel),
+                                         grad=grad))
+        got = _outcome(lambda: walk(ct, box, abel))
+        assert got == want, (grad, box)
+        outcomes.append(want)
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def hot_tapes(abel):
+    tapes = _generated_tapes(abel)
+    for ct in tapes:
+        _heat(ct, abel)
+        assert sum(callable(v) for v in ct.cache.values()) == 2
+    return tapes
+
+
+def test_generated_tapes_cover_every_opcode(hot_tapes):
+    codes = {op[0] for ct in hot_tapes for op in ct.ops}
+    assert codes == set(range(11))
+    prims = {op[3].name for ct in hot_tapes for op in ct.ops
+             if isinstance(op[3], RAPrimitive)}
+    assert {"sin", "atan"} <= prims
+    assert any(name.startswith("slog_patch") for name in prims)
+
+
+def test_generated_code_keeps_every_bit_on_special_ends(abel, hot_tapes):
+    boxes = [Box.from_bounds(pair) for a in _SPECIAL_IV for b in _PARTNERS
+             for pair in ([a, b], [b, a])]
+    for ct in hot_tapes:
+        for box in boxes:
+            _generated_matches_run_tape(ct, box, abel)
+
+
+def test_generated_code_keeps_every_bit_on_small_boxes(abel, hot_tapes):
+    for ct in hot_tapes:
+        for box in _boxes(count=40, seed=3):
+            _generated_matches_run_tape(ct, box, abel)
+
+
+_end = st.floats(allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_end, _end, _end, _end)
+def test_generated_code_keeps_every_bit(hot_tapes, abel, a, b, c, d):
+    box = Box.from_bounds([(min(a, b), max(a, b)), (min(c, d), max(c, d))])
+    for ct in hot_tapes:
+        _generated_matches_run_tape(ct, box, abel)
+
+
+def test_generated_code_raises_what_run_tape_raises(abel, hot_tapes):
+    # log reaching 0 or below, RA arguments leaving [-2, 2], and the log of
+    # a negative constant, which fails on every box
+    boxes = [Box.from_bounds([(-1.0, 0.5), (0.5, 0.6)]),
+             Box.from_bounds([(0.0, 0.5), (0.5, 0.6)]),
+             Box.from_bounds([(0.5, 0.6), (1.5, 2.5)]),
+             Box.from_bounds([(2.5, 3.0), (0.5, 0.6)])]
+    faults = {DomainError: 0, DifferentiationError: 0}
+    for ct in hot_tapes:
+        for box in boxes:
+            for want in _generated_matches_run_tape(ct, box, abel):
+                if want[0] in faults:
+                    faults[want[0]] += 1
+    assert faults[DomainError] >= 2 * (len(boxes) + 3)
+    assert faults[DifferentiationError] >= 1
+
+
+def test_a_pass_is_generated_once_it_has_run_hot_calls_times(abel):
+    ct = compile_terms([parse_term("x1*x2 + exp(x1)")])
+    cold = compile_terms([parse_term("x1*x2 + exp(x1)")])
+    for _ in range(HOT_CALLS):
+        interval_eval_compiled(ct, _SAFE, abel)
+        interval_jacobian_compiled(ct, _SAFE, abel)
+    assert not any(callable(v) for v in ct.cache.values())
+    interval_eval_compiled(ct, _SAFE, abel)
+    assert sum(callable(v) for v in ct.cache.values()) == 1
+    interval_jacobian_compiled(ct, _SAFE, abel)
+    code = {k: v for k, v in ct.cache.items() if callable(v)}
+    assert len(code) == 2
+    interval_eval_compiled(ct, _SAFE, abel)
+    interval_jacobian_compiled(ct, _SAFE, abel)
+    assert {k: v for k, v in ct.cache.items() if callable(v)} == code
+    # the cache takes no part in equality or repr
+    assert ct == cold and repr(ct) == repr(cold)
+    assert "cache" not in repr(ct)
+
+
+def test_generated_code_is_freed_with_its_tape(abel):
+    ct = compile_terms([parse_term("x1*x2 + exp(x1)")])
+    _heat(ct, abel)
+    refs = [weakref.ref(v) for v in ct.cache.values() if callable(v)]
+    assert len(refs) == 2
+    del ct
+    gc.collect()
+    assert all(ref() is None for ref in refs)
