@@ -14,8 +14,10 @@ operands they yield ordered, NaN-free bounds by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
@@ -24,7 +26,8 @@ import numpy as np
 from .abel import exp_sat
 from .errors import DomainError
 from .terms import (ADD, CONST, DPHI, EXP, LOG, MUL, NEG, PHI, RA, SQR, VAR,
-                    CompiledTerms, TermNode, compile_terms, run_tape)
+                    CompiledTerms, TermNode, check_arity, compile_terms,
+                    run_tape)
 
 _INF = math.inf
 _NINF = -math.inf
@@ -252,7 +255,12 @@ def _ra_range(prim, x: Interval) -> Interval:
 
 
 class IntervalArith:
-    """Outward-rounded intervals for run_tape: enclosures over one box."""
+    """Outward-rounded intervals for run_tape: enclosures over one box.
+
+    The derivative factors of log, ra, phi and dphi are also methods of
+    their own, for generated code, which computes them only once every
+    value of the tape is known; the factor of exp is its value.
+    """
 
     const = staticmethod(Interval.point)
     add = staticmethod(iadd)
@@ -268,35 +276,51 @@ class IntervalArith:
         return v, v
 
     def log(self, x, grad):
-        return ilog(x), (iinv_pos(x) if grad else None)
+        return ilog(x), (self.log_factor(x) if grad else None)
 
     def ra(self, prim, x, grad):
         if x.lo < prim.lo or x.hi > prim.hi:
             raise DomainError(
                 f"{prim.name} argument range {x} leaves [{prim.lo}, {prim.hi}]")
-        return _ra_range(prim, x), (_ra_range(prim.derivative(), x) if grad else None)
+        return _ra_range(prim, x), (self.ra_factor(prim, x) if grad else None)
 
     def phi(self, x, grad):
         v = Interval(*self.abel.interval_phi(x.lo, x.hi))
-        return v, (Interval(*self.abel.interval_dphi(x.lo, x.hi)) if grad else None)
+        return v, (self.phi_factor(x) if grad else None)
 
     def dphi(self, x, grad):
         v = Interval(*self.abel.interval_dphi(x.lo, x.hi))
-        return v, (Interval(*self.abel.interval_d2phi(x.lo, x.hi)) if grad else None)
+        return v, (self.dphi_factor(x) if grad else None)
+
+    @staticmethod
+    def log_factor(x):
+        return iinv_pos(x)
+
+    @staticmethod
+    def ra_factor(prim, x):
+        return _ra_range(prim.derivative(), x)
+
+    def phi_factor(self, x):
+        return Interval(*self.abel.interval_dphi(x.lo, x.hi))
+
+    def dphi_factor(self, x):
+        return Interval(*self.abel.interval_d2phi(x.lo, x.hi))
 
 
 # ---------------------------------------------------------------------------
 # straight-line code for hot tapes
 
-# An interval pass over a tape (its values, or its Jacobian over n inputs)
-# runs through run_tape for its first HOT_CALLS calls, then through Python
-# generated for it. Generating costs about 32 us a line. On the Jacobian of
-# a circle critical system (43 slots, 136 lines) that is 4.4 ms, the time
-# the generated code saves in about 20 calls (250 -> 30 us each); its value
-# pass (40 lines) costs 1.3 ms, about 30 calls' saving (51 -> 11 us). A pass
-# is generated once it has run that many times, so a tape evaluated only a
-# few times, as most census tapes are, never pays for generation, and one
-# evaluated often pays at most about twice the least it could.
+# An interval pass over a tape (its values, or its Jacobian over n inputs
+# with the values and the range pretest before it) runs through run_tape for
+# its first HOT_CALLS calls, then through Python generated for it.
+# Generating costs 30 to 45 us a line. On the Jacobian pass of a circle
+# critical system (43 slots, 137 lines) that is 6.1 ms, the time the
+# generated code saves in about 26 calls (260 -> 25 us each, the cold path
+# walking the tape twice); its value pass (40 lines) costs 1.3 ms, about 45
+# calls' saving (36 -> 7 us). A pass is generated once it has run that many
+# times, so a tape evaluated only a few times, as most census tapes are,
+# never pays for generation, and one evaluated often pays at most about
+# twice the least it could.
 HOT_CALLS = 32
 
 _ZERO = Interval.point(0.0)
@@ -312,12 +336,12 @@ def _is_zero(x) -> bool:
 
 
 class _TapeWriter:
-    """Lines of one generated interval pass.
+    """Lines of one generated function over float locals.
 
     An operand that depends on no input is an Interval, folded here with
     the helpers above; any other is the pair of names of its two float
-    locals. iadd, imul, isqr and ineg are written out as their own float
-    operations, so the code keeps every bit of the helpers.
+    locals. iadd, isub, imul, iscale, isqr and ineg are written out as
+    their own float operations, so the code keeps every bit of the helpers.
     """
 
     def __init__(self):
@@ -342,6 +366,12 @@ class _TapeWriter:
     def interval(self, x) -> str:
         return self.bind(x) if isinstance(x, Interval) else f"tn(IV, ({x[0]}, {x[1]}))"
 
+    def function(self, params: str, result: str):
+        src = "".join(f"    {line}\n" for line in self.lines)
+        exec(compile(f"def code({params}):\n{src}    return {result}\n",
+                     "<interval code>", "exec"), self.ns)
+        return self.ns.pop("code")
+
     def add(self, x, y):
         if isinstance(x, Interval) and isinstance(y, Interval):
             return iadd(x, y)
@@ -350,6 +380,13 @@ class _TapeWriter:
         # a NaN end is -inf + inf, widened to that side's infinity
         self.lines.append(f"{lo} = nx(t, ninf) if (t := {xl} + {yl}) == t else ninf; "
                           f"{hi} = nx(t, inf) if (t := {xh} + {yh}) == t else inf")
+        return lo, hi
+
+    def sub(self, x, y):
+        (xl, xh), (yl, yh) = self.names(x), self.names(y)
+        lo, hi = self.out()
+        self.lines.append(f"{lo} = nx(t, ninf) if (t := {xl} - {yh}) == t else ninf; "
+                          f"{hi} = nx(t, inf) if (t := {xh} - {yl}) == t else inf")
         return lo, hi
 
     def neg(self, x):
@@ -396,27 +433,50 @@ class _TapeWriter:
             f"{lo} = nx(min(m0, m1, m2, m3), ninf); {hi} = nx(max(m0, m1, m2, m3), inf)"]
         return lo, hi
 
-    def call(self, code, x, payload, grad):
-        # through IntervalArith, with its domain checks and messages
-        args = self.interval(x)
-        if code == RA:
-            args = f"{self.bind(payload)}, {args}"
+    def scale(self, x, c: str):
+        """iscale(x, c) for the float local c."""
+        xl, xh = x
         lo, hi = self.out()
-        flo, fhi = f"f{lo}", f"f{hi}"
-        factor = f"({flo}, {fhi})" if grad else "_"
-        self.lines.append(f"({lo}, {hi}), {factor} = A.{_METHOD[code]}({args}, {grad})")
-        return (lo, hi), ((flo, fhi) if grad else None)
+        self.lines += [
+            f"m0 = t if (t := {c} * {xl}) == t else 0.0; "
+            f"m1 = t if (t := {c} * {xh}) == t else 0.0",
+            f"if {c} < 0.0: {lo} = nx(m1, ninf); {hi} = nx(m0, inf)",
+            f"else: {lo} = nx(m0, ninf); {hi} = nx(m1, inf)"]
+        return lo, hi
+
+    def _args(self, code, x, payload) -> str:
+        args = self.interval(x)
+        return f"{self.bind(payload)}, {args}" if code == RA else args
+
+    def call(self, code, x, payload):
+        # the value through IntervalArith, with its domain checks and messages
+        lo, hi = self.out()
+        self.lines.append(
+            f"({lo}, {hi}), _ = A.{_METHOD[code]}({self._args(code, x, payload)}, False)")
+        return lo, hi
+
+    def factor(self, code, x, payload):
+        lo, hi = self.out()
+        self.lines.append(
+            f"{lo}, {hi} = A.{_METHOD[code]}_factor({self._args(code, x, payload)})")
+        return lo, hi
 
 
 def _generate(ct: CompiledTerms, n: int, grad: bool):
-    """Straight-line code for run_tape(ct, coords, IntervalArith(abel),
-    grad) over n input intervals, as a function of (coords, arith)."""
+    """Straight-line code for the interval passes of a tape over n input
+    intervals, with IntervalArith ``A``.
+
+    Without grad, a function of (coords, A) that returns
+    run_tape(ct, coords, A). With grad, a function of (coords, A, pretest)
+    in three parts: every value; then, when pretest is set, the Krawczyk
+    range pretest, which returns None if some root's range excludes 0;
+    then the gradients, from those values, and the return of
+    run_tape(ct, coords, A, grad=True). Every value is computed before any
+    derivative factor, as in _jacobian's cold path.
+    """
     w = _TapeWriter()
     vals: list = []
-    grads: list = []
-    zeros = [_ZERO] * n
     for code, a, b, payload in ct.ops:
-        f = None
         if code == VAR:
             v = w.out()
             w.lines.append(f"{v[0]}, {v[1]} = coords[{payload:d}]")
@@ -428,15 +488,21 @@ def _generate(ct: CompiledTerms, n: int, grad: bool):
             v = w.mul(vals[a], vals[b])
         elif code == SQR:
             v = w.sqr(vals[a])
-            if grad and not all(map(_is_zero, grads[a])):   # else f is unused
-                f = w.add(vals[a], vals[a])
         elif code == NEG:
             v = w.neg(vals[a])
         else:
-            v, f = w.call(code, vals[a], payload, grad)
+            v = w.call(code, vals[a], payload)
         vals.append(v)
-        if not grad:
-            continue
+    roots = [vals[r] for r in ct.roots]
+    result = "[" + ", ".join(map(w.interval, roots)) + "]"
+    if not grad:
+        return w.function("coords, A", result)
+
+    inside = " and ".join("{} <= 0.0 <= {}".format(*w.names(r)) for r in roots)
+    w.lines.append(f"if pretest and not ({inside}): return None")
+    grads: list = []
+    zeros = [_ZERO] * n
+    for i, (code, a, b, payload) in enumerate(ct.ops):
         if code == VAR:
             g = list(zeros)
             g[payload] = _ONE
@@ -450,22 +516,24 @@ def _generate(ct: CompiledTerms, n: int, grad: bool):
                  for p, q in zip(grads[a], grads[b])]
         elif code == NEG:
             g = [w.neg(p) for p in grads[a]]
-        else:
+        else:   # one-argument ops scale by their derivative factor
+            if code == SQR:     # 2x, unused when x depends on no input
+                f = None if all(map(_is_zero, grads[a])) else w.add(vals[a], vals[a])
+            elif code == EXP:
+                f = vals[i]
+            else:
+                f = w.factor(code, vals[a], payload)
             g = [w.mul(f, p) for p in grads[a]]
         grads.append(g)
-    roots = "[" + ", ".join(w.interval(vals[r]) for r in ct.roots) + "]"
-    if grad:
-        roots += ", [" + ", ".join(
-            "[" + ", ".join(map(w.interval, grads[r])) + "]"
-            for r in ct.roots) + "]"
-    src = "".join(f"    {line}\n" for line in w.lines + [f"return {roots}"])
-    exec(compile("def tape(coords, A):\n" + src, "<interval tape>", "exec"), w.ns)
-    return w.ns.pop("tape")
+    result += ", [" + ", ".join(
+        "[" + ", ".join(map(w.interval, grads[r])) + "]" for r in ct.roots) + "]"
+    return w.function("coords, A, pretest", result)
 
 
 def _hot_code(ct: CompiledTerms, grad: bool, n: int):
-    """The generated code for this pass of the tape, or None while the
-    pass has run fewer than HOT_CALLS times."""
+    """The generated code for this pass of the tape over n inputs, or None
+    while the pass has run fewer than HOT_CALLS times."""
+    check_arity(ct, n, "box")
     key = ("interval", grad, n)
     got = ct.cache.get(key, 0)
     if type(got) is int:
@@ -476,11 +544,27 @@ def _hot_code(ct: CompiledTerms, grad: bool, n: int):
     return got
 
 
+def _values(ct: CompiledTerms, coords, arith) -> list[Interval]:
+    code = _hot_code(ct, False, len(coords))
+    return run_tape(ct, coords, arith) if code is None else code(coords, arith)
+
+
+def _jacobian(ct: CompiledTerms, coords, arith, pretest: bool):
+    """run_tape(ct, coords, arith, grad=True), with every value computed
+    before any derivative factor, so that where both fail the value's
+    exception is raised; None instead when pretest is set and some root's
+    range excludes 0."""
+    code = _hot_code(ct, True, len(coords))
+    if code is not None:
+        return code(coords, arith, pretest)
+    ranges = run_tape(ct, coords, arith)
+    if pretest and not all(r[0] <= 0.0 <= r[1] for r in ranges):
+        return None
+    return run_tape(ct, coords, arith, grad=True)
+
+
 def interval_eval_compiled(ct: CompiledTerms, box: Box, abel) -> list[Interval]:
-    code = _hot_code(ct, False, box.n)
-    if code is None:
-        return run_tape(ct, box.coords, IntervalArith(abel))
-    return code(box.coords, IntervalArith(abel))
+    return _values(ct, box.coords, IntervalArith(abel))
 
 
 def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
@@ -494,12 +578,7 @@ def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
 
 def interval_jacobian_compiled(ct: CompiledTerms, box: Box, abel):
     """Interval forward mode: values plus per-root interval gradients."""
-    if box.n < ct.n_vars:
-        raise DomainError(f"box dimension {box.n} below term arity {ct.n_vars}")
-    code = _hot_code(ct, True, box.n)
-    if code is None:
-        return run_tape(ct, box.coords, IntervalArith(abel), grad=True)
-    return code(box.coords, IntervalArith(abel))
+    return _jacobian(ct, box.coords, IntervalArith(abel), False)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +594,53 @@ class KrawczykResult:
     contracted: Box | None = None
 
 
+@functools.cache
+def _krawczyk_rows(n: int):
+    """K = m - C f(m) + (I - C J)(X - m) over n coordinates as straight-line
+    float code, generated on first use for each n: a function of
+    (X, m, F, J, C) that returns the rows of K as Intervals. X is the box,
+    m its midpoint, F the enclosure of f at m, J the interval Jacobian over
+    X (J[k][j] = d f_k / d x_j) and C the preconditioner as lists of
+    floats. Row i comes from the same float operations, in the same order,
+    as this helper form:
+
+        s_j = isub(X_j, [m_j, m_j])
+        acc = [m_i, m_i];  acc = isub(acc, iscale(F_j, C[i][j]))  for each j
+        then for each j:  e = [I_ij, I_ij]
+                          e = isub(e, iscale(J[k][j], C[i][k]))  for each k
+                          acc = iadd(acc, imul(e, s_j))
+    """
+    w = _TapeWriter()
+    r = range(n)
+    x = [(f"xl{j}", f"xh{j}") for j in r]
+    fm = [(f"fl{j}", f"fh{j}") for j in r]
+    jac = [[(f"jl{k}_{j}", f"jh{k}_{j}") for j in r] for k in r]
+    c = [[f"c{i}_{k}" for k in r] for i in r]
+
+    def pattern(items):
+        return "[" + ", ".join(items) + "]"
+
+    w.lines += [
+        pattern(f"({lo}, {hi})" for lo, hi in x) + " = X",
+        pattern(f"mp{j}" for j in r) + " = m",
+        pattern(f"({lo}, {hi})" for lo, hi in fm) + " = F",
+        pattern(pattern(f"({lo}, {hi})" for lo, hi in row) for row in jac) + " = J",
+        pattern(pattern(row) for row in c) + " = C"]
+    shifted = [w.sub(x[j], (f"mp{j}", f"mp{j}")) for j in r]
+    rows = []
+    for i in r:
+        acc = (f"mp{i}", f"mp{i}")
+        for j in r:
+            acc = w.sub(acc, w.scale(fm[j], c[i][j]))
+        for j in r:
+            entry = _ONE if i == j else _ZERO
+            for k in r:
+                entry = w.sub(entry, w.scale(jac[k][j], c[i][k]))
+            acc = w.add(acc, w.mul(entry, shifted[j]))
+        rows.append(acc)
+    return w.function("X, m, F, J, C", pattern(map(w.interval, rows)))
+
+
 def krawczyk_test(system, box: Box) -> KrawczykResult:
     """Certify zero existence/uniqueness for a square system on a box.
 
@@ -526,50 +652,39 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
     as an enclosure over the point box [m, m], never as a float.
     """
     ct = system.compiled
-    abel = system.abel
-    n = box.n
+    coords = box.coords
+    n = len(coords)
     if len(ct.roots) != n:
         raise DomainError(
             f"system has {len(ct.roots)} equations, box dimension {n}")
+    arith = IntervalArith(system.abel)
+    if box.max_width == 0.0:    # only the range pretest can decide
+        ranges = _values(ct, coords, arith)
+        return KrawczykResult("Unknown" if all(r.contains_zero() for r in ranges)
+                              else "NoZero")
 
-    ranges = interval_eval_compiled(ct, box, abel)
-    if any(not r.contains_zero() for r in ranges):
+    # the range pretest, then the interval Jacobian from the same values
+    got = _jacobian(ct, coords, arith, True)
+    if got is None:
         return KrawczykResult("NoZero")
-    if box.max_width == 0.0:
-        return KrawczykResult("Unknown")
-
+    jac = got[1]
     m = box.midpoint()
-    fm = interval_eval_compiled(ct, Box(tuple(map(Interval.point, m))), abel)
-    _, jac_iv = interval_jacobian_compiled(ct, box, abel)
-    mid_jac = np.array([[g.mid for g in row] for row in jac_iv])
-    if not np.all(np.isfinite(mid_jac)):
+    fm = _values(ct, [Interval.point(v) for v in m], arith)
+    mid_jac = [[g.mid for g in row] for row in jac]
+    if not all(map(math.isfinite, chain.from_iterable(mid_jac))):
         return KrawczykResult("Unknown")
     try:
-        C = np.linalg.inv(mid_jac)
+        # LAPACK's bits set C, and with it every K row and every report
+        C = np.linalg.inv(mid_jac).tolist()
     except np.linalg.LinAlgError:
         return KrawczykResult("Unknown")
-    if not np.all(np.isfinite(C)):
+    if not all(map(math.isfinite, chain.from_iterable(C))):
         return KrawczykResult("Unknown")
-    C = C.tolist()
 
-    # K = m - C f(m) + (I - C J)(X - m), evaluated row by row in intervals
-    shifted = [isub(box.coords[j], Interval.point(m[j])) for j in range(n)]
-    k_rows: list[Interval] = []
-    for i in range(n):
-        acc = Interval.point(m[i])
-        for j in range(n):
-            acc = isub(acc, iscale(fm[j], C[i][j]))
-        for j in range(n):
-            entry = Interval.point(1.0 if i == j else 0.0)
-            for k in range(n):
-                entry = isub(entry, iscale(jac_iv[k][j], C[i][k]))
-            acc = iadd(acc, imul(entry, shifted[j]))
-        k_rows.append(acc)
-
-    if all(k.strictly_inside(c) for k, c in zip(k_rows, box.coords)):
-        contracted = Box(tuple(k.intersect(c)
-                               for k, c in zip(k_rows, box.coords)))
+    k_rows = _krawczyk_rows(n)(coords, m, fm, jac, C)
+    if all(k.strictly_inside(c) for k, c in zip(k_rows, coords)):
+        contracted = Box(tuple(k.intersect(c) for k, c in zip(k_rows, coords)))
         return KrawczykResult("UniqueZero", contracted)
-    if any(not k.intersects(c) for k, c in zip(k_rows, box.coords)):
+    if any(not k.intersects(c) for k, c in zip(k_rows, coords)):
         return KrawczykResult("NoZero")
     return KrawczykResult("Unknown")

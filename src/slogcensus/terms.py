@@ -679,7 +679,14 @@ class FloatArith:
         return self.abel.eval_dphi(x), (self.abel.eval_d2phi(x) if grad else None)
 
 
+def check_arity(ct: CompiledTerms, n: int, what: str) -> None:
+    """DomainError unless n coordinates reach every variable of the tape."""
+    if n < ct.n_vars:
+        raise DomainError(f"{what} dimension {n} below term arity {ct.n_vars}")
+
+
 def eval_compiled(ct: CompiledTerms, point: Sequence[float], abel) -> list[float]:
+    check_arity(ct, len(point), "point")
     return run_tape(ct, [float(v) for v in point], FloatArith(abel))
 
 
@@ -690,6 +697,7 @@ def gradient_compiled(ct: CompiledTerms, point: Sequence[float], abel,
     Returns (values, gradients) with gradients[r][j] = d root_r / d x_j
     for the first ``n_vars`` coordinates (default: the tape's variables).
     """
+    check_arity(ct, len(point), "point")
     n = ct.n_vars if n_vars is None else n_vars
     return run_tape(ct, [float(point[j]) for j in range(n)], FloatArith(abel),
                     grad=True)

@@ -1,8 +1,17 @@
 """Shared fixtures and the zero-count corpus used across the suite."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from slogcensus.abel import get_default_abel
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI tests' subprocesses
+# need it too, so the suite runs from a checkout without an install
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

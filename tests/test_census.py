@@ -1,5 +1,6 @@
 """Certified zero census: counting, radii, deformation, reduction."""
 
+import json
 import math
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from slogcensus.census import (CensusReport, DeformationPath, SystemParams,
-                               _polish,
+from slogcensus.census import (DEFAULT_DEPTH, CensusReport, DeformationPath,
+                               SystemParams, _polish,
                                build_system, count_nonsingular_zeros,
                                count_over_box, is_regular_value,
                                probe_boundedness, reduce_phi_complexity,
@@ -16,9 +17,12 @@ from slogcensus.census import (CensusReport, DeformationPath, SystemParams,
                                search_radius, system_from_dict, track_path)
 from slogcensus.errors import (BuildError, CertificationError, DomainError,
                                PathError)
+from slogcensus import intervals
 from slogcensus.gridoracle import GridSpec, oracle_zero_count
 from slogcensus.intervals import Box
-from slogcensus.terms import RAPrimitive, fcpx
+from slogcensus.morse import (CENSUS_DEPTH, _haar_rotation, critical_system,
+                              schedule_for_ball)
+from slogcensus.terms import RAPrimitive, fcpx, parse_term
 
 from conftest import CORPUS, ORACLE_RES, PHI_CORPUS
 
@@ -302,6 +306,40 @@ def test_probe_boundedness_detects_escape(abel):
     assert not rep.stable
     with pytest.raises(DomainError):
         probe_boundedness(sys_, [4.0, 2.0])
+
+
+def test_reports_are_byte_identical_cold_and_hot(abel, monkeypatch):
+    # the corpus, and the circle's last-stage critical system with the
+    # first rotation of seed 0
+    eps, delta = schedule_for_ball(2.0).pairs[-1]
+    q = _haar_rotation(2, np.random.default_rng(0))
+    circle = parse_term("x1*x1 + x2*x2 - 1")
+    cases = [(lambda e=eqs: build_system(e, abel=abel), radius, DEFAULT_DEPTH)
+             for _, eqs, radius, _ in CORPUS]
+    cases.append((lambda: critical_system(circle, eps, delta, q, abel),
+                  delta / math.sqrt(eps) * 1.01 + 1e-9, CENSUS_DEPTH))
+    default = intervals.HOT_CALLS
+
+    def report(system, radius, depth):
+        return json.dumps(
+            count_nonsingular_zeros(system, radius, depth).to_dict())
+
+    for build, radius, depth in cases:
+        reports = []
+        # every pass through run_tape, then every pass generated at once
+        for hot_calls in (10**9, 0):
+            monkeypatch.setattr(intervals, "HOT_CALLS", hot_calls)
+            system = build()
+            reports.append(report(system, radius, depth))
+            assert any(map(callable, system.compiled.cache.values())) == \
+                (hot_calls == 0)
+        # by default the first census on a fresh system starts cold and
+        # the second runs on what the first made hot
+        monkeypatch.setattr(intervals, "HOT_CALLS", default)
+        system = build()
+        reports += [report(system, radius, depth) for _ in range(2)]
+        assert reports.count(reports[0]) == 4, build().equations
+    assert json.loads(reports[0])["certified_count"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import gc
 import math
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from slogcensus.census import build_system, reduce_phi_complexity
 from slogcensus.errors import DifferentiationError, DomainError
 from slogcensus.gridoracle import eval_cells, eval_points, gradient_points
 from slogcensus.intervals import (HOT_CALLS, Box, Interval, IntervalArith,
-                                  interval_eval_compiled,
-                                  interval_jacobian_compiled)
-from slogcensus.terms import (RAPrimitive, add, compile_terms, const,
-                              default_catalog, eval_compiled,
-                              gradient_compiled, log, mul, parse_term,
-                              run_tape, var)
+                                  _krawczyk_rows, iadd, imul,
+                                  interval_eval, interval_eval_compiled,
+                                  interval_jacobian_compiled, iscale, isub,
+                                  krawczyk_test)
+from slogcensus.terms import (CompiledTerms, RAPrimitive, add, compile_terms,
+                              const, default_catalog, eval_compiled,
+                              eval_term, gradient, gradient_compiled, log,
+                              mul, parse_term, run_tape, var)
 
 # every tape reads both variables, so gradients have two entries
 SOURCES = [
@@ -205,11 +208,11 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _heat(ct, abel):
+def _heat(ct, abel, box=_SAFE):
     for _ in range(HOT_CALLS + 1):
         for walk in (interval_eval_compiled, interval_jacobian_compiled):
             try:
-                walk(ct, _SAFE, abel)
+                walk(ct, box, abel)
             except (DomainError, DifferentiationError):
                 pass
 
@@ -315,3 +318,177 @@ def test_generated_code_is_freed_with_its_tape(abel):
     del ct
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_short_boxes_and_points_raise_domain_error(abel):
+    t = parse_term("x1 + x2", ["x1", "x2"])
+    box_fault = "box dimension 1 below term arity 2"
+    with pytest.raises(DomainError, match=box_fault):
+        interval_eval(t, Box.cube(1.0, 1))
+    for walk in (eval_term, gradient):
+        with pytest.raises(DomainError, match="point dimension 1 below term arity 2"):
+            walk(t, [0.5], abel)
+    ct = compile_terms([t])
+    _heat(ct, abel)
+    assert sum(callable(v) for v in ct.cache.values()) == 2
+    for walk in (interval_eval_compiled, interval_jacobian_compiled):
+        with pytest.raises(DomainError, match=box_fault):
+            walk(ct, Box.cube(1.0, 1), abel)
+    with pytest.raises(DomainError, match="point dimension 1 below term arity 2"):
+        gradient_compiled(ct, [0.5], abel)
+
+
+# ---------------------------------------------------------------------------
+# the Krawczyk test on hot tapes (one generated pass for the range pretest
+# and the Jacobian) against cold ones (run_tape)
+
+# square systems over 1, 2 and 3 unknowns; with the reduced phi system
+# they cover every opcode. In the d3atan ones a derivative factor that
+# always fails comes before a log value that fails on part of the boxes
+_KRAWCZYK_SOURCES = [
+    ["exp(x1)*x1 - x1*x1 + 0.5"],
+    ["log(x1*x1 + 1.0) - phi(x1) + 0.25"],
+    ["dphi(x1) + sin(x1)*atan(x1) - 0.5"],
+    ["d3atan(x1) + log(x1)"],
+    ["x1*x2 - x1*x1 + 3.0*x1 - 0.5*x2", "(x1 + x2)*(x1 - x2) - 0.25"],
+    ["exp(x1 - x2)*x1 - 1.0", "log(x1*x1 + 1.0) - sin(x2)"],
+    ["d3atan(x1) + log(x2)", "x1 - x2"],
+    ["x1*x1 + x2*x2 + x3*x3 - 1", "x1 - x2", "x3*exp(x1)"],
+    ["phi(x1) - x2", "dphi(x2)*x3 - 0.5", "x1 + atan(x3) - 2.0*x3"],
+]
+
+
+def _krawczyk_systems(abel):
+    cat = default_catalog(restriction=2.0)
+    systems = [compile_terms([parse_term(s, catalog=cat) for s in eqs])
+               for eqs in _KRAWCZYK_SOURCES]
+    reduced = reduce_phi_complexity(
+        build_system(["phi(x1) - x2", "dphi(x2)*x1"], abel=abel), 2.0)
+    return systems + [reduced.compiled]
+
+
+def _krawczyk_outcome(ct, box, abel):
+    try:
+        res = krawczyk_test(SimpleNamespace(compiled=ct, abel=abel), box)
+    except Exception as exc:     # must match the cold path's exactly
+        return type(exc), str(exc)
+    c = res.contracted
+    return res.verdict, None if c is None else [
+        (v.lo.hex(), v.hi.hex()) for v in c.coords]
+
+
+def _hot_matches_cold(ct, box, abel):
+    # a copy of the tape with no call counts runs run_tape
+    cold = CompiledTerms(ct.ops, ct.roots, ct.n_vars)
+    want = _krawczyk_outcome(cold, box, abel)
+    assert not any(callable(v) for v in cold.cache.values())
+    assert _krawczyk_outcome(ct, box, abel) == want, box
+    return want
+
+
+@pytest.fixture(scope="module")
+def hot_systems(abel):
+    systems = _krawczyk_systems(abel)
+    for ct in systems:
+        _heat(ct, abel, Box.from_bounds([(0.5, 0.6)] * len(ct.roots)))
+        assert sum(callable(v) for v in ct.cache.values()) == 2
+    return systems
+
+
+def test_krawczyk_systems_cover_every_opcode(hot_systems):
+    assert {len(ct.roots) for ct in hot_systems} == {1, 2, 3}
+    assert {op[0] for ct in hot_systems for op in ct.ops} == set(range(11))
+    prims = {op[3].name for ct in hot_systems for op in ct.ops
+             if isinstance(op[3], RAPrimitive)}
+    assert any(name.startswith("slog_patch") for name in prims)
+
+
+def _special_boxes(n):
+    # every special interval on each axis in turn, against each partner
+    return [Box.from_bounds([a if i == k else b for i in range(n)])
+            for a in _SPECIAL_IV for b in _PARTNERS for k in range(n)]
+
+
+def test_hot_krawczyk_keeps_every_bit_on_special_ends(abel, hot_systems):
+    verdicts = set()
+    for ct in hot_systems:
+        for box in _special_boxes(len(ct.roots)):
+            verdicts.add(_hot_matches_cold(ct, box, abel)[0])
+    assert {"NoZero", "Unknown", DomainError, DifferentiationError} <= verdicts
+
+
+def _small_boxes(n, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        c = rng.uniform(-RADIUS + 0.2, RADIUS - 0.2, n)
+        w = rng.uniform(0.01, 0.2, n)
+        out.append(Box.from_bounds(list(zip(c - w, c + w))))
+    return out
+
+
+def test_hot_krawczyk_keeps_every_bit_on_small_boxes(abel, hot_systems):
+    verdicts = set()
+    for ct in hot_systems:
+        n = len(ct.roots)
+        # and boxes around the zero (0, phi(0)) = (0, -1) of the reduced
+        # phi system and around a zero of the sphere system
+        boxes = _small_boxes(n, 60, seed=n) + [
+            Box.from_bounds([(-0.05, 0.05), (-1.05, -0.95)]),
+            Box.from_bounds([(0.6, 0.8), (0.6, 0.8), (-0.1, 0.1)])]
+        for box in boxes:
+            if box.n == n:
+                verdicts.add(_hot_matches_cold(ct, box, abel)[0])
+    assert {"UniqueZero", "NoZero", "Unknown"} <= verdicts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_end, min_size=6, max_size=6))
+def test_hot_krawczyk_keeps_every_bit(hot_systems, abel, ends):
+    pairs = [(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])]
+    for ct in hot_systems:
+        _hot_matches_cold(ct, Box.from_bounds(pairs[:len(ct.roots)]), abel)
+
+
+def _rows_by_helpers(X, m, F, J, C):
+    """The K rows of the Krawczyk test formed with the interval helpers."""
+    n = len(X)
+    shifted = [isub(X[j], Interval.point(m[j])) for j in range(n)]
+    rows = []
+    for i in range(n):
+        acc = Interval.point(m[i])
+        for j in range(n):
+            acc = isub(acc, iscale(F[j], C[i][j]))
+        for j in range(n):
+            entry = Interval.point(1.0 if i == j else 0.0)
+            for k in range(n):
+                entry = isub(entry, iscale(J[k][j], C[i][k]))
+            acc = iadd(acc, imul(entry, shifted[j]))
+        rows.append(acc)
+    return rows
+
+
+# finite preconditioner entries, exact zeros of both signs among them
+_C_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, -3.25, 1e300,
+              -_MAX)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_krawczyk_rows_keep_every_bit_of_the_helpers(n):
+    rng = np.random.default_rng(n)
+    ivs = [Interval(*p) for p in _SPECIAL_IV + _PARTNERS]
+
+    def pick(k):
+        return [ivs[i] for i in rng.integers(len(ivs), size=k)]
+
+    rows = _krawczyk_rows(n)
+    for _ in range(3000):
+        X = pick(n)
+        m = [x.mid for x in X]
+        F = pick(n)
+        J = [pick(n) for _ in range(n)]
+        C = [[_C_ENTRIES[i] for i in rng.integers(len(_C_ENTRIES), size=n)]
+             for _ in range(n)]
+        assert _bits(rows(X, m, F, J, C)) == \
+            _bits(_rows_by_helpers(X, m, F, J, C)), (X, m, F, J, C)
+    assert _krawczyk_rows(n) is rows
