@@ -15,8 +15,8 @@ import numpy as np
 from .abel import EXP_MAX
 from .errors import DomainError
 from .intervals import Box
-from .terms import (CompiledTerms, FloatArith, TermNode, compile_terms,
-                    run_tape)
+from .terms import (CompiledTerms, FloatArith, TermNode, check_arity,
+                    compile_terms, run_tape)
 
 _CHUNK = 32768
 
@@ -79,37 +79,43 @@ class PointArith(FloatArith):
     def const(self, c):
         return np.full_like(self.like, c)
 
-    def exp(self, x, grad):
-        v = _exp_arr(x)
-        return v, v
+    def exp(self, x):
+        return _exp_arr(x)
 
-    def log(self, x, grad):
+    def log(self, x):
         if np.any(x <= 0.0):
             raise DomainError("log of non-positive value on grid")
-        return np.log(x), (1.0 / x if grad else None)
+        return np.log(x)
 
-    def ra(self, prim, x, grad):
+    def ra(self, prim, x):
         if np.any(x < prim.lo) or np.any(x > prim.hi):
             raise DomainError(f"{prim.name} argument leaves domain on grid")
-        d = np.asarray(prim.derivative().fn(x), dtype=float) if grad else None
-        return np.asarray(prim.fn(x), dtype=float), d
+        return np.asarray(prim.fn(x), dtype=float)
 
-    def phi(self, x, grad):
-        d = self.abel.eval_dphi_array(x) if grad else None
-        return self.abel.eval_phi_array(x), d
+    def phi(self, x):
+        return self.abel.eval_phi_array(x)
 
-    def dphi(self, x, grad):
-        v = self.abel.eval_dphi_array(x)
-        return v, (self.abel.eval_d2phi_array(x) if grad else None)
+    def dphi(self, x):
+        return self.abel.eval_dphi_array(x)
+
+    def ra_factor(self, prim, x):
+        return np.asarray(prim.derivative().fn(x), dtype=float)
+
+    phi_factor = dphi   # phi' is dphi
+
+    def dphi_factor(self, x):
+        return self.abel.eval_d2phi_array(x)
 
 
 def eval_points(ct: CompiledTerms, coords: Sequence[np.ndarray], abel) -> list:
     """Values of every root at an array of points (one array per variable)."""
+    check_arity(ct, len(coords), "point")
     return run_tape(ct, coords, PointArith(abel, coords[0]))
 
 
 def gradient_points(ct: CompiledTerms, coords: Sequence[np.ndarray], abel):
     """Forward-mode values and gradients at an array of points."""
+    check_arity(ct, len(coords), "point")
     return run_tape(ct, coords[:ct.n_vars], PointArith(abel, coords[0]), grad=True)
 
 
@@ -164,32 +170,33 @@ class CellArith:
     def neg(self, x):
         return -x[1], -x[0]
 
-    def exp(self, x, grad):
+    def exp(self, x):
         return (np.maximum(np.nextafter(_exp_arr(x[0]), -np.inf), 0.0),
-                np.nextafter(_exp_arr(x[1]), np.inf)), None
+                np.nextafter(_exp_arr(x[1]), np.inf))
 
-    def log(self, x, grad):
+    def log(self, x):
         if np.any(x[0] <= 0.0):
             raise DomainError("log reaches non-positive values on grid")
-        return _out(np.log(x[0]), np.log(x[1])), None
+        return _out(np.log(x[0]), np.log(x[1]))
 
-    def ra(self, prim, x, grad):
+    def ra(self, prim, x):
         if np.any(x[0] < prim.lo) or np.any(x[1] > prim.hi):
             raise DomainError(f"{prim.name} argument leaves domain on grid")
-        return _out(*_out(*_per_cell(prim.range_fn, *x))), None
+        return _out(*_out(*_per_cell(prim.range_fn, *x)))
 
-    def phi(self, x, grad):
+    def phi(self, x):
         w = self.abel.seed_error
         return _out(self.abel.eval_phi_array(x[0]) - w,
-                    self.abel.eval_phi_array(x[1]) + w), None
+                    self.abel.eval_phi_array(x[1]) + w)
 
-    def dphi(self, x, grad):
-        return _per_cell(self.abel.interval_dphi, *x), None
+    def dphi(self, x):
+        return _per_cell(self.abel.interval_dphi, *x)
 
 
 def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],
                his: Sequence[np.ndarray], abel) -> list:
     """Interval enclosures of every root over an array of cells."""
+    check_arity(ct, min(len(los), len(his)), "cell")
     return run_tape(ct, list(zip(los, his)), CellArith(abel, los[0]))
 
 

@@ -25,9 +25,8 @@ import numpy as np
 
 from .abel import exp_sat
 from .errors import DomainError
-from .terms import (ADD, CONST, DPHI, EXP, LOG, MUL, NEG, PHI, RA, SQR, VAR,
-                    CompiledTerms, TermNode, check_arity, compile_terms,
-                    run_tape)
+from .terms import (CompiledTerms, TermNode, check_arity, compile_terms,
+                    run_tape, tape_gradients, tape_values)
 
 _INF = math.inf
 _NINF = -math.inf
@@ -255,53 +254,36 @@ def _ra_range(prim, x: Interval) -> Interval:
 
 
 class IntervalArith:
-    """Outward-rounded intervals for run_tape: enclosures over one box.
-
-    The derivative factors of log, ra, phi and dphi are also methods of
-    their own, for generated code, which computes them only once every
-    value of the tape is known; the factor of exp is its value.
-    """
+    """Outward-rounded intervals for run_tape: enclosures over one box."""
 
     const = staticmethod(Interval.point)
     add = staticmethod(iadd)
     mul = staticmethod(imul)
     sqr = staticmethod(isqr)
     neg = staticmethod(ineg)
+    exp = staticmethod(iexp)
+    log = staticmethod(ilog)
+    log_factor = staticmethod(iinv_pos)
 
     def __init__(self, abel):
         self.abel = abel
 
-    def exp(self, x, grad):
-        v = iexp(x)
-        return v, v
-
-    def log(self, x, grad):
-        return ilog(x), (self.log_factor(x) if grad else None)
-
-    def ra(self, prim, x, grad):
+    def ra(self, prim, x):
         if x.lo < prim.lo or x.hi > prim.hi:
             raise DomainError(
                 f"{prim.name} argument range {x} leaves [{prim.lo}, {prim.hi}]")
-        return _ra_range(prim, x), (self.ra_factor(prim, x) if grad else None)
+        return _ra_range(prim, x)
 
-    def phi(self, x, grad):
-        v = Interval(*self.abel.interval_phi(x.lo, x.hi))
-        return v, (self.phi_factor(x) if grad else None)
+    def phi(self, x):
+        return Interval(*self.abel.interval_phi(x.lo, x.hi))
 
-    def dphi(self, x, grad):
-        v = Interval(*self.abel.interval_dphi(x.lo, x.hi))
-        return v, (self.dphi_factor(x) if grad else None)
+    def dphi(self, x):
+        return Interval(*self.abel.interval_dphi(x.lo, x.hi))
 
-    @staticmethod
-    def log_factor(x):
-        return iinv_pos(x)
-
-    @staticmethod
-    def ra_factor(prim, x):
+    def ra_factor(self, prim, x):
         return _ra_range(prim.derivative(), x)
 
-    def phi_factor(self, x):
-        return Interval(*self.abel.interval_dphi(x.lo, x.hi))
+    phi_factor = dphi   # phi' is dphi
 
     def dphi_factor(self, x):
         return Interval(*self.abel.interval_d2phi(x.lo, x.hi))
@@ -313,14 +295,16 @@ class IntervalArith:
 # An interval pass over a tape (its values, or its Jacobian over n inputs
 # with the values and the range pretest before it) runs through run_tape for
 # its first HOT_CALLS calls, then through Python generated for it.
-# Generating costs 30 to 45 us a line. On the Jacobian pass of a circle
-# critical system (43 slots, 137 lines) that is 6.1 ms, the time the
-# generated code saves in about 26 calls (260 -> 25 us each, the cold path
-# walking the tape twice); its value pass (40 lines) costs 1.3 ms, about 45
-# calls' saving (36 -> 7 us). A pass is generated once it has run that many
-# times, so a tape evaluated only a few times, as most census tapes are,
-# never pays for generation, and one evaluated often pays at most about
-# twice the least it could.
+# On a 2-core 2.0 GHz Xeon VM, generating costs 27 to 39 us a line. On the
+# Jacobian pass of a circle critical system (43 slots, 136 lines) that is
+# 3.7 to 4.4 ms, the time the generated code saves in about 32 to 35 calls
+# (135-165 -> 22-36 us each, the cold path walking the values once and
+# reusing them for the gradients); its value pass (39 lines) costs 1.1 to
+# 1.5 ms, about 50 to 65 calls' saving (27-31 -> 6-7 us). A pass is
+# generated once it has run that many times, so a tape evaluated only a
+# few times, as most census tapes are, never pays for generation, and one
+# evaluated often pays at most about twice (Jacobian) to 2.6 times (values)
+# the least it could.
 HOT_CALLS = 32
 
 _ZERO = Interval.point(0.0)
@@ -328,7 +312,6 @@ _ONE = Interval.point(1.0)
 # imul(x, [0, 0]) for every valid x: each corner is +-0 (0 * inf pins to 0),
 # rounded out by one ulp
 _ZERO_PRODUCT = imul(_ONE, _ZERO)
-_METHOD = {EXP: "exp", LOG: "log", RA: "ra", PHI: "phi", DPHI: "dphi"}
 
 
 def _is_zero(x) -> bool:
@@ -336,13 +319,18 @@ def _is_zero(x) -> bool:
 
 
 class _TapeWriter:
-    """Lines of one generated function over float locals.
+    """Lines of one generated function over float locals: an arithmetic for
+    tape_values and tape_gradients whose operations write code.
 
     An operand that depends on no input is an Interval, folded here with
     the helpers above; any other is the pair of names of its two float
     locals. iadd, isub, imul, iscale, isqr and ineg are written out as
     their own float operations, so the code keeps every bit of the helpers.
+    exp, log, ra, phi, dphi and the derivative factors are lines that call
+    the IntervalArith ``A``, with its domain checks and messages.
     """
+
+    const = staticmethod(Interval.point)
 
     def __init__(self):
         self.lines: list[str] = []
@@ -364,7 +352,8 @@ class _TapeWriter:
         return f"lo{n}", f"hi{n}"
 
     def interval(self, x) -> str:
-        return self.bind(x) if isinstance(x, Interval) else f"tn(IV, ({x[0]}, {x[1]}))"
+        # a pair of locals becomes an Interval; a constant or primitive is bound
+        return f"tn(IV, ({x[0]}, {x[1]}))" if type(x) is tuple else self.bind(x)
 
     def function(self, params: str, result: str):
         src = "".join(f"    {line}\n" for line in self.lines)
@@ -444,55 +433,38 @@ class _TapeWriter:
             f"else: {lo} = nx(m0, ninf); {hi} = nx(m1, inf)"]
         return lo, hi
 
-    def _args(self, code, x, payload) -> str:
-        args = self.interval(x)
-        return f"{self.bind(payload)}, {args}" if code == RA else args
-
-    def call(self, code, x, payload):
-        # the value through IntervalArith, with its domain checks and messages
+    def _call(self, method: str, *args):
         lo, hi = self.out()
-        self.lines.append(
-            f"({lo}, {hi}), _ = A.{_METHOD[code]}({self._args(code, x, payload)}, False)")
+        self.lines.append(f"{lo}, {hi} = A.{method}({', '.join(map(self.interval, args))})")
         return lo, hi
 
-    def factor(self, code, x, payload):
-        lo, hi = self.out()
-        self.lines.append(
-            f"{lo}, {hi} = A.{_METHOD[code]}_factor({self._args(code, x, payload)})")
-        return lo, hi
+    exp = functools.partialmethod(_call, "exp")
+    log = functools.partialmethod(_call, "log")
+    ra = functools.partialmethod(_call, "ra")
+    phi = functools.partialmethod(_call, "phi")
+    dphi = functools.partialmethod(_call, "dphi")
+    log_factor = functools.partialmethod(_call, "log_factor")
+    ra_factor = functools.partialmethod(_call, "ra_factor")
+    phi_factor = functools.partialmethod(_call, "phi_factor")
+    dphi_factor = functools.partialmethod(_call, "dphi_factor")
 
 
 def _generate(ct: CompiledTerms, n: int, grad: bool):
     """Straight-line code for the interval passes of a tape over n input
-    intervals, with IntervalArith ``A``.
+    intervals, with IntervalArith ``A``, written by running the walkers of
+    run_tape over a _TapeWriter.
 
     Without grad, a function of (coords, A) that returns
     run_tape(ct, coords, A). With grad, a function of (coords, A, pretest)
-    in three parts: every value; then, when pretest is set, the Krawczyk
-    range pretest, which returns None if some root's range excludes 0;
-    then the gradients, from those values, and the return of
-    run_tape(ct, coords, A, grad=True). Every value is computed before any
-    derivative factor, as in _jacobian's cold path.
+    in three parts: every value (tape_values); then, when pretest is set,
+    the Krawczyk range pretest, which returns None if some root's range
+    excludes 0; then the gradients from those values (tape_gradients), and
+    the return of run_tape(ct, coords, A, grad=True).
     """
     w = _TapeWriter()
-    vals: list = []
-    for code, a, b, payload in ct.ops:
-        if code == VAR:
-            v = w.out()
-            w.lines.append(f"{v[0]}, {v[1]} = coords[{payload:d}]")
-        elif code == CONST:
-            v = Interval.point(payload)
-        elif code == ADD:
-            v = w.add(vals[a], vals[b])
-        elif code == MUL:
-            v = w.mul(vals[a], vals[b])
-        elif code == SQR:
-            v = w.sqr(vals[a])
-        elif code == NEG:
-            v = w.neg(vals[a])
-        else:
-            v = w.call(code, vals[a], payload)
-        vals.append(v)
+    coords = [(f"xl{j}", f"xh{j}") for j in range(n)]
+    w.lines.append("[" + ", ".join(f"({lo}, {hi})" for lo, hi in coords) + "] = coords")
+    vals = tape_values(ct, coords, w)
     roots = [vals[r] for r in ct.roots]
     result = "[" + ", ".join(map(w.interval, roots)) + "]"
     if not grad:
@@ -500,33 +472,9 @@ def _generate(ct: CompiledTerms, n: int, grad: bool):
 
     inside = " and ".join("{} <= 0.0 <= {}".format(*w.names(r)) for r in roots)
     w.lines.append(f"if pretest and not ({inside}): return None")
-    grads: list = []
-    zeros = [_ZERO] * n
-    for i, (code, a, b, payload) in enumerate(ct.ops):
-        if code == VAR:
-            g = list(zeros)
-            g[payload] = _ONE
-        elif code == CONST:
-            g = zeros
-        elif code == ADD:
-            g = [w.add(p, q) for p, q in zip(grads[a], grads[b])]
-        elif code == MUL:
-            va, vb = vals[a], vals[b]
-            g = [w.add(w.mul(va, q), w.mul(vb, p))
-                 for p, q in zip(grads[a], grads[b])]
-        elif code == NEG:
-            g = [w.neg(p) for p in grads[a]]
-        else:   # one-argument ops scale by their derivative factor
-            if code == SQR:     # 2x, unused when x depends on no input
-                f = None if all(map(_is_zero, grads[a])) else w.add(vals[a], vals[a])
-            elif code == EXP:
-                f = vals[i]
-            else:
-                f = w.factor(code, vals[a], payload)
-            g = [w.mul(f, p) for p in grads[a]]
-        grads.append(g)
+    grads = tape_gradients(ct, vals, n, w)
     result += ", [" + ", ".join(
-        "[" + ", ".join(map(w.interval, grads[r])) + "]" for r in ct.roots) + "]"
+        "[" + ", ".join(map(w.interval, g)) + "]" for g in grads) + "]"
     return w.function("coords, A, pretest", result)
 
 
@@ -550,17 +498,16 @@ def _values(ct: CompiledTerms, coords, arith) -> list[Interval]:
 
 
 def _jacobian(ct: CompiledTerms, coords, arith, pretest: bool):
-    """run_tape(ct, coords, arith, grad=True), with every value computed
-    before any derivative factor, so that where both fail the value's
-    exception is raised; None instead when pretest is set and some root's
-    range excludes 0."""
+    """run_tape(ct, coords, arith, grad=True), or None when pretest is set
+    and some root's range excludes 0."""
     code = _hot_code(ct, True, len(coords))
     if code is not None:
         return code(coords, arith, pretest)
-    ranges = run_tape(ct, coords, arith)
+    vals = tape_values(ct, coords, arith)
+    ranges = [vals[r] for r in ct.roots]
     if pretest and not all(r[0] <= 0.0 <= r[1] for r in ranges):
         return None
-    return run_tape(ct, coords, arith, grad=True)
+    return ranges, tape_gradients(ct, vals, len(coords), arith)
 
 
 def interval_eval_compiled(ct: CompiledTerms, box: Box, abel) -> list[Interval]:

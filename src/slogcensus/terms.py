@@ -583,22 +583,14 @@ def compile_terms(roots: Sequence[TermNode]) -> CompiledTerms:
     return CompiledTerms(ops, root_idx, n_vars)
 
 
-def run_tape(ct: CompiledTerms, inputs: Sequence, arith, grad: bool = False):
-    """Values of every root of a tape in the number kind of ``arith``, and
-    with ``grad`` their forward-mode gradients, one entry per input.
+def tape_values(ct: CompiledTerms, inputs: Sequence, arith) -> list:
+    """The value of every slot of a tape in the number kind of ``arith``.
 
-    The one interpreter of the opcodes and of the chain rule;
-    ``intervals._generate`` writes the same steps out as code for hot
-    interval tapes and must agree with it to the bit. ``arith``
-    supplies const/add/mul/sqr/neg, plus exp/log/phi/dphi(x, grad) and
-    ra(prim, x, grad), which return the value and, with ``grad``, its
-    derivative factor. Returns the root values, or (values, gradients).
+    ``arith`` supplies const/add/mul/sqr/neg, exp/log/phi/dphi(x) and
+    ra(prim, x), each of which returns a value.
     """
     const, add, mul, sqr, neg = arith.const, arith.add, arith.mul, arith.sqr, arith.neg
     vals: list = [None] * len(ct.ops)
-    grads: list = [None] * len(ct.ops)
-    if grad:
-        zero, one = [const(0.0)] * len(inputs), const(1.0)
     for i, (code, a, b, payload) in enumerate(ct.ops):
         if code == VAR:
             v = inputs[payload]
@@ -610,22 +602,34 @@ def run_tape(ct: CompiledTerms, inputs: Sequence, arith, grad: bool = False):
             v = mul(vals[a], vals[b])
         elif code == SQR:
             v = sqr(vals[a])
-            f = add(vals[a], vals[a]) if grad else None  # 2x, exactly 2.0 * x
         elif code == NEG:
             v = neg(vals[a])
         elif code == EXP:
-            v, f = arith.exp(vals[a], grad)
+            v = arith.exp(vals[a])
         elif code == LOG:
-            v, f = arith.log(vals[a], grad)
+            v = arith.log(vals[a])
         elif code == RA:
-            v, f = arith.ra(payload, vals[a], grad)
+            v = arith.ra(payload, vals[a])
         elif code == PHI:
-            v, f = arith.phi(vals[a], grad)
+            v = arith.phi(vals[a])
         else:  # DPHI
-            v, f = arith.dphi(vals[a], grad)
+            v = arith.dphi(vals[a])
         vals[i] = v
-        if not grad:
-            continue
+    return vals
+
+
+def tape_gradients(ct: CompiledTerms, vals: list, n: int, arith) -> list:
+    """Forward-mode gradients of every root over n inputs, from the slot
+    values of tape_values.
+
+    Besides const/add/mul/neg, ``arith`` supplies the derivative factors
+    log_factor(x), phi_factor(x), dphi_factor(x) and ra_factor(prim, x)
+    at the argument x; that of exp is its value and that of sqr is x + x.
+    """
+    const, add, mul, neg = arith.const, arith.add, arith.mul, arith.neg
+    zero, one = [const(0.0)] * n, const(1.0)
+    grads: list = [None] * len(ct.ops)
+    for i, (code, a, b, payload) in enumerate(ct.ops):
         if code == VAR:
             g = list(zero)
             g[payload] = one
@@ -639,10 +643,38 @@ def run_tape(ct: CompiledTerms, inputs: Sequence, arith, grad: bool = False):
         elif code == NEG:
             g = [neg(p) for p in grads[a]]
         else:  # one-argument ops scale by their derivative factor
+            x = vals[a]
+            if code == SQR:
+                f = add(x, x)  # 2x, exactly 2.0 * x
+            elif code == EXP:
+                f = vals[i]
+            elif code == LOG:
+                f = arith.log_factor(x)
+            elif code == RA:
+                f = arith.ra_factor(payload, x)
+            elif code == PHI:
+                f = arith.phi_factor(x)
+            else:  # DPHI
+                f = arith.dphi_factor(x)
             g = [mul(f, p) for p in grads[a]]
         grads[i] = g
+    return [grads[r] for r in ct.roots]
+
+
+def run_tape(ct: CompiledTerms, inputs: Sequence, arith, grad: bool = False):
+    """Values of every root of a tape in the number kind of ``arith``, and
+    with ``grad`` their forward-mode gradients, one entry per input.
+
+    tape_values and tape_gradients are the one interpreter of the opcodes
+    and of the chain rule, for every number kind; ``intervals._generate``
+    writes code by running them over an arithmetic that emits lines. Every
+    value is computed before any derivative factor, so where both fail
+    the value's exception is raised. Returns the root values, or (values,
+    gradients).
+    """
+    vals = tape_values(ct, inputs, arith)
     roots = [vals[r] for r in ct.roots]
-    return (roots, [grads[r] for r in ct.roots]) if grad else roots
+    return (roots, tape_gradients(ct, vals, len(inputs), arith)) if grad else roots
 
 
 class FloatArith:
@@ -653,30 +685,38 @@ class FloatArith:
     mul = staticmethod(operator.mul)
     sqr = staticmethod(lambda x: x * x)
     neg = staticmethod(operator.neg)
+    exp = staticmethod(exp_sat)
 
     def __init__(self, abel):
         self.abel = abel
 
-    def exp(self, x, grad):
-        v = exp_sat(x)
-        return v, v
-
-    def log(self, x, grad):
+    def log(self, x):
         if x <= 0.0:
             raise DomainError(f"log of non-positive value {x}")
-        return math.log(x), (1.0 / x if grad else None)
+        return math.log(x)
 
-    def ra(self, prim, x, grad):
+    def ra(self, prim, x):
         if not (prim.lo <= x <= prim.hi):
             raise DomainError(
                 f"{prim.name} evaluated at {x} outside [{prim.lo}, {prim.hi}]")
-        return float(prim.fn(x)), (float(prim.derivative().fn(x)) if grad else None)
+        return float(prim.fn(x))
 
-    def phi(self, x, grad):
-        return self.abel.eval_phi(x), (self.abel.eval_dphi(x) if grad else None)
+    def phi(self, x):
+        return self.abel.eval_phi(x)
 
-    def dphi(self, x, grad):
-        return self.abel.eval_dphi(x), (self.abel.eval_d2phi(x) if grad else None)
+    def dphi(self, x):
+        return self.abel.eval_dphi(x)
+
+    def log_factor(self, x):
+        return 1.0 / x
+
+    def ra_factor(self, prim, x):
+        return float(prim.derivative().fn(x))
+
+    phi_factor = dphi   # phi' is dphi
+
+    def dphi_factor(self, x):
+        return self.abel.eval_d2phi(x)
 
 
 def check_arity(ct: CompiledTerms, n: int, what: str) -> None:

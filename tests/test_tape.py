@@ -336,6 +336,42 @@ def test_short_boxes_and_points_raise_domain_error(abel):
             walk(ct, Box.cube(1.0, 1), abel)
     with pytest.raises(DomainError, match="point dimension 1 below term arity 2"):
         gradient_compiled(ct, [0.5], abel)
+    arrays = [np.array([0.5])]
+    for walk in (eval_points, gradient_points):
+        with pytest.raises(DomainError, match="point dimension 1 below term arity 2"):
+            walk(ct, arrays, abel)
+    with pytest.raises(DomainError, match="cell dimension 1 below term arity 2"):
+        eval_cells(ct, arrays, arrays, abel)
+
+
+def test_every_number_kind_raises_the_value_fault_before_the_factor_fault(abel):
+    # d3atan has no derivative, and log(-0.5) fails: every value is
+    # computed before any derivative factor, so the log's DomainError wins
+    ct = compile_terms([parse_term("d3atan(x1) + log(x1)")])
+    walks = _every_walk(ct, [-0.5], abel)
+    for name in ("gradient_compiled", "gradient_points",
+                 "interval_jacobian_compiled"):
+        with pytest.raises(DomainError, match="log"):
+            walks[name]()
+    _heat(ct, abel, Box.from_bounds([(0.5, 0.6)]))
+    assert sum(callable(v) for v in ct.cache.values()) == 2
+    with pytest.raises(DomainError, match="log"):
+        interval_jacobian_compiled(ct, Box.from_bounds([(-0.5, 0.5)]), abel)
+
+
+def test_a_cold_jacobian_evaluates_each_value_once(abel, monkeypatch):
+    calls = []
+    interval_phi = type(abel).interval_phi
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        return interval_phi(self, lo, hi)
+
+    monkeypatch.setattr(type(abel), "interval_phi", counted)
+    ct = compile_terms([parse_term("phi(x1)*x1")])
+    interval_jacobian_compiled(ct, Box.from_bounds([(0.5, 0.6)]), abel)
+    assert not any(callable(v) for v in ct.cache.values())
+    assert calls == [(0.5, 0.6)]
 
 
 # ---------------------------------------------------------------------------
