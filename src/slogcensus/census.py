@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .errors import BuildError, CertificationError, DomainError, PathError
 from .intervals import (Box, Interval, interval_eval_compiled, krawczyk_test,
                         subdivide)
 from .terms import (RAPrimitive, TermNode, add_all, collect_phi_monomials,
-                    compile_terms, const, free_variables, gradient_compiled,
-                    growth_exponent, mul_all, parse_term, ra, substitute,
-                    to_text, var)
+                    compile_terms, const, gradient_compiled,
+                    growth_exponent, mul_all, parse_term, ra, rebuild,
+                    substitute, to_text, var)
 
 DEFAULT_RADIUS = 8.0
 DEFAULT_DEPTH = 40
@@ -50,10 +50,15 @@ class SystemParams:
         return cls(tuple([0.0] * (n + 1)), tuple([0.0] * n), 0.0)
 
     @classmethod
-    def from_dict(cls, d: dict, n: int) -> "SystemParams":
-        l = tuple(float(v) for v in d.get("l", [0.0] * (n + 1)))
-        eps = tuple(float(v) for v in d.get("eps", [0.0] * n))
-        delta = float(d.get("delta", 0.0))
+    def from_dict(cls, d: Mapping, n: int) -> "SystemParams":
+        if not isinstance(d, Mapping):
+            raise BuildError("params must be an object")
+        try:
+            l = tuple(float(v) for v in d.get("l", [0.0] * (n + 1)))
+            eps = tuple(float(v) for v in d.get("eps", [0.0] * n))
+            delta = float(d.get("delta", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise BuildError(f"params must hold numbers: {exc}") from None
         if len(l) != n + 1 or len(eps) != n:
             raise BuildError(f"expected {n + 1} l-entries and {n} eps-entries")
         return cls(l, eps, delta)
@@ -74,15 +79,12 @@ class SquareSystem:
         self.abel = abel
         self.sources = tuple(sources) if sources is not None else None
         self.var_names = tuple(var_names) if var_names is not None else None
-        used = set()
-        for eq in self.equations:
-            used |= free_variables(eq)
-        if used and max(used) >= self.n:
-            raise BuildError(
-                f"equation uses variable index {max(used)} but the system "
-                f"has {self.n} unknowns")
-        self.phi_args, self.dphi_args = collect_phi_monomials(self.equations)
         self.compiled = compile_terms(self.equations)
+        if self.compiled.n_vars > self.n:
+            raise BuildError(
+                f"equation uses variable index {self.compiled.n_vars - 1} but "
+                f"the system has {self.n} unknowns")
+        self.phi_args, self.dphi_args = collect_phi_monomials(self.equations)
 
     def shifted(self, eta: Sequence[float]) -> "SquareSystem":
         """System with target vector subtracted: equations - eta."""
@@ -142,7 +144,7 @@ def build_system(equations: Sequence, params=None, abel=None,
     elif isinstance(params, SystemParams):
         sp = params
     else:
-        sp = SystemParams.from_dict(dict(params), n)
+        sp = SystemParams.from_dict(params, n)
     extra = _param_bindings(sp, n)
     nodes = []
     sources = []
@@ -398,6 +400,11 @@ class DeformationPath:
             raise PathError("one matrix and target per breakpoint")
         if self.params is not None and len(self.params) != len(ts):
             raise PathError("one param block per breakpoint when given")
+        n = len(self.targets[0])
+        if (any(np.shape(m) != (n, n) for m in self.matrices)
+                or any(len(e) != n for e in self.targets)):
+            raise PathError(f"path matrices must be {n} x {n} and targets "
+                            f"of length {n}")
         for m in self.matrices:
             if abs(float(np.linalg.det(np.asarray(m, dtype=float)))) < 1e-9:
                 raise PathError("singular matrix at a breakpoint")
@@ -580,44 +587,25 @@ def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:
         return system
     box = Box.cube(float(radius), system.n)
     abel = system.abel
-    cache: dict = {}
-    counter = [0]
+    made: list = []
 
-    def prim_for(arg: TermNode, use_dphi: bool) -> RAPrimitive:
-        key = (arg, use_dphi)
-        got = cache.get(key)
-        if got is not None:
-            return got
+    def rewrite(node: TermNode) -> TermNode:
+        # rebuild meets each distinct phi or dphi node once, so each
+        # (argument, kind) pair gets one primitive
+        if node.kind not in ("phi", "dphi"):
+            return node
+        arg = node.children[0]
         rng = interval_eval_compiled(compile_terms([arg]), box, abel)[0]
         if not (math.isfinite(rng.lo) and math.isfinite(rng.hi)):
             raise DomainError(
                 f"phi argument {to_text(arg)} has unbounded range over "
                 f"the radius-{radius} box")
-        counter[0] += 1
-        label = f"slog_patch{counter[0]}" + ("_d" if use_dphi else "")
-        prim = _abel_primitive(abel, rng.lo, rng.hi, use_dphi, label)
-        cache[key] = prim
-        return prim
+        use_dphi = node.kind == "dphi"
+        label = f"slog_patch{len(made) + 1}" + ("_d" if use_dphi else "")
+        made.append(_abel_primitive(abel, rng.lo, rng.hi, use_dphi, label))
+        return ra(made[-1], arg)
 
-    memo: dict = {}
-
-    def rewrite(node: TermNode) -> TermNode:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if node.children:
-            kids = tuple(rewrite(c) for c in node.children)
-            out = node if all(k is c for k, c in zip(kids, node.children)) \
-                else TermNode(node.kind, kids, node.index, node.value, node.prim)
-        else:
-            out = node
-        if out.kind in ("phi", "dphi"):
-            out = ra(prim_for(out.children[0], out.kind == "dphi"),
-                     out.children[0])
-        memo[node] = out
-        return out
-
-    eqs = [rewrite(eq) for eq in system.equations]
+    eqs = rebuild(system.equations, rewrite)
     return SquareSystem(eqs, system.params, abel, var_names=system.var_names)
 
 
@@ -631,20 +619,39 @@ def load_system_file(path: str, abel=None):
     return system_from_dict(doc, abel)
 
 
-def system_from_dict(doc: dict, abel=None):
+def read_file_fields(doc, what: str, body: str):
+    """(variable names, the ``body`` list, radius or None) of a system or
+    formula document; BuildError when the document is malformed."""
+    if not isinstance(doc, dict):
+        raise BuildError(f"{what} file must hold a JSON object")
     try:
         vars_field = doc["vars"]
-        equations = doc["equations"]
+        content = doc[body]
     except KeyError as exc:
-        raise BuildError(f"system file missing field {exc}") from exc
+        raise BuildError(f"{what} file missing field {exc}") from exc
     if isinstance(vars_field, int):
         var_names = [f"x{i + 1}" for i in range(vars_field)]
-    else:
+    elif isinstance(vars_field, list):
         var_names = [str(v) for v in vars_field]
+    else:
+        raise BuildError("vars must be a count or a list of names")
+    if not isinstance(content, list):
+        raise BuildError(f"{body} must be a list")
+    radius = doc.get("radius")
+    if radius is not None:
+        try:
+            radius = float(radius)
+        except (TypeError, ValueError):
+            raise BuildError(f"radius must be a number, not {radius!r}") from None
+    return var_names, content, radius
+
+
+def system_from_dict(doc: dict, abel=None):
+    var_names, equations, radius = read_file_fields(doc, "system", "equations")
+    if not all(isinstance(e, str) for e in equations):
+        raise BuildError("equations must be strings")
     if len(equations) != len(var_names):
         raise BuildError(
             f"{len(equations)} equations for {len(var_names)} variables")
-    params = doc.get("params", None)
-    radius = doc.get("radius", None)
-    system = build_system(list(equations), params, abel, var_names)
-    return system, (float(radius) if radius is not None else None)
+    system = build_system(equations, doc.get("params"), abel, var_names)
+    return system, radius

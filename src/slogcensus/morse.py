@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .census import SquareSystem, SystemParams, count_nonsingular_zeros
+from .census import (SquareSystem, SystemParams, count_nonsingular_zeros,
+                     read_file_fields)
 from .errors import BuildError, CertificationError, DomainError
 from .gridoracle import GridSpec, flood_components, flood_components_sublevel
 from .intervals import Box, interval_eval_compiled, subdivide
@@ -548,25 +549,14 @@ def load_formula_file(path: str, abel=None):
 
 
 def formula_from_dict(doc: dict):
-    try:
-        vars_field = doc["vars"]
-        dnf_field = doc["dnf"]
-    except KeyError as exc:
-        raise BuildError(f"formula file missing field {exc}") from exc
-    if isinstance(vars_field, int):
-        n = vars_field
-        names = [f"x{i + 1}" for i in range(n)]
-    else:
-        names = [str(v) for v in vars_field]
-        n = len(names)
+    names, dnf_field, radius = read_file_fields(doc, "formula", "dnf")
     dnf = []
     for conj in dnf_field:
-        atoms = []
-        for entry in conj:
-            term = parse_term(entry["term"], names)
-            rel = entry.get("rel", "=")
-            atoms.append((term, rel))
-        dnf.append(tuple(atoms))
-    radius = doc.get("radius", None)
-    return QFFormula(tuple(dnf), n), (float(radius) if radius is not None
-                                      else None)
+        if not (isinstance(conj, list) and all(
+                isinstance(e, dict) and isinstance(e.get("term"), str)
+                for e in conj)):
+            raise BuildError("each dnf entry must be a list of atoms, "
+                             "objects with a term string")
+        dnf.append(tuple((parse_term(e["term"], names), e.get("rel", "="))
+                         for e in conj))
+    return QFFormula(tuple(dnf), len(names)), radius

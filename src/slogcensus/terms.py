@@ -49,6 +49,8 @@ __all__ = [
     "ra",
     "add_all",
     "mul_all",
+    "postorder",
+    "rebuild",
     "parse_term",
     "to_text",
     "compile_terms",
@@ -275,10 +277,16 @@ class TermNode:
             return True
         if not isinstance(other, TermNode):
             return NotImplemented
-        if self._hash != other._hash or self.kind != other.kind:
-            return False
-        return (self.index == other.index and self.value == other.value
-                and self.prim is other.prim and self.children == other.children)
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if (a._hash != b._hash or a.kind != b.kind
+                        or a.index != b.index or a.value != b.value
+                        or a.prim is not b.prim):
+                    return False
+                pairs.extend(zip(a.children, b.children))
+        return True
 
     def __repr__(self):
         return f"<term {to_text(self)}>"
@@ -352,6 +360,54 @@ def mul_all(ts: Sequence[TermNode]) -> TermNode:
 
 
 # ---------------------------------------------------------------------------
+# the one walk over the term DAG
+
+
+def postorder(roots: Iterable[TermNode]):
+    """Each structurally distinct subterm of ``roots`` once, after its
+    children, in the order a left-to-right recursive walk finishes them.
+
+    Every analysis of the DAG is a loop over this walk that keeps its
+    per-node results in a dict, so terms of any depth are handled without
+    recursion.
+    """
+    # marking a subterm when it is expanded equals marking it when it is
+    # finished: in a DAG nothing reaches it again in between
+    seen: set = set()
+    stack = list(tuple(roots)[::-1])
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:     # (node,): its children are done
+            yield node[0]
+            continue
+        n = len(seen)
+        seen.add(node)
+        if len(seen) == n:      # an equal subterm was walked before
+            continue
+        if node.children:
+            stack.append((node,))
+            stack.extend(node.children[::-1])
+        else:
+            yield node
+
+
+def rebuild(roots: Sequence[TermNode], visit: Callable) -> list:
+    """Bottom-up copy of the DAG under ``roots``: ``visit`` maps each node,
+    with its children already replaced by their images, to its image.
+    Nodes whose children are unchanged are kept as they are."""
+    image: dict = {}
+    for node in postorder(roots):
+        out = node
+        if node.children:
+            kids = tuple(image[c] for c in node.children)
+            if any(k is not c for k, c in zip(kids, node.children)):
+                out = TermNode(node.kind, kids, node.index, node.value,
+                               node.prim)
+        image[node] = visit(out)
+    return [image[r] for r in roots]
+
+
+# ---------------------------------------------------------------------------
 # parser
 
 _TOKEN_RE = re.compile(
@@ -363,6 +419,9 @@ _TOKEN_RE = re.compile(
 
 _FUNC_BUILTINS = {"exp": exp, "log": log, "phi": phi, "dphi": dphi}
 _VAR_RE = re.compile(r"^x([0-9]+)$")
+# nested parentheses, function calls and unary minus signs; the parser
+# recurses once per level, so the cap keeps it far from Python's stack limit
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -381,6 +440,7 @@ class _Parser:
             if m.lastgroup != "ws":
                 self.tokens.append((m.lastgroup, m.group(), m.start() + 1))
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         if self.i < len(self.tokens):
@@ -396,6 +456,14 @@ class _Parser:
         kind, val, col = self._next()
         if kind != "sym" or val != s:
             raise TermSyntaxError(f"expected {s!r}", col)
+
+    def _nested(self, parse, col: int) -> TermNode:
+        if self.depth == _MAX_NESTING:
+            raise TermSyntaxError("expression nested too deeply", col)
+        self.depth += 1
+        t = parse()
+        self.depth -= 1
+        return t
 
     def parse(self) -> TermNode:
         t = self.expr()
@@ -430,9 +498,9 @@ class _Parser:
         if kind == "num":
             return const(float(val))
         if kind == "sym" and val == "-":
-            return neg(self.factor())
+            return neg(self._nested(self.factor, col))
         if kind == "sym" and val == "(":
-            t = self.expr()
+            t = self._nested(self.expr, col)
             self._expect_sym(")")
             return t
         if kind == "ident":
@@ -443,7 +511,7 @@ class _Parser:
                 if ctor is None and prim is None:
                     raise TermSyntaxError(f"unknown function {val!r}", col)
                 self._next()
-                arg = self.expr()
+                arg = self._nested(self.expr, col)
                 self._expect_sym(")")
                 return ctor(arg) if ctor is not None else ra(prim, arg)
             return self._ident(val, col)
@@ -488,9 +556,15 @@ def _var_name(i: int, var_names) -> str:
 def to_text(t: TermNode, var_names: Sequence[str] | None = None) -> str:
     """Render a term; parse_term(to_text(t)) is structurally equal to t for
     parser-producible trees."""
+    # each node's text is a tuple of strings and of its children's tuples,
+    # flattened once at the end, so that deep terms cost linear memory
+    text: dict = {}   # node -> (pieces, level: 0 expr, 1 term, 2 factor)
 
-    def go(node: TermNode, level: int) -> str:
-        # level: 0 expr, 1 term, 2 factor
+    def arg(node: TermNode, level: int):
+        pieces, mine = text[node]
+        return ("(", pieces, ")") if mine < level else pieces
+
+    for node in postorder([t]):
         k = node.kind
         if k == "var":
             s, mine = _var_name(node.index, var_names), 2
@@ -499,24 +573,28 @@ def to_text(t: TermNode, var_names: Sequence[str] | None = None) -> str:
         elif k == "add":
             a, b = node.children
             if b.kind == "neg":
-                s = f"{go(a, 0)} - {go(b.children[0], 1)}"
+                s = (arg(a, 0), " - ", arg(b.children[0], 1))
             else:
-                s = f"{go(a, 0)} + {go(b, 1)}"
+                s = (arg(a, 0), " + ", arg(b, 1))
             mine = 0
         elif k == "mul":
             a, b = node.children
-            s, mine = f"{go(a, 1)}*{go(b, 2)}", 1
+            s, mine = (arg(a, 1), "*", arg(b, 2)), 1
         elif k == "neg":
-            s, mine = f"-{go(node.children[0], 2)}", 2
-        elif k == "ra":
-            s, mine = f"{node.prim.name}({go(node.children[0], 0)})", 2
+            s, mine = ("-", arg(node.children[0], 2)), 2
         else:
-            s, mine = f"{k}({go(node.children[0], 0)})", 2
-        if mine < level:
-            return f"({s})"
-        return s
-
-    return go(t, 0)
+            name = node.prim.name if k == "ra" else k
+            s, mine = (name, "(", arg(node.children[0], 0), ")"), 2
+        text[node] = (s, mine)
+    out: list = []
+    stack = [text[t][0]]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            out.append(s)
+        else:
+            stack.extend(reversed(s))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -549,38 +627,28 @@ def compile_terms(roots: Sequence[TermNode]) -> CompiledTerms:
     slot: dict[TermNode, int] = {}
     ops: list = []
     n_vars = 0
-
-    def visit(node: TermNode) -> int:
-        got = slot.get(node)
-        if got is not None:
-            return got
-        code = _CODE[node.kind]
+    for node in postorder(roots):
+        k = node.kind
+        code = _CODE[k]
         a = b = -1
         payload = None
-        if node.kind == "var":
-            nonlocal n_vars
+        if k == "var":
             n_vars = max(n_vars, node.index + 1)
             payload = node.index
-        elif node.kind == "const":
+        elif k == "const":
             payload = node.value
-        elif node.kind == "ra":
-            payload = node.prim
-            a = visit(node.children[0])
-        elif node.kind == "mul" and node.children[0] == node.children[1]:
-            code = SQR
-            a = visit(node.children[0])
-        elif len(node.children) == 2:
-            a = visit(node.children[0])
-            b = visit(node.children[1])
-        elif len(node.children) == 1:
-            a = visit(node.children[0])
-        idx = len(ops)
+        else:
+            kids = node.children
+            a = slot[kids[0]]
+            if k == "ra":
+                payload = node.prim
+            elif len(kids) == 2:
+                b = slot[kids[1]]
+                if k == "mul" and a == b:   # equal children share a slot
+                    code, b = SQR, -1
+        slot[node] = len(ops)
         ops.append((code, a, b, payload))
-        slot[node] = idx
-        return idx
-
-    root_idx = [visit(r) for r in roots]
-    return CompiledTerms(ops, root_idx, n_vars)
+    return CompiledTerms(ops, [slot[r] for r in roots], n_vars)
 
 
 def tape_values(ct: CompiledTerms, inputs: Sequence, arith) -> list:
@@ -772,22 +840,11 @@ def _default_abel():
 def fcpx(t: TermNode) -> int:
     """Nesting depth of phi/dphi applications: 0 for phi-free terms,
     composite nodes take the max over arguments, each phi/dphi adds 1."""
-    memo: dict[TermNode, int] = {}
-
-    def go(node: TermNode) -> int:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if node.kind in ("var", "const"):
-            v = 0
-        else:
-            v = max(go(c) for c in node.children)
-            if node.kind in ("phi", "dphi"):
-                v += 1
-        memo[node] = v
-        return v
-
-    return go(t)
+    depth: dict[TermNode, int] = {}
+    for node in postorder([t]):
+        v = max((depth[c] for c in node.children), default=0)
+        depth[node] = v + 1 if node.kind in ("phi", "dphi") else v
+    return depth[t]
 
 
 @dataclass(frozen=True)
@@ -804,21 +861,18 @@ def growth_exponent(t: TermNode) -> GrowthExponent:
     Raises GrowthAnalysisError when no bound of the exp_s form can be
     certified (log applied to anything but a positive constant).
     """
-    memo: dict[TermNode, int] = {}
-
-    def go(node: TermNode) -> int:
-        got = memo.get(node)
-        if got is not None:
-            return got
+    level: dict[TermNode, int] = {}
+    for node in postorder([t]):
+        # every argument is analyzed before its node, ra arguments included
         k = node.kind
         if k == "var":
             v = 0
         elif k == "const":
             v = 0 if node.value == 0.0 else max(1, _level_for_bound(abs(node.value)))
         elif k in ("add", "mul", "neg"):
-            v = max(go(c) for c in node.children) + 1
+            v = max(level[c] for c in node.children) + 1
         elif k == "exp":
-            v = go(node.children[0]) + 1
+            v = level[node.children[0]] + 1
         elif k == "log":
             c = node.children[0]
             if c.kind == "const" and c.value > 0.0:
@@ -828,11 +882,10 @@ def growth_exponent(t: TermNode) -> GrowthExponent:
                 raise GrowthAnalysisError(
                     "unbounded pathway: log argument may approach the domain boundary")
         elif k == "ra":
-            go(node.children[0])  # argument must itself be analyzable
             v = node.prim.growth_level
         elif k == "phi":
             child = node.children[0]
-            c = go(child)
+            c = level[child]
             if child.kind == "exp":
                 # e^g is positive, and on t > 0 we have -1 <= phi(t) <= t,
                 # so |phi(e^g)| <= max(1, exp_c(u)) = exp_c(u) for c >= 1
@@ -848,12 +901,9 @@ def growth_exponent(t: TermNode) -> GrowthExponent:
                 v = max(c, 2)
         else:  # dphi: |phi'| is globally bounded by a constant slightly
             # above 1, so level 2 covers it at every norm
-            go(node.children[0])
             v = 2
-        memo[node] = v
-        return v
-
-    return GrowthExponent(go(t))
+        level[node] = v
+    return GrowthExponent(level[t])
 
 
 # ---------------------------------------------------------------------------
@@ -902,102 +952,53 @@ def differentiate(t: TermNode, i: int) -> TermNode:
     derivative primitives.  dphi nodes are rejected: their derivative would
     need phi'', which the language does not have.
     """
-    memo: dict[TermNode, TermNode] = {}
-
-    def go(node: TermNode) -> TermNode:
-        got = memo.get(node)
-        if got is not None:
-            return got
+    d: dict[TermNode, TermNode] = {}
+    for node in postorder([t]):
         k = node.kind
         if k == "var":
-            d = const(1.0 if node.index == i else 0.0)
+            v = const(1.0 if node.index == i else 0.0)
         elif k == "const":
-            d = const(0.0)
-        elif k == "add":
-            d = _fadd(go(node.children[0]), go(node.children[1]))
-        elif k == "neg":
-            d = _fneg(go(node.children[0]))
-        elif k == "mul":
-            a, b = node.children
-            d = _fadd(_fmul(go(a), b), _fmul(a, go(b)))
-        elif k == "exp":
-            d = _fmul(go(node.children[0]), node)
-        elif k == "log":
-            d = _fmul(go(node.children[0]), exp(neg(node)))
-        elif k == "ra":
-            d = _fmul(go(node.children[0]),
-                      ra(node.prim.derivative(), node.children[0]))
-        elif k == "phi":
-            d = _fmul(go(node.children[0]), dphi(node.children[0]))
-        else:  # dphi
+            v = const(0.0)
+        elif k == "dphi":
             raise DifferentiationError(
                 "derivative of dphi is outside the term language")
-        memo[node] = d
-        return d
-
-    return go(t)
+        else:
+            a = node.children[0]
+            if k == "add":
+                v = _fadd(d[a], d[node.children[1]])
+            elif k == "neg":
+                v = _fneg(d[a])
+            elif k == "mul":
+                b = node.children[1]
+                v = _fadd(_fmul(d[a], b), _fmul(a, d[b]))
+            elif k == "exp":
+                v = _fmul(d[a], node)
+            elif k == "log":
+                v = _fmul(d[a], exp(neg(node)))
+            elif k == "ra":
+                v = _fmul(d[a], ra(node.prim.derivative(), a))
+            else:  # phi
+                v = _fmul(d[a], dphi(a))
+        d[node] = v
+    return d[t]
 
 
 def substitute(t: TermNode, mapping: Mapping[int, TermNode]) -> TermNode:
     """Replace variables by terms (simultaneously)."""
-    memo: dict[TermNode, TermNode] = {}
-
-    def go(node: TermNode) -> TermNode:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if node.kind == "var":
-            out = mapping.get(node.index, node)
-        elif not node.children:
-            out = node
-        else:
-            kids = tuple(go(c) for c in node.children)
-            if all(k is c for k, c in zip(kids, node.children)):
-                out = node
-            else:
-                out = TermNode(node.kind, kids, node.index, node.value, node.prim)
-        memo[node] = out
-        return out
-
-    return go(t)
+    return rebuild([t], lambda node: mapping.get(node.index, node)
+                   if node.kind == "var" else node)[0]
 
 
 def collect_phi_monomials(ts: Iterable[TermNode]):
-    """Unique phi and dphi argument subterms, in first-occurrence order."""
-    phi_args: list[TermNode] = []
-    dphi_args: list[TermNode] = []
-    seen_phi: set = set()
-    seen_dphi: set = set()
-    visited: set = set()
-
-    def go(node: TermNode):
-        if node in visited:
-            return
-        visited.add(node)
-        if node.kind == "phi" and node.children[0] not in seen_phi:
-            seen_phi.add(node.children[0])
-            phi_args.append(node.children[0])
-        elif node.kind == "dphi" and node.children[0] not in seen_dphi:
-            seen_dphi.add(node.children[0])
-            dphi_args.append(node.children[0])
-        for c in node.children:
-            go(c)
-
-    for t in ts:
-        go(t)
-    return tuple(phi_args), tuple(dphi_args)
+    """Unique phi and dphi argument subterms, each in the order postorder
+    finishes their first phi or dphi node: an argument comes after every
+    argument of a phi or dphi nested inside it (innermost first)."""
+    args: dict = {"phi": {}, "dphi": {}}
+    for node in postorder(ts):
+        if node.kind in args:
+            args[node.kind].setdefault(node.children[0])
+    return tuple(args["phi"]), tuple(args["dphi"])
 
 
 def free_variables(t: TermNode) -> set[int]:
-    out: set[int] = set()
-    stack = [t]
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node.kind == "var":
-            out.add(node.index)
-        stack.extend(node.children)
-    return out
+    return {node.index for node in postorder([t]) if node.kind == "var"}

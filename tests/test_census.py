@@ -234,6 +234,17 @@ def test_path_validation():
         DeformationPath((0.0, 1.0), (eye,), (z, z))
 
 
+def test_path_rejects_ragged_shapes(abel):
+    eye = np.eye(1)
+    with pytest.raises(PathError, match="targets of length 1"):
+        DeformationPath((0.0, 1.0), (eye, eye), ((0.0,), (0.5, 1.0)))
+    with pytest.raises(PathError, match="1 x 1"):
+        DeformationPath((0.0, 1.0), (eye, np.eye(2)), ((0.0,), (0.0,)))
+    with pytest.raises(BuildError, match="does not match n=1"):
+        track_path(build_system(["x1 - 0.5"], abel=abel),
+                   DeformationPath.constant(2), 2, 2.0)
+
+
 def test_path_interpolation():
     p = DeformationPath.target_ramp(2, [1.0, -1.0])
     a, eta, params = p.at(0.5)
@@ -371,6 +382,17 @@ def test_import_leaves_scipy_interpolate_and_ndimage_unloaded():
     assert out.stdout.strip() == "[False, False]"
 
 
+def test_reduction_makes_one_primitive_per_argument_and_kind(abel):
+    # phi(x1) occurs three times as separately parsed nodes; dphi(x1) and
+    # the outer phi get primitives of their own, numbered innermost first
+    sys_ = build_system(["phi(x1)*phi(x1) + dphi(x1) + phi(phi(x1))"],
+                        abel=abel)
+    red = reduce_phi_complexity(sys_, 2.0)
+    names = [op[3].name for op in red.compiled.ops
+             if isinstance(op[3], RAPrimitive)]
+    assert names == ["slog_patch1", "slog_patch2_d", "slog_patch3"]
+
+
 def test_reduction_identity_without_phi(abel):
     sys_ = build_system(["x1*x1 - 1"], abel=abel)
     assert reduce_phi_complexity(sys_, 2.0) is sys_
@@ -402,3 +424,11 @@ def test_system_from_dict_variants(abel):
 def test_system_from_dict_rejects_garbage(abel):
     with pytest.raises((BuildError, KeyError)):
         system_from_dict({"equations": []}, abel=abel)
+    for doc in ([], {"vars": 1.5, "equations": ["x1"]},
+                {"vars": 1, "equations": "x1"},
+                {"vars": 1, "equations": [["x1"]]},
+                {"vars": 1, "equations": ["x1"], "radius": [2.0]},
+                {"vars": 1, "equations": ["x1"], "params": [0.0]},
+                {"vars": 1, "equations": ["x1"], "params": {"delta": "a"}}):
+        with pytest.raises(BuildError):
+            system_from_dict(doc, abel=abel)

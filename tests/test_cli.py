@@ -32,6 +32,17 @@ def files(tmp_path_factory):
             "radius": 2.0,
         },
         "broken.json": {"vars": 2, "equations": ["x1 + * x2", "x1"]},
+        "number_equation.json": {"vars": 1, "equations": [5]},
+        "text_radius.json": {"vars": 1, "equations": ["x1"], "radius": "abc"},
+        "text_param.json": {"vars": 1, "equations": ["x1 - l0"],
+                            "params": {"l": ["q", 0]}},
+        "array.json": [{"vars": 1, "equations": ["x1"]}],
+        "deep.json": {"vars": 1, "equations": ["(" * 3000 + "x1" + ")" * 3000]},
+        "line.json": {"vars": 1, "equations": ["x1 - 0.5"], "radius": 2.0},
+        "text_steps_path.json": {"breakpoints": [0.0, 1.0], "steps": "x"},
+        "ragged_path.json": {"breakpoints": [0.0, 1.0],
+                             "targets": [[0.0], [0.5, 1.0]]},
+        "array_formula.json": [],
     }
     for name, doc in docs.items():
         (root / name).write_text(json.dumps(doc))
@@ -169,6 +180,31 @@ def test_track_steps_flag(files):
     doc = json.loads(r.stdout)
     assert doc["steps"] == 4
     assert len(doc["report"]["counts"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# malformed input: a clean error and exit code 2, never a traceback
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "x1", "--at", "a"],
+    ["eval", "(" * 3000 + "x1" + ")" * 3000, "--at", "1"],
+    ["zeros", "number_equation.json"],
+    ["zeros", "text_radius.json"],
+    ["zeros", "text_param.json"],
+    ["zeros", "array.json"],
+    ["zeros", "deep.json"],
+    ["track", "line.json", "text_steps_path.json"],
+    ["track", "line.json", "ragged_path.json"],
+    ["components", "array_formula.json", "--radius", "2"],
+], ids=["eval-at-text", "eval-deep", "equation-number", "radius-text",
+        "param-text", "system-array", "system-deep", "path-steps-text",
+        "path-ragged", "formula-array"])
+def test_malformed_input_exits_two(files, argv):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    r = _run(*argv)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
 
 
 # ---------------------------------------------------------------------------

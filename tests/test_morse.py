@@ -311,6 +311,16 @@ def test_formula_from_dict_rejects_bad_relation():
         formula_from_dict(doc)
 
 
+def test_formula_from_dict_rejects_malformed_documents():
+    for doc in ([], {"vars": "x1", "dnf": []}, {"vars": 1, "dnf": {}},
+                {"vars": 1, "dnf": [{"term": "x1"}]},
+                {"vars": 1, "dnf": [[{"term": 5}]]},
+                {"vars": 1, "dnf": [["x1"]]},
+                {"vars": 1, "dnf": [[{"term": "x1"}]], "radius": "abc"}):
+        with pytest.raises(BuildError):
+            formula_from_dict(doc)
+
+
 def test_load_formula_file(tmp_path, abel):
     doc = {"vars": 1, "dnf": [[{"term": "x1*x1 - 1", "rel": "="}]],
            "radius": 2.0}

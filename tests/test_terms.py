@@ -7,12 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from slogcensus.errors import (DifferentiationError, DomainError,
                                GrowthAnalysisError, TermSyntaxError)
-from slogcensus.terms import (CONST, MUL, SQR, add, collect_phi_monomials,
-                              compile_terms, const, default_catalog, dphi,
-                              differentiate, eval_term, exp, fcpx,
-                              free_variables, gradient, growth_exponent, log,
-                              mul, neg, parse_term, phi, ra, sub, substitute,
-                              to_text, var)
+from slogcensus import intervals, terms
+from slogcensus.census import (build_system, count_nonsingular_zeros,
+                               reduce_phi_complexity)
+from slogcensus.terms import (CONST, MUL, SQR, add, add_all,
+                              collect_phi_monomials, compile_terms, const,
+                              default_catalog, dphi, differentiate, eval_term,
+                              exp, fcpx, free_variables, gradient,
+                              growth_exponent, log, mul, neg, parse_term, phi,
+                              postorder, ra, sub, substitute, to_text, var)
+
+from conftest import CORPUS, PHI_CORPUS
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +50,17 @@ def test_parse_syntax_errors():
     with pytest.raises(TermSyntaxError) as exc:
         parse_term("x1 + *x2")
     assert exc.value.column == 6
+
+
+def test_parse_caps_nesting_depth():
+    cap = terms._MAX_NESTING
+    for opener, closer in (("(", ")"), ("exp(", ")"), ("-", "")):
+        assert parse_term(opener * cap + "x1" + closer * cap) is not None
+        with pytest.raises(TermSyntaxError, match="nested too deeply"):
+            parse_term(opener * (cap + 1) + "x1" + closer * (cap + 1))
+    with pytest.raises(TermSyntaxError, match="nested too deeply") as exc:
+        parse_term("(" * 3000 + "x1" + ")" * 3000)
+    assert exc.value.column == cap + 1
 
 
 def test_parse_custom_var_names():
@@ -84,6 +100,12 @@ def _trees(depth):
         inner.map(exp),
         inner.map(phi),
         inner.map(dphi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_trees(3), min_size=1, max_size=3))
+def test_compile_keeps_the_recursive_slot_order_on_trees(roots):
+    _same_tape(roots)
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,6 +171,60 @@ def test_compile_shares_subterms_and_squares():
     codes = [op[0] for op in prog.ops]
     assert codes.count(SQR) == 2
     assert MUL not in codes
+
+
+def _compile_recursively(roots):
+    # the recursive compiler that postorder replaced, kept as the reference
+    # for the slot order of every tape
+    slot, ops, n_vars = {}, [], 0
+
+    def visit(node):
+        nonlocal n_vars
+        got = slot.get(node)
+        if got is not None:
+            return got
+        code = terms._CODE[node.kind]
+        a = b = -1
+        payload = None
+        if node.kind == "var":
+            n_vars = max(n_vars, node.index + 1)
+            payload = node.index
+        elif node.kind == "const":
+            payload = node.value
+        elif node.kind == "ra":
+            payload = node.prim
+            a = visit(node.children[0])
+        elif node.kind == "mul" and node.children[0] == node.children[1]:
+            code = SQR
+            a = visit(node.children[0])
+        elif len(node.children) == 2:
+            a = visit(node.children[0])
+            b = visit(node.children[1])
+        else:
+            a = visit(node.children[0])
+        ops.append((code, a, b, payload))
+        slot[node] = len(ops) - 1
+        return slot[node]
+
+    return ops, [visit(r) for r in roots], n_vars
+
+
+def _same_tape(roots):
+    ct = compile_terms(roots)
+    assert (ct.ops, ct.roots, ct.n_vars) == _compile_recursively(roots)
+
+
+@pytest.mark.parametrize("eqs,radius", [row[1:3] for row in CORPUS],
+                         ids=[row[0] for row in CORPUS])
+def test_compile_keeps_the_recursive_slot_order(abel, eqs, radius):
+    _same_tape(list(build_system(eqs, abel=abel).equations))
+
+
+@pytest.mark.parametrize("eqs,radius", [row[1:3] for row in PHI_CORPUS],
+                         ids=[row[0] for row in PHI_CORPUS])
+def test_compile_keeps_the_recursive_slot_order_reduced(abel, eqs, radius):
+    reduced = reduce_phi_complexity(build_system(eqs, abel=abel), radius)
+    _same_tape(list(reduced.equations))
 
 
 def test_compile_tracks_var_count():
@@ -244,3 +320,81 @@ def test_growth_bound_holds(t, x, y):
     except (DomainError, OverflowError):
         return
     assert v <= bound + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# terms far deeper than Python's recursion limit
+
+def _wide_sum():
+    # sum_{i<5000} x1/(i+1) - 1, left-nested 5 001 deep
+    return add_all([mul(const(1.0 / (i + 1)), var(0)) for i in range(5000)]
+                   + [const(-1.0)])
+
+
+def _deep_chain():
+    # exp(-exp(-...exp(-phi(x1))...)), 3 000 levels above phi(x1)
+    t = phi(var(0))
+    for i in range(3000):
+        t = exp(t) if i % 2 else neg(t)
+    return t
+
+
+def _census(t, abel, monkeypatch):
+    # radius-2 census through the tape walker, then through generated code
+    cold = count_nonsingular_zeros(build_system([t], abel=abel), 2.0)
+    monkeypatch.setattr(intervals, "HOT_CALLS", 0)
+    hot = count_nonsingular_zeros(build_system([t], abel=abel), 2.0)
+    assert hot.to_dict() == cold.to_dict()
+    return cold
+
+
+def test_postorder_finishes_children_first_and_dedupes():
+    t = parse_term("exp(x1)*x2 + exp(x1)")
+    order = list(postorder([t, parse_term("x2")]))
+    assert [to_text(n) for n in order] == [
+        "x1", "exp(x1)", "x2", "exp(x1)*x2", "exp(x1)*x2 + exp(x1)"]
+
+
+def test_wide_sum_runs_through_every_analysis(abel, monkeypatch):
+    t = _wide_sum()
+    assert _wide_sum() == t and hash(_wide_sum()) == hash(t)
+    assert t != add(t.children[0], const(-2.0))
+    text = to_text(t)
+    assert text.startswith("1.0*x1 + 0.5*x1 + ")
+    assert text.endswith(" + 0.0002*x1 + -1.0")
+    assert text.count(" + ") == 5000
+    assert fcpx(t) == 0
+    assert growth_exponent(t).s == 5002
+    assert free_variables(t) == {0}
+    assert collect_phi_monomials([t]) == ((), ())
+    h = math.fsum(1.0 / (i + 1) for i in range(5000))
+    d = differentiate(t, 0)
+    assert d.kind == "const" and d.value == pytest.approx(h, rel=1e-12)
+    s = substitute(t, {0: const(2.0)})
+    assert free_variables(s) == set()
+    assert eval_term(s, []) == pytest.approx(2.0 * h - 1.0, rel=1e-12)
+    rep = _census(t, abel, monkeypatch)
+    assert rep.exact and rep.certified_count == 1
+    assert rep.zeros[0][0] == pytest.approx(1.0 / h, rel=1e-9)
+
+
+def test_deep_chain_runs_through_every_analysis(abel, monkeypatch):
+    t = _deep_chain()
+    assert _deep_chain() == t and hash(_deep_chain()) == hash(t)
+    assert t != substitute(t, {0: const(0.0)})
+    text = to_text(t)
+    assert text.count("exp(-") == 1500 and "phi(x1)" in text
+    assert fcpx(t) == 1
+    assert growth_exponent(t).s == 3001
+    assert free_variables(t) == {0}
+    assert collect_phi_monomials([t]) == ((var(0),), ())
+    d = differentiate(t, 0)
+    assert eval_term(d, [0.3], abel) == pytest.approx(
+        gradient(t, [0.3], abel)[0], rel=1e-9, abs=1e-300)
+    shifted = substitute(t, {0: add(var(0), const(1.0))})
+    assert eval_term(shifted, [0.3], abel) == eval_term(t, [1.3], abel)
+    # exp(-u) iterated converges to the omega constant, so t - x1 has one
+    # zero there
+    rep = _census(sub(t, var(0)), abel, monkeypatch)
+    assert rep.exact and rep.certified_count == 1
+    assert rep.zeros[0][0] == pytest.approx(0.5671432904097838, rel=1e-12)
