@@ -25,8 +25,8 @@ import numpy as np
 
 from .abel import exp_sat
 from .errors import DomainError
-from .terms import (CompiledTerms, TermNode, check_arity, compile_terms,
-                    run_tape, tape_gradients, tape_values)
+from .terms import (CONST, RA, CompiledTerms, TermNode, check_arity,
+                    compile_terms, run_tape, tape_gradients, tape_values)
 
 _INF = math.inf
 _NINF = -math.inf
@@ -290,22 +290,34 @@ class IntervalArith:
 
 
 # ---------------------------------------------------------------------------
-# straight-line code for hot tapes
+# straight-line code for hot tapes, one function per tape shape
 
-# An interval pass over a tape (its values, or its Jacobian over n inputs
-# with the values and the range pretest before it) runs through run_tape for
-# its first HOT_CALLS calls, then through Python generated for it.
-# On a 2-core 2.0 GHz Xeon VM, generating costs 27 to 39 us a line. On the
-# Jacobian pass of a circle critical system (43 slots, 136 lines) that is
-# 3.7 to 4.4 ms, the time the generated code saves in about 32 to 35 calls
-# (135-165 -> 22-36 us each, the cold path walking the values once and
-# reusing them for the gradients); its value pass (39 lines) costs 1.1 to
-# 1.5 ms, about 50 to 65 calls' saving (27-31 -> 6-7 us). A pass is
-# generated once it has run that many times, so a tape evaluated only a
-# few times, as most census tapes are, never pays for generation, and one
-# evaluated often pays at most about twice (Jacobian) to 2.6 times (values)
-# the least it could.
+# A tape's shape is its ops with every constant and RA primitive replaced
+# by a slot, with its roots and its number of variables; the slot values
+# are the tape's own. Tapes that differ only in their constants, such as
+# the critical systems of one formula under different rotations, share a
+# shape. An interval pass of a shape (its values, or its Jacobian over n
+# inputs with the values and the range pretest before it) runs through
+# run_tape for its first HOT_CALLS calls, counted over every tape of the
+# shape, then through Python generated once for the shape.
+# On a 2-core 2.0 GHz Xeon VM, generating costs 50 to 55 us a line. On the
+# Jacobian pass of the circle's last-stage critical system (40 slots, 122
+# lines) that is 6.0 to 6.6 ms, the time the generated code saves in about
+# 27 to 37 calls (195-250 -> 26-28 us each, the cold path walking the
+# values once and reusing them for the gradients); its value pass (54
+# lines) costs 2.8 to 3.0 ms, about 70 calls' saving (50-54 -> 10.5-11
+# us). Each tape of the shape also runs a prologue once per pass, 16 us
+# (values) or 81 to 92 us (Jacobian). A pass is generated once its shape
+# has run it that many times, so a shape evaluated only a few times in
+# all never pays for generation, and one evaluated often pays at most
+# about twice (Jacobian) to three times (values) the least it could.
 HOT_CALLS = 32
+# Shapes whose call counts and generated code outlive their tapes; a shape
+# that this many others have been looked up after is dropped. One pass of
+# the benchmark's census workload looks up 23 shapes and one of morse 20,
+# so the bound holds the working sets of two such workloads; tier-1 makes
+# about 210, nearly all used by one test.
+SHAPE_CACHE = 64
 
 _ZERO = Interval.point(0.0)
 _ONE = Interval.point(1.0)
@@ -318,26 +330,68 @@ def _is_zero(x) -> bool:
     return isinstance(x, Interval) and x[0] == 0.0 == x[1]
 
 
-class _TapeWriter:
-    """Lines of one generated function over float locals: an arithmetic for
-    tape_values and tape_gradients whose operations write code.
+class _Param(int):
+    """A value of generated code that depends on a tape's slots but on no
+    input: its index in the list that the prologue fills, which starts
+    with the slot values."""
 
-    An operand that depends on no input is an Interval, folded here with
-    the helpers above; any other is the pair of names of its two float
-    locals. iadd, isub, imul, iscale, isqr and ineg are written out as
-    their own float operations, so the code keeps every bit of the helpers.
-    exp, log, ra, phi, dphi and the derivative factors are lines that call
-    the IntervalArith ``A``, with its domain checks and messages.
+    __slots__ = ()
+
+
+class _TapeWriter:
+    """Lines of one generated function over float locals, and the prologue
+    that feeds it: an arithmetic for tape_values and tape_gradients whose
+    operations write code.
+
+    An operand is of one of three kinds. An Interval is the same for every
+    tape of the shape (the seed gradients, and what is built only from
+    them) and is folded here with the helpers above. A _Param depends on
+    the slots but on no input: its operations become prologue steps, calls
+    of IntervalArith that run once per tape, and the generated code reads
+    their results from ``P``. Any other operand is the pair of names of its
+    two float locals. iadd, isub, imul, iscale, isqr and ineg are written
+    out as their own float operations, so the code keeps every bit of the
+    helpers. exp, log, ra, phi and dphi of inputs, and every derivative
+    factor, are lines that call the IntervalArith ``A``, with its domain
+    checks and messages.
     """
 
-    const = staticmethod(Interval.point)
-
-    def __init__(self):
+    def __init__(self, n_slots: int = 0):
         self.lines: list[str] = []
         # constants are bound here, never formatted into the source, so
         # inf, -0.0 and subnormals keep their bits
         self.ns = {"nx": _nextafter, "inf": _INF, "ninf": _NINF,
-                   "tn": _tuple_new, "IV": Interval, "pin": _pin}
+                   "tn": _tuple_new, "IV": Interval, "pin": _pin, "imul": imul}
+        self.n_slots = n_slots
+        self.steps: list = []       # (IntervalArith method, arguments)
+        # (_Param, whole) -> the local names of its two ends, or of it
+        # whole (an Interval or a primitive), in the order of P
+        self.exports: dict = {}
+        self.points: set = set()    # constant slots and their negations
+
+    def const(self, v):
+        # a slot of the shape, or a seed gradient
+        if type(v) is not _Param:
+            return Interval.point(v)
+        p = self._step("const", v)
+        self.points.add(p)
+        return p
+
+    def _step(self, method: str, *args) -> _Param:
+        self.steps.append((method, args))
+        return _Param(self.n_slots + len(self.steps) - 1)
+
+    def _fold(self, method: str, helper, *args):
+        # every operand is input-free
+        if all(isinstance(a, Interval) for a in args):
+            return helper(*args)
+        return self._step(method, *args)
+
+    def _export(self, p: _Param, whole: bool):
+        key = (p, whole)
+        if key not in self.exports:
+            self.exports[key] = f"pw{p}" if whole else (f"pl{p}", f"ph{p}")
+        return self.exports[key]
 
     def bind(self, value) -> str:
         name = f"k{len(self.ns)}"
@@ -345,6 +399,8 @@ class _TapeWriter:
         return name
 
     def names(self, x):
+        if type(x) is _Param:
+            return self._export(x, False)
         return (self.bind(x[0]), self.bind(x[1])) if isinstance(x, Interval) else x
 
     def out(self):
@@ -352,18 +408,24 @@ class _TapeWriter:
         return f"lo{n}", f"hi{n}"
 
     def interval(self, x) -> str:
-        # a pair of locals becomes an Interval; a constant or primitive is bound
-        return f"tn(IV, ({x[0]}, {x[1]}))" if type(x) is tuple else self.bind(x)
+        # a pair of locals becomes an Interval; a constant is bound, and a
+        # prologue value or primitive is read from P
+        if type(x) is tuple:
+            return f"tn(IV, ({x[0]}, {x[1]}))"
+        return self._export(x, True) if type(x) is _Param else self.bind(x)
 
     def function(self, params: str, result: str):
-        src = "".join(f"    {line}\n" for line in self.lines)
+        unpack = [n for names in self.exports.values()
+                  for n in ((names,) if isinstance(names, str) else names)]
+        lines = ([", ".join(unpack) + ", = P"] if unpack else []) + self.lines
+        src = "".join(f"    {line}\n" for line in lines)
         exec(compile(f"def code({params}):\n{src}    return {result}\n",
                      "<interval code>", "exec"), self.ns)
         return self.ns.pop("code")
 
     def add(self, x, y):
-        if isinstance(x, Interval) and isinstance(y, Interval):
-            return iadd(x, y)
+        if type(x) is not tuple and type(y) is not tuple:
+            return self._fold("add", iadd, x, y)
         (xl, xh), (yl, yh) = self.names(x), self.names(y)
         lo, hi = self.out()
         # a NaN end is -inf + inf, widened to that side's infinity
@@ -379,15 +441,18 @@ class _TapeWriter:
         return lo, hi
 
     def neg(self, x):
-        if isinstance(x, Interval):
-            return ineg(x)
+        if type(x) is not tuple:
+            p = self._fold("neg", ineg, x)
+            if x in self.points:
+                self.points.add(p)
+            return p
         lo, hi = self.out()
         self.lines.append(f"{lo} = -{x[1]}; {hi} = -{x[0]}")
         return lo, hi
 
     def sqr(self, x):
-        if isinstance(x, Interval):
-            return isqr(x)
+        if type(x) is not tuple:
+            return self._fold("sqr", isqr, x)
         xl, xh = x
         lo, hi = self.out()
         self.lines.append(
@@ -396,30 +461,34 @@ class _TapeWriter:
         return lo, hi
 
     def mul(self, x, y):
-        if isinstance(x, Interval):
-            if isinstance(y, Interval):
-                return imul(x, y)
-            x, y = y, x     # imul(x, y) and imul(y, x) agree to the bit
-        if _is_zero(y):
+        if _is_zero(x) or _is_zero(y):
             return _ZERO_PRODUCT
+        if type(x) is not tuple:
+            if type(y) is not tuple:
+                return self._fold("mul", imul, x, y)
+            x, y = y, x     # imul(x, y) and imul(y, x) agree to the bit
         lo, hi = self.out()
         xl, xh = x
-        if isinstance(y, Interval):
-            c = y[0]
-            if c == y[1] and 0.0 < abs(c) < _INF:
-                # a finite nonzero point: no corner is NaN, and x.lo*c and
-                # x.hi*c are the extreme corners, in order when c > 0
-                k = self.bind(c)
-                if c < 0.0:
-                    xl, xh = xh, xl
-                self.lines.append(f"{lo} = nx({xl} * {k}, ninf); {hi} = nx({xh} * {k}, inf)")
-                return lo, hi
         yl, yh = self.names(y)
-        self.lines += [
+        # a finite nonzero point c needs no NaN test, and x.lo*c and x.hi*c
+        # are the extreme corners, in order when c > 0
+        two = (f"{lo} = nx({xl} * {yl}, ninf); {hi} = nx({xh} * {yl}, inf)",
+               f"{lo} = nx({xh} * {yl}, ninf); {hi} = nx({xl} * {yl}, inf)")
+        four = [
             f"m0 = {xl} * {yl}; m1 = {xl} * {yh}; m2 = {xh} * {yl}; m3 = {xh} * {yh}",
             "if (t := m0 + m1 + m2 + m3) != t: "
             "m0 = pin(m0); m1 = pin(m1); m2 = pin(m2); m3 = pin(m3)",
             f"{lo} = nx(min(m0, m1, m2, m3), ninf); {hi} = nx(max(m0, m1, m2, m3), inf)"]
+        if type(y) is _Param and y in self.points:
+            # a point whose value is not known here: its sign picks the
+            # corners when the code runs, and 0 or inf takes imul itself
+            self.lines += [f"if 0.0 < {yl} < inf: {two[0]}",
+                           f"elif ninf < {yl} < 0.0: {two[1]}",
+                           f"else: {lo}, {hi} = imul(({xl}, {xh}), ({yl}, {yh}))"]
+        elif isinstance(y, Interval) and y[0] == y[1] and 0.0 < abs(y[0]) < _INF:
+            self.lines.append(two[y[0] < 0.0])
+        else:
+            self.lines += four
         return lo, hi
 
     def scale(self, x, c: str):
@@ -438,71 +507,139 @@ class _TapeWriter:
         self.lines.append(f"{lo}, {hi} = A.{method}({', '.join(map(self.interval, args))})")
         return lo, hi
 
-    exp = functools.partialmethod(_call, "exp")
-    log = functools.partialmethod(_call, "log")
-    ra = functools.partialmethod(_call, "ra")
-    phi = functools.partialmethod(_call, "phi")
-    dphi = functools.partialmethod(_call, "dphi")
+    def _value(self, method: str, *args):
+        # an input-free value is a prologue step; a derivative factor is
+        # always a line, so that it runs after every value
+        if type(args[-1]) is not tuple:
+            return self._step(method, *args)
+        return self._call(method, *args)
+
+    exp = functools.partialmethod(_value, "exp")
+    log = functools.partialmethod(_value, "log")
+    ra = functools.partialmethod(_value, "ra")
+    phi = functools.partialmethod(_value, "phi")
+    dphi = functools.partialmethod(_value, "dphi")
     log_factor = functools.partialmethod(_call, "log_factor")
     ra_factor = functools.partialmethod(_call, "ra_factor")
     phi_factor = functools.partialmethod(_call, "phi_factor")
     dphi_factor = functools.partialmethod(_call, "dphi_factor")
 
 
-def _generate(ct: CompiledTerms, n: int, grad: bool):
-    """Straight-line code for the interval passes of a tape over n input
-    intervals, with IntervalArith ``A``, written by running the walkers of
-    run_tape over a _TapeWriter.
+class _Shape:
+    """A tape shape: a tape whose CONST and RA payloads are slots
+    (``_Param``), and per interval pass over n inputs, keyed (grad, n), its
+    call count or its generated code, prologue steps and exports."""
 
-    Without grad, a function of (coords, A) that returns
-    run_tape(ct, coords, A). With grad, a function of (coords, A, pretest)
-    in three parts: every value (tape_values); then, when pretest is set,
-    the Krawczyk range pretest, which returns None if some root's range
-    excludes 0; then the gradients from those values (tape_gradients), and
-    the return of run_tape(ct, coords, A, grad=True).
+    __slots__ = ("tape", "n_slots", "passes")
+
+    def __init__(self, key):
+        ops, roots, n_vars = key
+        self.tape = CompiledTerms(list(ops), list(roots), n_vars)
+        self.n_slots = sum(type(op[3]) is _Param for op in ops)
+        self.passes: dict = {}
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE)
+def _shape(key) -> _Shape:
+    return _Shape(key)
+
+
+def _instance(ct: CompiledTerms):
+    """The shape of a tape and its slot values, found once per tape."""
+    got = ct.cache.get("shape")
+    if got is None:
+        ops, slots = [], []
+        for code, a, b, payload in ct.ops:
+            if code == CONST or code == RA:
+                slots.append(payload)
+                payload = _Param(len(slots) - 1)
+            ops.append((code, a, b, payload))
+        key = (tuple(ops), tuple(ct.roots), ct.n_vars)
+        got = ct.cache["shape"] = (_shape(key), slots)
+    return got
+
+
+def _generate(shape: _Shape, n: int, grad: bool):
+    """Straight-line code for an interval pass of a tape shape over n input
+    intervals, written by running the walkers of run_tape over a
+    _TapeWriter. Returns (code, steps, exports): the prologue runs the
+    steps on a tape's slots once and hands the exports to the code as P.
+
+    Without grad, code is a function of (coords, A, P) that returns
+    run_tape(ct, coords, A). With grad, a function of (coords, A, P,
+    pretest) in three parts: every value (tape_values); then, when pretest
+    is set, the Krawczyk range pretest, which returns None if some root's
+    range excludes 0; then the gradients from those values
+    (tape_gradients), and the return of run_tape(ct, coords, A, grad=True).
     """
-    w = _TapeWriter()
+    w = _TapeWriter(shape.n_slots)
     coords = [(f"xl{j}", f"xh{j}") for j in range(n)]
     w.lines.append("[" + ", ".join(f"({lo}, {hi})" for lo, hi in coords) + "] = coords")
-    vals = tape_values(ct, coords, w)
-    roots = [vals[r] for r in ct.roots]
+    vals = tape_values(shape.tape, coords, w)
+    roots = [vals[r] for r in shape.tape.roots]
     result = "[" + ", ".join(map(w.interval, roots)) + "]"
     if not grad:
-        return w.function("coords, A", result)
+        return w.function("coords, A, P", result), w.steps, list(w.exports)
 
     inside = " and ".join("{} <= 0.0 <= {}".format(*w.names(r)) for r in roots)
     w.lines.append(f"if pretest and not ({inside}): return None")
-    grads = tape_gradients(ct, vals, n, w)
+    grads = tape_gradients(shape.tape, vals, n, w)
     result += ", [" + ", ".join(
         "[" + ", ".join(map(w.interval, g)) + "]" for g in grads) + "]"
-    return w.function("coords, A, pretest", result)
+    return w.function("coords, A, P, pretest", result), w.steps, list(w.exports)
 
 
-def _hot_code(ct: CompiledTerms, grad: bool, n: int):
-    """The generated code for this pass of the tape over n inputs, or None
-    while the pass has run fewer than HOT_CALLS times."""
+def _prologue(steps, exports, slots, arith) -> list:
+    """P for one tape: every input-free value, from the slot values."""
+    env = list(slots)
+    for method, args in steps:
+        env.append(getattr(arith, method)(
+            *[env[a] if type(a) is _Param else a for a in args]))
+    P: list = []
+    for p, whole in exports:
+        if whole:
+            P.append(env[p])
+        else:
+            P += env[p]
+    return P
+
+
+def _hot_code(ct: CompiledTerms, grad: bool, n: int, arith):
+    """(code, P, abel) for this pass of the tape over n inputs, or None
+    while the pass of its shape has run fewer than HOT_CALLS times."""
     check_arity(ct, n, "box")
     key = ("interval", grad, n)
-    got = ct.cache.get(key, 0)
-    if type(got) is int:
-        if got < HOT_CALLS:
-            ct.cache[key] = got + 1
+    got = ct.cache.get(key)
+    if got is not None and got[2] is arith.abel:
+        return got
+    shape, slots = _instance(ct)
+    code = shape.passes.get((grad, n), 0)
+    if type(code) is int:
+        if code < HOT_CALLS:
+            shape.passes[(grad, n)] = code + 1
             return None
-        got = ct.cache[key] = _generate(ct, n, grad)
+        code = shape.passes[(grad, n)] = _generate(shape, n, grad)
+    try:
+        P = _prologue(code[1], code[2], slots, arith)
+    except Exception:
+        # an input-free value fails on every box; run_tape raises that
+        # fault or one before it, as the reference does
+        return None
+    got = ct.cache[key] = (code[0], P, arith.abel)
     return got
 
 
 def _values(ct: CompiledTerms, coords, arith) -> list[Interval]:
-    code = _hot_code(ct, False, len(coords))
-    return run_tape(ct, coords, arith) if code is None else code(coords, arith)
+    hot = _hot_code(ct, False, len(coords), arith)
+    return run_tape(ct, coords, arith) if hot is None else hot[0](coords, arith, hot[1])
 
 
 def _jacobian(ct: CompiledTerms, coords, arith, pretest: bool):
     """run_tape(ct, coords, arith, grad=True), or None when pretest is set
     and some root's range excludes 0."""
-    code = _hot_code(ct, True, len(coords))
-    if code is not None:
-        return code(coords, arith, pretest)
+    hot = _hot_code(ct, True, len(coords), arith)
+    if hot is not None:
+        return hot[0](coords, arith, hot[1], pretest)
     vals = tape_values(ct, coords, arith)
     ranges = [vals[r] for r in ct.roots]
     if pretest and not all(r[0] <= 0.0 <= r[1] for r in ranges):

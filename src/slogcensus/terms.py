@@ -292,10 +292,18 @@ class TermNode:
         return f"<term {to_text(self)}>"
 
 
+# one node per variable index, so that equal variables are identical and a
+# dict or set lookup of one stops at the identity test
+_VARS: dict[int, TermNode] = {}
+
+
 def var(i: int) -> TermNode:
-    if i < 0:
-        raise ValueError("variable index must be >= 0")
-    return TermNode("var", index=i)
+    node = _VARS.get(i)
+    if node is None:
+        if i < 0:
+            raise ValueError("variable index must be >= 0")
+        node = _VARS[i] = TermNode("var", index=i)
+    return node
 
 
 def const(v: float) -> TermNode:
@@ -612,8 +620,8 @@ class CompiledTerms:
     ops: list          # (code, a, b, payload) per slot
     roots: list        # slot index per root term
     n_vars: int
-    # state an arithmetic keeps per tape: intervals keeps its call counts
-    # and generated code here, so both go with the tape
+    # state an arithmetic keeps per tape: intervals keeps the tape's shape
+    # and the values its prologues computed from the tape's constants here
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 

@@ -1,10 +1,12 @@
 """Shared fixtures and the zero-count corpus used across the suite."""
 
+import functools
 import os
 from pathlib import Path
 
 import pytest
 
+from slogcensus import intervals
 from slogcensus.abel import get_default_abel
 
 # pytest puts src/ on sys.path (pyproject.toml); the CLI tests' subprocesses
@@ -17,6 +19,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture(scope="session")
 def abel():
     return get_default_abel()
+
+
+@pytest.fixture
+def fresh_shapes(monkeypatch):
+    """An empty cache of tape shapes for one test, so that call counts and
+    generated code start from nothing; the shared cache comes back after."""
+    monkeypatch.setattr(intervals, "_shape", functools.lru_cache(
+        maxsize=intervals.SHAPE_CACHE)(intervals._Shape))
 
 
 # Square systems over dimensions 1 to 3 with known nonsingular zero counts.

@@ -319,7 +319,8 @@ def test_probe_boundedness_detects_escape(abel):
         probe_boundedness(sys_, [4.0, 2.0])
 
 
-def test_reports_are_byte_identical_cold_and_hot(abel, monkeypatch):
+def test_reports_are_byte_identical_cold_and_hot(abel, monkeypatch,
+                                                 fresh_shapes):
     # the corpus, and the circle's last-stage critical system with the
     # first rotation of seed 0
     eps, delta = schedule_for_ball(2.0).pairs[-1]
@@ -340,13 +341,16 @@ def test_reports_are_byte_identical_cold_and_hot(abel, monkeypatch):
         # every pass through run_tape, then every pass generated at once
         for hot_calls in (10**9, 0):
             monkeypatch.setattr(intervals, "HOT_CALLS", hot_calls)
+            intervals._shape.cache_clear()
             system = build()
             reports.append(report(system, radius, depth))
-            assert any(map(callable, system.compiled.cache.values())) == \
+            passes = intervals._instance(system.compiled)[0].passes
+            assert any(type(v) is not int for v in passes.values()) == \
                 (hot_calls == 0)
-        # by default the first census on a fresh system starts cold and
-        # the second runs on what the first made hot
+        # by default the first census of a new shape starts cold and the
+        # second runs on what the first made hot
         monkeypatch.setattr(intervals, "HOT_CALLS", default)
+        intervals._shape.cache_clear()
         system = build()
         reports += [report(system, radius, depth) for _ in range(2)]
         assert reports.count(reports[0]) == 4, build().equations

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from slogcensus import intervals
 from slogcensus.errors import BuildError, CertificationError, DomainError
 from slogcensus.intervals import Box
 from slogcensus.morse import (AffineSubspace, ComponentReport, GammaReport,
@@ -204,6 +205,33 @@ def test_component_bound_circle(abel):
     assert rep.limit_transfer_assumed
     d = rep.to_dict()
     assert d["component_bound"] == 2 and len(d["schedule"]) == 3
+
+
+def test_component_bound_generates_each_pass_of_a_shape_once(
+        abel, monkeypatch, fresh_shapes):
+    made = []
+    generate = intervals._generate
+
+    def counted(shape, n, grad):
+        made.append((shape, grad, n))
+        return generate(shape, n, grad)
+
+    monkeypatch.setattr(intervals, "_generate", counted)
+
+    def bound():
+        return component_bound(_formula([(_CIRCLE, "=")]),
+                               AffineSubspace.full(), radius=2.0, abel=abel,
+                               include_oracle=False).to_dict()
+
+    first = bound()
+    # six tapes in three shapes: the prove_empty tapes of the schedule
+    # share one, and so do the critical systems of stages 2 and 3
+    shapes = {id(shape) for shape, _, _ in made}
+    assert len(shapes) == 3
+    assert len(set(made)) == len(made) <= 2 * len(shapes)
+    made.clear()
+    assert bound() == first
+    assert made == []
 
 
 def test_component_bound_two_points(abel):

@@ -3,6 +3,7 @@ cell arrays must agree with each other on every opcode."""
 
 import gc
 import math
+import re
 import sys
 import weakref
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slogcensus import intervals
 from slogcensus.census import build_system, reduce_phi_complexity
 from slogcensus.errors import DifferentiationError, DomainError
 from slogcensus.gridoracle import eval_cells, eval_points, gradient_points
@@ -19,10 +21,11 @@ from slogcensus.intervals import (HOT_CALLS, Box, Interval, IntervalArith,
                                   interval_eval, interval_eval_compiled,
                                   interval_jacobian_compiled, iscale, isub,
                                   krawczyk_test)
-from slogcensus.terms import (CompiledTerms, RAPrimitive, add, compile_terms,
-                              const, default_catalog, eval_compiled,
-                              eval_term, gradient, gradient_compiled, log,
-                              mul, parse_term, run_tape, var)
+from slogcensus.terms import (CompiledTerms, RAPrimitive, add, add_all,
+                              compile_terms, const, default_catalog,
+                              eval_compiled, eval_term, exp, gradient,
+                              gradient_compiled, log, mul, mul_all,
+                              parse_term, run_tape, var)
 
 # every tape reads both variables, so gradients have two entries
 SOURCES = [
@@ -208,6 +211,12 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _generated(ct):
+    """How many interval passes of the tape's shape have generated code."""
+    passes = intervals._instance(ct)[0].passes.values()
+    return sum(type(v) is not int for v in passes)
+
+
 def _heat(ct, abel, box=_SAFE):
     for _ in range(HOT_CALLS + 1):
         for walk in (interval_eval_compiled, interval_jacobian_compiled):
@@ -235,7 +244,7 @@ def hot_tapes(abel):
     tapes = _generated_tapes(abel)
     for ct in tapes:
         _heat(ct, abel)
-        assert sum(callable(v) for v in ct.cache.values()) == 2
+        assert _generated(ct) == 2
     return tapes
 
 
@@ -290,34 +299,141 @@ def test_generated_code_raises_what_run_tape_raises(abel, hot_tapes):
     assert faults[DifferentiationError] >= 1
 
 
-def test_a_pass_is_generated_once_it_has_run_hot_calls_times(abel):
+def test_a_pass_is_generated_once_it_has_run_hot_calls_times(abel, fresh_shapes):
     ct = compile_terms([parse_term("x1*x2 + exp(x1)")])
-    cold = compile_terms([parse_term("x1*x2 + exp(x1)")])
+    other = compile_terms([parse_term("x1*x2 + exp(x1)")])
     for _ in range(HOT_CALLS):
         interval_eval_compiled(ct, _SAFE, abel)
         interval_jacobian_compiled(ct, _SAFE, abel)
-    assert not any(callable(v) for v in ct.cache.values())
+    assert _generated(ct) == 0
     interval_eval_compiled(ct, _SAFE, abel)
-    assert sum(callable(v) for v in ct.cache.values()) == 1
+    assert _generated(ct) == 1
     interval_jacobian_compiled(ct, _SAFE, abel)
-    code = {k: v for k, v in ct.cache.items() if callable(v)}
-    assert len(code) == 2
+    passes = dict(intervals._instance(ct)[0].passes)
+    assert len(passes) == 2
     interval_eval_compiled(ct, _SAFE, abel)
     interval_jacobian_compiled(ct, _SAFE, abel)
-    assert {k: v for k, v in ct.cache.items() if callable(v)} == code
+    assert intervals._instance(ct)[0].passes == passes
+    # a second tape of the shape runs the same code from its first call
+    interval_eval_compiled(other, _SAFE, abel)
+    interval_jacobian_compiled(other, _SAFE, abel)
+    assert intervals._instance(other)[0] is intervals._instance(ct)[0]
+    assert {k: other.cache[("interval",) + k][0] for k in passes} == \
+        {k: code[0] for k, code in passes.items()}
     # the cache takes no part in equality or repr
-    assert ct == cold and repr(ct) == repr(cold)
-    assert "cache" not in repr(ct)
+    assert ct == compile_terms([parse_term("x1*x2 + exp(x1)")])
+    assert repr(ct) == repr(other) and "cache" not in repr(ct)
 
 
-def test_generated_code_is_freed_with_its_tape(abel):
+def test_generated_code_is_freed_when_its_shape_is_evicted(abel, fresh_shapes):
     ct = compile_terms([parse_term("x1*x2 + exp(x1)")])
     _heat(ct, abel)
-    refs = [weakref.ref(v) for v in ct.cache.values() if callable(v)]
+    refs = [weakref.ref(code[0])
+            for code in intervals._instance(ct)[0].passes.values()]
     assert len(refs) == 2
     del ct
     gc.collect()
+    # the code outlives the tape: the next tape of the shape runs it at once
+    again = compile_terms([parse_term("x1*x2 + exp(x1)")])
+    interval_eval_compiled(again, _SAFE, abel)
+    assert again.cache[("interval", False, 2)][0] is refs[0]()
+    del again
+    # until SHAPE_CACHE other shapes have been looked up since
+    for k in range(intervals.SHAPE_CACHE):
+        interval_eval_compiled(compile_terms([var(k)]), Box.cube(1.0, k + 1),
+                               abel)
+    gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+# slot values for tapes of one shape: signed zeros, the least subnormal,
+# ends whose products overflow, negatives (log of them fails)
+_SLOTS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0,
+                          -1.0, -2.5, 0.5)) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+def _instance(c):
+    """A tape of one fixed shape with the four slot values c: point
+    products, a product of slots, exp and log of slots, a slot root."""
+    x1, x2 = var(0), var(1)
+    k = [const(v) for v in c]
+    return compile_terms([
+        add_all([mul_all([k[0], x1, x2]), mul(k[1], x2), mul(exp(k[2]), x1)]),
+        add_all([mul(log(k[3]), x1), mul(mul(k[0], k[1]), x2), k[1]]),
+        k[2]])
+
+
+def _reduced_instances(abel):
+    # the same equations reduced at two radii: RA slots whose primitives
+    # have different domains
+    return [reduce_phi_complexity(build_system(
+        ["phi(x1) - x2", "dphi(x2)*x1 - 0.5"], abel=abel), r).compiled
+        for r in (1.0, 2.0)]
+
+
+@pytest.fixture(scope="module")
+def shared_shapes(abel):
+    """A hot tape of each shape, with the code of its passes."""
+    tapes = [_instance((0.5, -2.5, 1.0, 3.0))] + _reduced_instances(abel)[:1]
+    for ct in tapes:
+        _heat(ct, abel)
+        assert _generated(ct) == 2
+    return [(ct, dict(intervals._instance(ct)[0].passes)) for ct in tapes]
+
+
+def _runs_shared_code(ct, hot, box, abel):
+    """The tape shares the shape of ``hot`` and its code, and both passes
+    keep every bit of run_tape."""
+    hot_ct, passes = hot
+    _generated_matches_run_tape(ct, box, abel)
+    shape = intervals._instance(ct)[0]
+    assert shape is intervals._instance(hot_ct)[0] and shape.passes == passes
+    for (grad, n), code in passes.items():
+        got = ct.cache.get(("interval", grad, n))
+        # a tape whose prologue fails runs run_tape instead
+        assert got is None or got[0] is code[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SLOTS, min_size=4, max_size=4, unique=True),
+       st.lists(_end, min_size=4, max_size=4))
+def test_tapes_of_one_shape_share_code_and_keep_every_bit(
+        shared_shapes, abel, c, ends):
+    ct = _instance(c)
+    box = Box.from_bounds([sorted(ends[:2]), sorted(ends[2:])])
+    for _ in range(2):      # once with the prologue run, once without
+        _runs_shared_code(ct, shared_shapes[0], box, abel)
+        _runs_shared_code(ct, shared_shapes[0], _SAFE, abel)
+
+
+def test_reduced_tapes_share_code_and_keep_every_bit(shared_shapes, abel):
+    boxes = _boxes(count=20, seed=7) + [
+        Box.from_bounds([(0.5, 0.6), (1.5, 2.5)]),     # leaves one domain
+        Box.from_bounds([(-3.0, 3.0), (-0.1, 0.1)])]
+    for ct in _reduced_instances(abel):
+        for box in boxes:
+            _runs_shared_code(ct, shared_shapes[1], box, abel)
+
+
+def test_log_of_a_negative_slot_raises_on_every_call(abel, fresh_shapes):
+    box = Box.from_bounds([(0.5, 0.6)])
+    for c in (-1.0, -0.5, -1.0):
+        ct = compile_terms([add(log(const(c)), var(0))])
+        fault = re.escape(f"log over interval reaching {c} <= 0")
+        for _ in range(HOT_CALLS + 2):
+            for walk in (interval_eval_compiled, interval_jacobian_compiled):
+                with pytest.raises(DomainError, match=fault):
+                    walk(ct, box, abel)
+    assert _generated(ct) == 2
+    # where a value of the inputs fails before it, that fault is raised
+    for c in (-1.0, -0.5, 2.0):
+        ct = compile_terms([add(log(var(0)), log(const(c)))])
+        for _ in range(HOT_CALLS + 2):
+            for box in (Box.from_bounds([(-0.25, 0.6)]),
+                        Box.from_bounds([(0.5, 0.6)])):
+                _generated_matches_run_tape(ct, box, abel)
+        assert _generated(ct) == 2
 
 
 def test_short_boxes_and_points_raise_domain_error(abel):
@@ -330,7 +446,7 @@ def test_short_boxes_and_points_raise_domain_error(abel):
             walk(t, [0.5], abel)
     ct = compile_terms([t])
     _heat(ct, abel)
-    assert sum(callable(v) for v in ct.cache.values()) == 2
+    assert _generated(ct) == 2
     for walk in (interval_eval_compiled, interval_jacobian_compiled):
         with pytest.raises(DomainError, match=box_fault):
             walk(ct, Box.cube(1.0, 1), abel)
@@ -354,12 +470,13 @@ def test_every_number_kind_raises_the_value_fault_before_the_factor_fault(abel):
         with pytest.raises(DomainError, match="log"):
             walks[name]()
     _heat(ct, abel, Box.from_bounds([(0.5, 0.6)]))
-    assert sum(callable(v) for v in ct.cache.values()) == 2
+    assert _generated(ct) == 2
     with pytest.raises(DomainError, match="log"):
         interval_jacobian_compiled(ct, Box.from_bounds([(-0.5, 0.5)]), abel)
 
 
-def test_a_cold_jacobian_evaluates_each_value_once(abel, monkeypatch):
+def test_a_cold_jacobian_evaluates_each_value_once(abel, monkeypatch,
+                                                   fresh_shapes):
     calls = []
     interval_phi = type(abel).interval_phi
 
@@ -370,7 +487,7 @@ def test_a_cold_jacobian_evaluates_each_value_once(abel, monkeypatch):
     monkeypatch.setattr(type(abel), "interval_phi", counted)
     ct = compile_terms([parse_term("phi(x1)*x1")])
     interval_jacobian_compiled(ct, Box.from_bounds([(0.5, 0.6)]), abel)
-    assert not any(callable(v) for v in ct.cache.values())
+    assert _generated(ct) == 0
     assert calls == [(0.5, 0.6)]
 
 
@@ -414,10 +531,13 @@ def _krawczyk_outcome(ct, box, abel):
 
 
 def _hot_matches_cold(ct, box, abel):
-    # a copy of the tape with no call counts runs run_tape
+    # a copy of the tape whose shape is its own, with no call counts, runs
+    # run_tape
     cold = CompiledTerms(ct.ops, ct.roots, ct.n_vars)
-    want = _krawczyk_outcome(cold, box, abel)
-    assert not any(callable(v) for v in cold.cache.values())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intervals, "_shape", intervals._Shape)
+        want = _krawczyk_outcome(cold, box, abel)
+    assert _generated(cold) == 0
     assert _krawczyk_outcome(ct, box, abel) == want, box
     return want
 
@@ -427,7 +547,7 @@ def hot_systems(abel):
     systems = _krawczyk_systems(abel)
     for ct in systems:
         _heat(ct, abel, Box.from_bounds([(0.5, 0.6)] * len(ct.roots)))
-        assert sum(callable(v) for v in ct.cache.values()) == 2
+        assert _generated(ct) == 2
     return systems
 
 

@@ -233,6 +233,15 @@ def test_compile_tracks_var_count():
     assert prog.ops[-1][0] != CONST
 
 
+def test_variables_are_one_node_per_index():
+    t = parse_term("x1*x2 + x1")
+    x1, x2 = t.children[0].children
+    assert x1 is var(0) and x2 is var(1) and t.children[1] is var(0)
+    assert parse_term("u - v", ["u", "v"]).children[1].children[0] is var(1)
+    with pytest.raises(ValueError):
+        var(-1)
+
+
 # ---------------------------------------------------------------------------
 # differentiation and substitution
 
@@ -355,7 +364,8 @@ def test_postorder_finishes_children_first_and_dedupes():
         "x1", "exp(x1)", "x2", "exp(x1)*x2", "exp(x1)*x2 + exp(x1)"]
 
 
-def test_wide_sum_runs_through_every_analysis(abel, monkeypatch):
+def test_wide_sum_runs_through_every_analysis(abel, monkeypatch,
+                                              fresh_shapes):
     t = _wide_sum()
     assert _wide_sum() == t and hash(_wide_sum()) == hash(t)
     assert t != add(t.children[0], const(-2.0))
@@ -378,7 +388,8 @@ def test_wide_sum_runs_through_every_analysis(abel, monkeypatch):
     assert rep.zeros[0][0] == pytest.approx(1.0 / h, rel=1e-9)
 
 
-def test_deep_chain_runs_through_every_analysis(abel, monkeypatch):
+def test_deep_chain_runs_through_every_analysis(abel, monkeypatch,
+                                                fresh_shapes):
     t = _deep_chain()
     assert _deep_chain() == t and hash(_deep_chain()) == hash(t)
     assert t != substitute(t, {0: const(0.0)})
