@@ -17,9 +17,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .abel import exp_n, get_default_abel
 from .errors import BuildError, CertificationError, DomainError, PathError
 from .intervals import (Box, Interval, interval_eval_compiled, krawczyk_test,
-                        subdivide)
+                        split_step)
 from .terms import (RAPrimitive, TermNode, add_all, collect_phi_monomials,
                     compile_terms, const, gradient_compiled,
                     growth_exponent, mul_all, parse_term, ra, rebuild,
@@ -131,8 +132,6 @@ def build_system(equations: Sequence, params=None, abel=None,
     and delta; these are substituted as constants from ``params``.
     """
     if abel is None:
-        from .abel import get_default_abel
-
         abel = get_default_abel()
     n = len(equations)
     if n == 0:
@@ -216,8 +215,6 @@ def search_radius(system: SquareSystem, default_radius: float = DEFAULT_RADIUS
     d_chain = _chain_cutoff(max(k, 1), s, system.abel)
     d_norm = 2.0 * (2.0 * system.n + 2.0 + u * system.abel.sup_dphi_global)
     d = max(d_chain, d_norm * (1.0 + 1e-12))
-    from .abel import exp_n
-
     r = exp_n(d, s)
     return RadiusReport(float(r), False, s, float(d), k, u)
 
@@ -307,12 +304,8 @@ def _count_over_box(system: SquareSystem, root: Box, max_depth: int,
                 if not same:
                     zeros.append(_polish(system, enc))
                 continue
-        if depth >= max_depth or box.max_width == 0.0:
+        if not split_step(stack, box, depth, max_depth):
             unknown.append(box)
-            continue
-        left, right = subdivide(box)
-        stack.append((right, depth + 1))
-        stack.append((left, depth + 1))
     zeros.sort(key=lambda z: tuple(round(v, 9) for v in z))
     unknown.sort(key=lambda b: tuple(b.bounds()))
     return CensusReport(len(zeros), unknown, radius_label, depth_used, zeros)

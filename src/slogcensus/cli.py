@@ -13,13 +13,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .abel import AbelFunction, build_abel
+from .abel import AbelFunction, build_abel, get_default_abel
 from .census import (DEFAULT_DEPTH, DeformationPath, SystemParams,
                      count_nonsingular_zeros, load_system_file,
                      search_radius, track_path)
 from .errors import CertificationError, DomainError, PathError, SlogcensusError
-from .morse import (CENSUS_DEPTH, component_bound, gamma_estimate,
-                    load_formula_file)
+from .morse import (CENSUS_DEPTH, AffineSubspace, component_bound,
+                    gamma_estimate, load_formula_file)
 from .terms import eval_term, gradient, parse_term
 
 _EXIT_OK = 0
@@ -40,14 +40,20 @@ def _emit(report: dict, out_path: str | None, quiet: bool = False) -> None:
 
 def _load_abel(path: str | None, validate: bool = True):
     if path is None:
-        from .abel import get_default_abel
-
         return get_default_abel()
     return AbelFunction.load(path, validate=validate)
 
 
-def _config(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+def _envelope(args, radius: float, source: str, report: dict,
+              **extra) -> dict:
+    """Report of a search subcommand: the set seed and depth, the radius
+    and where it came from, any fields of the command's own, and the
+    result."""
+    config = {k: getattr(args, k) for k in ("seed", "depth")
+              if getattr(args, k) is not None}
+    return {"version": __version__, "command": args.command,
+            "config": config, "radius": radius, "radius_source": source,
+            "report": report, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +182,7 @@ def cmd_zeros(args) -> int:
     radius, source = _pick_radius(args, file_radius, system)
     depth = args.depth if args.depth is not None else DEFAULT_DEPTH
     census = count_nonsingular_zeros(system, radius, depth)
-    report = {
-        "version": __version__,
-        "command": "zeros",
-        "config": _config(args, ("seed", "depth")),
-        "radius": radius,
-        "radius_source": source,
-        "report": census.to_dict(),
-    }
-    _emit(report, args.out)
+    _emit(_envelope(args, radius, source, census.to_dict()), args.out)
     return _EXIT_OK if census.exact else _EXIT_UNCERTIFIED
 
 
@@ -224,16 +222,8 @@ def cmd_track(args) -> int:
     radius, source = _pick_radius(args, file_radius, system)
     depth = args.depth if args.depth is not None else DEFAULT_DEPTH
     track = track_path(system, path, steps, radius, depth)
-    report = {
-        "version": __version__,
-        "command": "track",
-        "config": _config(args, ("seed", "depth")),
-        "radius": radius,
-        "radius_source": source,
-        "steps": steps,
-        "report": track.to_dict(),
-    }
-    _emit(report, args.out)
+    _emit(_envelope(args, radius, source, track.to_dict(), steps=steps),
+          args.out)
     return _EXIT_OK if track.verdict != "uncertified" else _EXIT_UNCERTIFIED
 
 
@@ -244,20 +234,10 @@ def cmd_components(args) -> int:
     abel = _load_abel(args.abel)
     formula, file_radius = load_formula_file(args.formula_file)
     radius, source = _pick_radius(args, file_radius)
-    from .morse import AffineSubspace
-
     depth = args.depth if args.depth is not None else CENSUS_DEPTH
     rep = component_bound(formula, AffineSubspace.full(), radius,
                           seed=args.seed, abel=abel, census_depth=depth)
-    report = {
-        "version": __version__,
-        "command": "components",
-        "config": _config(args, ("seed", "depth")),
-        "radius": radius,
-        "radius_source": source,
-        "report": rep.to_dict(),
-    }
-    _emit(report, args.out)
+    _emit(_envelope(args, radius, source, rep.to_dict()), args.out)
     return _EXIT_OK
 
 
@@ -268,16 +248,8 @@ def cmd_gamma(args) -> int:
     depth = args.depth if args.depth is not None else CENSUS_DEPTH
     rep = gamma_estimate(formula, formula.n, args.trials, radius,
                          args.seed, abel=abel, census_depth=depth)
-    report = {
-        "version": __version__,
-        "command": "gamma",
-        "config": _config(args, ("seed", "depth")),
-        "radius": radius,
-        "radius_source": source,
-        "trials": args.trials,
-        "report": rep.to_dict(),
-    }
-    _emit(report, args.out)
+    _emit(_envelope(args, radius, source, rep.to_dict(), trials=args.trials),
+          args.out)
     return _EXIT_OK
 
 

@@ -7,6 +7,7 @@ evaluation over cells is vectorized with numpy and processed in chunks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,7 +48,7 @@ class GridSpec:
 
     @property
     def cells(self) -> int:
-        return int(np.prod([int(r) for r in self.resolution]))
+        return math.prod(int(r) for r in self.resolution)
 
     def edges(self, axis: int) -> np.ndarray:
         c = self.box.coords[axis]

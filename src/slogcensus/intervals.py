@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .abel import exp_sat
+from .abel import exp_sat, get_default_abel
 from .errors import DomainError
 from .terms import (CONST, RA, CompiledTerms, TermNode, check_arity,
                     compile_terms, run_tape, tape_gradients, tape_values)
@@ -243,6 +243,19 @@ def subdivide(box: Box) -> tuple[Box, Box]:
     left[i] = Interval(c.lo, m)
     right[i] = Interval(m, c.hi)
     return Box(tuple(left)), Box(tuple(right))
+
+
+def split_step(stack: list, box: Box, depth: int, max_depth: int) -> bool:
+    """One step of a depth-first bisection search over ``(box, depth)``
+    pairs: push the halves of ``box`` at ``depth + 1``, right then left,
+    so the left half is popped next. Returns False, pushing nothing, when
+    ``box`` is at the depth cap or has zero width."""
+    if depth >= max_depth or box.max_width == 0.0:
+        return False
+    left, right = subdivide(box)
+    stack.append((right, depth + 1))
+    stack.append((left, depth + 1))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +667,6 @@ def interval_eval_compiled(ct: CompiledTerms, box: Box, abel) -> list[Interval]:
 def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
     """Range enclosure of a term over a box."""
     if abel is None:
-        from .abel import get_default_abel
-
         abel = get_default_abel()
     return interval_eval_compiled(compile_terms([term]), box, abel)[0]
 

@@ -21,11 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .abel import get_default_abel
 from .census import (SquareSystem, SystemParams, count_nonsingular_zeros,
                      read_file_fields)
 from .errors import BuildError, CertificationError, DomainError
 from .gridoracle import GridSpec, flood_components, flood_components_sublevel
-from .intervals import Box, interval_eval_compiled, subdivide
+from .intervals import Box, interval_eval_compiled, split_step
 from .terms import (TermNode, add_all, compile_terms, const, differentiate,
                     free_variables, mul, mul_all, neg, parse_term, sub,
                     substitute, var)
@@ -37,6 +38,12 @@ CENSUS_DEPTH = 36
 
 def _sq(t: TermNode) -> TermNode:
     return mul(t, t)
+
+
+def _linear_form(coeffs) -> TermNode:
+    """sum c_j * x_j over the nonzero coefficients; 0 when there are none."""
+    return add_all([mul_all([const(float(c)), var(j)])
+                    for j, c in enumerate(coeffs) if float(c) != 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +195,7 @@ class AffineSubspace:
         for row in self.rows:
             if len(row) != n + 1:
                 raise BuildError(f"affine row needs {n + 1} entries")
-            parts = [mul_all([const(float(c)), var(i)])
-                     for i, c in enumerate(row[:-1]) if float(c) != 0.0]
-            lhs = add_all(parts) if parts else const(0.0)
-            out.append(sub(lhs, const(float(row[-1]))))
+            out.append(sub(_linear_form(row[:-1]), const(float(row[-1]))))
         return out
 
 
@@ -203,15 +207,20 @@ def affine_restrict(f: TermNode, subspace: AffineSubspace, n: int) -> TermNode:
     return add_all([f] + [_sq(c) for c in cons])
 
 
+def _nvars(f_l: TermNode, nvars: int | None) -> int:
+    """nvars when given, else the largest free variable + 1 (1 for none)."""
+    if nvars is None:
+        nvars = max(free_variables(f_l), default=0) + 1
+    return nvars
+
+
 def milnor_tube(f_l: TermNode, eps: float, delta: float,
                 nvars: int | None = None) -> TermNode:
-    """Level form of the compact thickening: F_L^2 + eps*|x|^2 - delta^2."""
+    """Level form of the compact thickening: F_L^2 + eps*|x|^2 - delta^2,
+    over ``nvars`` coordinates (default: the largest free variable + 1)."""
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise DomainError("eps and delta must lie in (0, 1)")
-    if nvars is None:
-        fv = free_variables(f_l)
-        nvars = (max(fv) + 1) if fv else 1
-    radial = add_all([_sq(var(i)) for i in range(nvars)])
+    radial = add_all([_sq(var(i)) for i in range(_nvars(f_l, nvars))])
     return add_all([_sq(f_l), mul_all([const(eps), radial]),
                     const(-delta * delta)])
 
@@ -224,34 +233,21 @@ def critical_system(f_l: TermNode, eps: float, delta: float, rotation,
     """Square system for the critical points of the last-coordinate
     projection on the tube boundary, in rotated coordinates y = Q x."""
     if abel is None:
-        from .abel import get_default_abel
-
         abel = get_default_abel()
     q = np.asarray(rotation, dtype=float)
-    nv = nvars
-    if nv is None:
-        fv = free_variables(f_l)
-        nv = (max(fv) + 1) if fv else 1
+    nv = _nvars(f_l, nvars)
     if q.shape != (nv, nv):
         raise BuildError(f"rotation shape {q.shape}, expected ({nv}, {nv})")
     if float(np.max(np.abs(q.T @ q - np.eye(nv)))) > _ORTHO_TOL:
         raise BuildError("rotation is not orthogonal to 1e-12")
     # x_i = sum_j Q[j][i] y_j substitutes the inverse rotation
-    mapping = {}
-    for i in range(nv):
-        parts = [mul_all([const(float(q[j, i])), var(j)])
-                 for j in range(nv) if float(q[j, i]) != 0.0]
-        mapping[i] = add_all(parts) if parts else const(0.0)
-    g = substitute(f_l, mapping)
-    radial = add_all([_sq(var(i)) for i in range(nv)])
-    level = add_all([_sq(g), mul_all([const(eps), radial]),
-                     const(-delta * delta)])
+    g = substitute(f_l, {i: _linear_form(q[:, i]) for i in range(nv)})
     eqs = []
     for i in range(nv - 1):
         dg = differentiate(g, i)
         eqs.append(add_all([mul_all([const(2.0), g, dg]),
                             mul_all([const(2.0 * eps), var(i)])]))
-    eqs.append(level)
+    eqs.append(milnor_tube(g, eps, delta, nv))
     return SquareSystem(eqs, SystemParams.zeros(nv), abel)
 
 
@@ -263,7 +259,8 @@ def prove_empty(equations: Sequence[TermNode], box: Box, abel,
     """Certify that no common zero exists in the box, by subdivision.
 
     Possibly overdetermined: a box dies when any equation's enclosure
-    misses 0. Returns False when the depth cap leaves a box undecided.
+    misses 0. Returns False at the first undecided box that ``split_step``
+    cannot split (depth cap or zero width).
     """
     ct = compile_terms(list(equations))
     stack = [(box, 0)]
@@ -272,11 +269,8 @@ def prove_empty(equations: Sequence[TermNode], box: Box, abel,
         ranges = interval_eval_compiled(ct, b, abel)
         if any(not r.contains_zero() for r in ranges):
             continue
-        if depth >= max_depth or b.max_width == 0.0:
+        if not split_step(stack, b, depth, max_depth):
             return False
-        left, right = subdivide(b)
-        stack.append((right, depth + 1))
-        stack.append((left, depth + 1))
     return True
 
 
@@ -317,31 +311,30 @@ def schedule_for_ball(radius: float, stages: int = 3,
     return default_schedule(stages, eps0, delta0)
 
 
-def _regular_level(f_l: TermNode, eps: float, delta: float, abel, nv: int,
-                   depth: int) -> bool:
-    # delta^2 is regular for H = F_L^2 + eps|x|^2 iff grad H and H - delta^2
-    # have no common zero; all such points satisfy eps|x|^2 <= delta^2
-    radial = add_all([_sq(var(i)) for i in range(nv)])
-    h = add_all([_sq(f_l), mul_all([const(eps), radial])])
-    eqs = [differentiate(h, i) for i in range(nv)]
-    eqs.append(sub(h, const(delta * delta)))
+def _regular_level(f_l: TermNode, eps: float, delta: float, abel,
+                   nv: int) -> bool:
+    # delta^2 is regular for F_L^2 + eps|x|^2 iff the tube level and its
+    # gradient have no common zero; all such points satisfy
+    # eps|x|^2 <= delta^2
+    tube = milnor_tube(f_l, eps, delta, nv)
+    eqs = [differentiate(tube, i) for i in range(nv)] + [tube]
     r = delta / math.sqrt(eps) * (1.0 + 1e-6)
-    return prove_empty(eqs, Box.cube(r, nv), abel, depth)
+    return prove_empty(eqs, Box.cube(r, nv), abel)
 
 
 def certify_schedule(f_l: TermNode, schedule: MilnorSchedule, abel,
-                     nvars: int, seed: int = 0, retries: int = 8,
-                     depth: int = 34) -> MilnorSchedule:
+                     nvars: int, seed: int = 0) -> MilnorSchedule:
     """Check each delta^2 is a regular value, resampling delta within
-    +/-10% (seeded) when a stage fails its certificate."""
+    +/-10% (seeded, at most 8 tries) when a stage fails its
+    certificate."""
     if schedule.certified:
         return schedule
     rng = np.random.default_rng(seed)
     out = []
     for eps, delta in schedule.pairs:
         d = delta
-        for attempt in range(retries):
-            if _regular_level(f_l, eps, d, abel, nvars, depth):
+        for _ in range(8):
+            if _regular_level(f_l, eps, d, abel, nvars):
                 break
             d = delta * (1.0 + float(rng.uniform(-0.1, 0.1)))
         else:
@@ -395,10 +388,9 @@ def _oracle_dnf(formula: QFFormula, subspace: AffineSubspace):
 
 
 def oracle_components(formula: QFFormula, subspace: AffineSubspace,
-                      radius: float, abel, resolution: int | None = None) -> int:
+                      radius: float, abel) -> int:
     """Grid flood-fill count of formula ∩ subspace ∩ ball components."""
-    res = resolution or _ORACLE_RES.get(formula.n, 64)
-    grid = GridSpec.square(radius, formula.n, res)
+    grid = GridSpec.square(radius, formula.n, _ORACLE_RES.get(formula.n, 64))
     return flood_components(_oracle_dnf(formula, subspace), grid, abel,
                             ball_radius=radius)
 
@@ -416,8 +408,6 @@ def component_bound(formula, subspace: AffineSubspace, radius: float,
     the worst certified stage count, rounded up.
     """
     if abel is None:
-        from .abel import get_default_abel
-
         abel = get_default_abel()
     if not isinstance(formula, QFFormula):
         if n is None:
@@ -503,8 +493,6 @@ def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if abel is None:
-        from .abel import get_default_abel
-
         abel = get_default_abel()
     formula = normalize(formula, n) if not isinstance(formula, QFFormula) \
         else formula
@@ -541,7 +529,7 @@ def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
 # ---------------------------------------------------------------------------
 # formula files
 
-def load_formula_file(path: str, abel=None):
+def load_formula_file(path: str):
     """Read a JSON formula description; returns (QFFormula, radius or None)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)

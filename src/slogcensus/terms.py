@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .abel import exp_sat
+from .abel import exp_sat, get_default_abel
 from .errors import (
     DifferentiationError,
     DomainError,
@@ -806,39 +806,31 @@ def eval_compiled(ct: CompiledTerms, point: Sequence[float], abel) -> list[float
     return run_tape(ct, [float(v) for v in point], FloatArith(abel))
 
 
-def gradient_compiled(ct: CompiledTerms, point: Sequence[float], abel,
-                      n_vars: int | None = None):
+def gradient_compiled(ct: CompiledTerms, point: Sequence[float], abel):
     """Forward-mode values and gradients for every root term.
 
     Returns (values, gradients) with gradients[r][j] = d root_r / d x_j
-    for the first ``n_vars`` coordinates (default: the tape's variables).
+    for the tape's variables.
     """
     check_arity(ct, len(point), "point")
-    n = ct.n_vars if n_vars is None else n_vars
-    return run_tape(ct, [float(point[j]) for j in range(n)], FloatArith(abel),
-                    grad=True)
+    return run_tape(ct, [float(point[j]) for j in range(ct.n_vars)],
+                    FloatArith(abel), grad=True)
 
 
 def eval_term(t: TermNode, point: Sequence[float], abel=None) -> float:
     """Evaluate a term at a point (tuple/list of coordinates)."""
     if abel is None:
-        abel = _default_abel()
+        abel = get_default_abel()
     return eval_compiled(compile_terms([t]), point, abel)[0]
 
 
 def gradient(t: TermNode, point: Sequence[float], abel=None) -> list[float]:
     """Forward-mode gradient of a term at an interior point of its domain."""
     if abel is None:
-        abel = _default_abel()
+        abel = get_default_abel()
     ct = compile_terms([t])
     _, grads = gradient_compiled(ct, point, abel)
     return grads[0]
-
-
-def _default_abel():
-    from .abel import get_default_abel
-
-    return get_default_abel()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from slogcensus.census import build_system
 from slogcensus.errors import DomainError
 from slogcensus.intervals import (Box, Interval, iadd, iexp, ilog, imul,
                                   iinv_pos, ineg, interval_eval, iscale,
-                                  isqr, isub, krawczyk_test, subdivide)
+                                  isqr, isub, krawczyk_test, split_step,
+                                  subdivide)
 from slogcensus.terms import (add, const, dphi, eval_term, exp, mul, neg,
                               parse_term, phi, sub, var)
 
@@ -262,6 +263,22 @@ def test_subdivide_splits_widest_axis():
 def test_subdivide_point_box_rejected():
     with pytest.raises(DomainError):
         subdivide(Box.from_bounds([(1.0, 1.0)]))
+
+
+def test_split_step_pushes_halves_left_on_top():
+    stack = []
+    assert split_step(stack, Box.from_bounds([(0.0, 1.0), (0.0, 4.0)]), 3, 10)
+    # the widest axis is halved, and the left half is popped first
+    (left, dl), (right, dr) = stack.pop(), stack.pop()
+    assert left.bounds() == [(0.0, 1.0), (0.0, 2.0)] and dl == 4
+    assert right.bounds() == [(0.0, 1.0), (2.0, 4.0)] and dr == 4
+
+
+def test_split_step_stops_at_the_depth_cap_and_at_zero_width():
+    stack = []
+    assert not split_step(stack, Box.cube(1.0, 2), 10, 10)
+    assert not split_step(stack, Box.from_bounds([(1.0, 1.0)]), 0, 10)
+    assert stack == []
 
 
 def test_midpoint_never_overflows():

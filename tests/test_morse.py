@@ -17,7 +17,9 @@ from slogcensus.morse import (AffineSubspace, ComponentReport, GammaReport,
                               load_formula_file, milnor_tube, normalize,
                               oracle_components, prove_empty,
                               schedule_for_ball, wilkie_reduce)
-from slogcensus.terms import eval_term, fcpx, free_variables, parse_term
+from slogcensus.terms import (add_all, const, eval_term, fcpx,
+                              free_variables, mul, parse_term, substitute,
+                              var)
 
 _CIRCLE = "x1*x1 + x2*x2 - 1"
 
@@ -138,6 +140,20 @@ def test_critical_system_shape(abel):
     with pytest.raises(BuildError):
         critical_system(f, 0.0025, 0.1, np.array([[1.0, 1.0], [0.0, 1.0]]),
                         abel=abel)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3])
+def test_critical_system_ends_with_the_tube_of_the_rotated_term(abel, seed):
+    f = parse_term(_CIRCLE)
+    q = np.eye(2) if seed is None else \
+        np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 2)))[0]
+    # x_i = sum_j Q[j][i] y_j over the nonzero entries of Q
+    rotated = substitute(f, {
+        i: add_all([mul(const(float(q[j, i])), var(j))
+                    for j in range(2) if q[j, i] != 0.0])
+        for i in range(2)})
+    sys_ = critical_system(f, 0.0025, 0.1, q, abel=abel)
+    assert sys_.equations[-1] == milnor_tube(rotated, 0.0025, 0.1, 2)
 
 
 def test_critical_system_one_var_is_level_only(abel):

@@ -29,6 +29,11 @@ def test_gridspec_invariants():
         GridSpec(Box.cube(1.0, 2), (8,))
     with pytest.raises(DomainError):
         GridSpec(Box.cube(1.0, 2), (64, 64), cap=1000)
+    # products past 2**63 must not wrap around under the cap
+    with pytest.raises(DomainError):
+        GridSpec(Box.cube(1.0, 3), (2**21, 2**21, 2**22))
+    with pytest.raises(DomainError):
+        GridSpec(Box.cube(1.0, 3), (3 * 10**6,) * 3)
 
 
 def test_eval_points_matches_scalar(abel):
