@@ -319,10 +319,16 @@ class AbelFunction:
     # -- interval enclosures -------------------------------------------------
 
     def interval_phi(self, lo: float, hi: float) -> tuple[float, float]:
-        """Enclosure of {phi(x) : x in [lo, hi]}; phi is increasing."""
+        """Enclosure of {phi(x) : x in [lo, hi]}; phi is increasing. lo
+        and hi may also be arrays, one interval per entry."""
+        w = self.seed_error
+        if isinstance(lo, np.ndarray):
+            if np.any(lo > hi):
+                raise DomainError("empty interval")
+            return (np.nextafter(self.eval_phi_array(lo) - w, -np.inf),
+                    np.nextafter(self.eval_phi_array(hi) + w, np.inf))
         if lo > hi:
             raise DomainError("empty interval")
-        w = self.seed_error
         return (math.nextafter(self.eval_phi(lo) - w, -math.inf),
                 math.nextafter(self.eval_phi(hi) + w, math.inf))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,10 +21,10 @@ from .abel import exp_n, get_default_abel
 from .errors import BuildError, CertificationError, DomainError, PathError
 from .intervals import (Box, Interval, interval_eval_compiled, krawczyk_test,
                         split_step)
-from .terms import (RAPrimitive, TermNode, add_all, collect_phi_monomials,
-                    compile_terms, const, gradient_compiled,
-                    growth_exponent, mul_all, parse_term, ra, rebuild,
-                    substitute, to_text, var)
+from .terms import (RAPrimitive, TermNode, abel_primitives, add_all,
+                    collect_phi_monomials, compile_terms, const,
+                    gradient_compiled, growth_exponent, mul_all, parse_term,
+                    ra, rebuild, substitute, to_text, var)
 
 DEFAULT_RADIUS = 8.0
 DEFAULT_DEPTH = 40
@@ -80,7 +80,7 @@ class SquareSystem:
         self.abel = abel
         self.sources = tuple(sources) if sources is not None else None
         self.var_names = tuple(var_names) if var_names is not None else None
-        self.compiled = compile_terms(self.equations)
+        self.compiled = compile_terms(self.equations, abel)
         if self.compiled.n_vars > self.n:
             raise BuildError(
                 f"equation uses variable index {self.compiled.n_vars - 1} but "
@@ -259,7 +259,7 @@ def _polish(system: SquareSystem, enclosure: Box) -> list[float]:
     lo, hi = np.array(enclosure.bounds()).T
     x = np.array(enclosure.midpoint(), dtype=float)
     for _ in range(20):
-        vals, grads = gradient_compiled(system.compiled, x, system.abel)
+        vals, grads = gradient_compiled(system.compiled, x)
         j = np.array(grads, dtype=float)
         f = np.array(vals, dtype=float)
         if not (np.isfinite(j).all() and np.isfinite(f).all()):
@@ -547,39 +547,41 @@ def probe_boundedness(system: SquareSystem, radii: Sequence[float],
 # ---------------------------------------------------------------------------
 # complexity reduction: restrict phi and its derivatives to the ball
 
-def _abel_primitive(abel, lo: float, hi: float, use_dphi: bool,
-                    label: str) -> RAPrimitive:
-    # the AbelFunction's own evaluators and enclosures, restricted to a
-    # padded interval; each level's derivative is the next level down.
-    # The pad absorbs the arithmetics' different rounding of argument
-    # ranges (cell arrays round a square's lower end to -5e-324, not 0).
+def _restrict(prim: RAPrimitive, lo: float, hi: float,
+              label: str) -> RAPrimitive:
+    # prim and its derivative chain on a padded interval, level k named
+    # label_dk. The pad absorbs the arithmetics' different rounding of
+    # argument ranges (cell arrays round a square's lower end to -5e-324,
+    # not 0).
     pad = 0.5 + 0.05 * (hi - lo)
     a, b = lo - pad, hi + pad
-    levels = [(abel.eval_phi_array, abel.interval_phi),
-              (abel.eval_dphi_array, abel.interval_dphi),
-              (abel.eval_d2phi_array, abel.interval_d2phi)][use_dphi:]
-    prim = None
-    for k in reversed(range(len(levels))):
-        fn, range_fn = levels[k]
-        sup = max(abs(v) for v in range_fn(a, b))
-        prim = RAPrimitive(label + (f"_d{k}" if k else ""), a, b, fn,
-                           range_fn, sup, deriv=prim)
-    return prim
+    chain = [prim]
+    while chain[-1].deriv is not None:
+        chain.append(chain[-1].deriv)
+    out = None
+    for k in reversed(range(len(chain))):
+        p = chain[k]
+        out = replace(
+            p, name=label + (f"_d{k}" if k else ""), lo=a, hi=b,
+            sup_abs=max(abs(v) for v in p.range_fn(a, b)), deriv=out)
+    return out
 
 
 def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:
     """Replace each phi/dphi node by its restriction to the ball.
 
     The argument of every phi/dphi occurrence must have a finite range
-    enclosure over the search box. phi restricted to a compact interval
-    is itself a restricted-analytic primitive: it evaluates and encloses
-    exactly as the phi node does, so the reduced system is the original
-    one reached through the RA opcode.
+    enclosure over the search box. A phi or dphi node compiles to the
+    abel's primitive over the whole line (``terms.abel_primitives``); the
+    reduced system holds that primitive restricted to a compact interval,
+    which evaluates and encloses exactly as the node does, and its tape
+    has the original's shape.
     """
     if not system.phi_args and not system.dphi_args:
         return system
     box = Box.cube(float(radius), system.n)
     abel = system.abel
+    prims = abel_primitives(abel)
     made: list = []
 
     def rewrite(node: TermNode) -> TermNode:
@@ -588,14 +590,15 @@ def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:
         if node.kind not in ("phi", "dphi"):
             return node
         arg = node.children[0]
-        rng = interval_eval_compiled(compile_terms([arg]), box, abel)[0]
+        rng = interval_eval_compiled(compile_terms([arg], abel), box)[0]
         if not (math.isfinite(rng.lo) and math.isfinite(rng.hi)):
             raise DomainError(
                 f"phi argument {to_text(arg)} has unbounded range over "
                 f"the radius-{radius} box")
-        use_dphi = node.kind == "dphi"
-        label = f"slog_patch{len(made) + 1}" + ("_d" if use_dphi else "")
-        made.append(_abel_primitive(abel, rng.lo, rng.hi, use_dphi, label))
+        label = f"slog_patch{len(made) + 1}"
+        if node.kind == "dphi":
+            label += "_d"
+        made.append(_restrict(prims[node.kind], rng.lo, rng.hi, label))
         return ra(made[-1], arg)
 
     eqs = rebuild(system.equations, rewrite)

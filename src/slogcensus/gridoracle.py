@@ -7,13 +7,14 @@ evaluation over cells is vectorized with numpy and processed in chunks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .abel import EXP_MAX
+from .abel import EXP_MAX, AbelFunction
 from .errors import DomainError
 from .intervals import Box
 from .terms import (CompiledTerms, FloatArith, TermNode, check_arity,
@@ -58,6 +59,14 @@ class GridSpec:
         return np.array([(c.hi - c.lo) / r
                          for c, r in zip(self.box.coords, self.resolution)])
 
+    @functools.cached_property
+    def cell_axes(self) -> tuple:
+        """(lower ends, upper ends, midpoints) of the cells, one array per
+        axis each."""
+        edges = [self.edges(i) for i in range(self.n)]
+        return ([e[:-1] for e in edges], [e[1:] for e in edges],
+                [0.5 * (e[:-1] + e[1:]) for e in edges])
+
     @property
     def cell_diag(self) -> float:
         return float(np.sqrt(np.sum(self.steps() ** 2)))
@@ -73,8 +82,7 @@ def _exp_arr(x: np.ndarray) -> np.ndarray:
 class PointArith(FloatArith):
     """Arrays of points for run_tape, one array per variable."""
 
-    def __init__(self, abel, like: np.ndarray):
-        super().__init__(abel)
+    def __init__(self, like: np.ndarray):
         self.like = like
 
     def const(self, c):
@@ -93,31 +101,20 @@ class PointArith(FloatArith):
             raise DomainError(f"{prim.name} argument leaves domain on grid")
         return np.asarray(prim.fn(x), dtype=float)
 
-    def phi(self, x):
-        return self.abel.eval_phi_array(x)
-
-    def dphi(self, x):
-        return self.abel.eval_dphi_array(x)
-
     def ra_factor(self, prim, x):
         return np.asarray(prim.derivative().fn(x), dtype=float)
 
-    phi_factor = dphi   # phi' is dphi
 
-    def dphi_factor(self, x):
-        return self.abel.eval_d2phi_array(x)
-
-
-def eval_points(ct: CompiledTerms, coords: Sequence[np.ndarray], abel) -> list:
+def eval_points(ct: CompiledTerms, coords: Sequence[np.ndarray]) -> list:
     """Values of every root at an array of points (one array per variable)."""
     check_arity(ct, len(coords), "point")
-    return run_tape(ct, coords, PointArith(abel, coords[0]))
+    return run_tape(ct, coords, PointArith(coords[0]))
 
 
-def gradient_points(ct: CompiledTerms, coords: Sequence[np.ndarray], abel):
+def gradient_points(ct: CompiledTerms, coords: Sequence[np.ndarray]):
     """Forward-mode values and gradients at an array of points."""
     check_arity(ct, len(coords), "point")
-    return run_tape(ct, coords[:ct.n_vars], PointArith(abel, coords[0]), grad=True)
+    return run_tape(ct, coords[:ct.n_vars], PointArith(coords[0]), grad=True)
 
 
 def _mul_corners(al, ah, bl, bh):
@@ -147,8 +144,7 @@ class CellArith:
     """(lo, hi) array pairs for run_tape: enclosures over grid cells. No
     caller takes gradients over cells, so there are no derivative factors."""
 
-    def __init__(self, abel, like: np.ndarray):
-        self.abel = abel
+    def __init__(self, like: np.ndarray):
         self.like = like
 
     def const(self, c):
@@ -183,48 +179,38 @@ class CellArith:
     def ra(self, prim, x):
         if np.any(x[0] < prim.lo) or np.any(x[1] > prim.hi):
             raise DomainError(f"{prim.name} argument leaves domain on grid")
-        return _out(*_out(*_per_cell(prim.range_fn, *x)))
-
-    def phi(self, x):
-        w = self.abel.seed_error
-        return _out(self.abel.eval_phi_array(x[0]) - w,
-                    self.abel.eval_phi_array(x[1]) + w)
-
-    def dphi(self, x):
-        return _per_cell(self.abel.interval_dphi, *x)
+        range_fn = prim.range_fn
+        if getattr(range_fn, "__func__", None) is AbelFunction.interval_phi:
+            # phi, whole or restricted, encloses every cell at once. Its
+            # ends are already rounded out past the seed error, which is
+            # far wider than the two ulps below, and those would double
+            # the cost of the node
+            return range_fn(*x)
+        return _out(*_out(*_per_cell(range_fn, *x)))
 
 
 def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],
-               his: Sequence[np.ndarray], abel) -> list:
+               his: Sequence[np.ndarray]) -> list:
     """Interval enclosures of every root over an array of cells."""
     check_arity(ct, min(len(los), len(his)), "cell")
-    return run_tape(ct, list(zip(los, his)), CellArith(abel, los[0]))
+    return run_tape(ct, list(zip(los, his)), CellArith(los[0]))
 
 
-def _chunked_cells(grid: GridSpec):
-    """Yield (flat slice, per-axis lo arrays, per-axis hi arrays)."""
-    edges = [grid.edges(i) for i in range(grid.n)]
+def _chunks(grid: GridSpec, *tables):
+    """Walk the cells in flat order, _CHUNK at a time: yield the flat
+    slice, then for each table (one array per axis, indexed by a cell's
+    index on that axis, as in GridSpec.cell_axes) its arrays at the
+    chunk's cells."""
     shape = tuple(grid.resolution)
     total = grid.cells
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
+        # named, so it lives until the next chunk: freed at once, it let
+        # the heap of a 1024^2 flood fill grow by about 4 MB
         flat = np.arange(start, stop)
         idx = np.unravel_index(flat, shape)
-        los = [edges[ax][idx[ax]] for ax in range(grid.n)]
-        his = [edges[ax][idx[ax] + 1] for ax in range(grid.n)]
-        yield slice(start, stop), los, his
-
-
-def _chunked_centers(grid: GridSpec):
-    edges = [grid.edges(i) for i in range(grid.n)]
-    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    shape = tuple(grid.resolution)
-    total = grid.cells
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        flat = np.arange(start, stop)
-        idx = np.unravel_index(flat, shape)
-        yield slice(start, stop), [mids[ax][idx[ax]] for ax in range(grid.n)]
+        yield (slice(start, stop),
+               *[[t[ax][idx[ax]] for ax in range(grid.n)] for t in tables])
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +219,10 @@ def _chunked_centers(grid: GridSpec):
 def zero_cell_mask(system, grid: GridSpec) -> np.ndarray:
     """Boolean grid: interval evaluation of every equation contains 0."""
     ct = system.compiled
-    abel = system.abel
     flat = np.zeros(grid.cells, dtype=bool)
-    for sl, los, his in _chunked_cells(grid):
-        roots = eval_cells(ct, los, his, abel)
+    lows, highs, _ = grid.cell_axes
+    for sl, los, his in _chunks(grid, lows, highs):
+        roots = eval_cells(ct, los, his)
         ok = np.ones(los[0].shape, dtype=bool)
         for lo, hi in roots:
             ok &= (lo <= 0.0) & (hi >= 0.0)
@@ -269,8 +255,7 @@ def oracle_zero_count(system, grid: GridSpec):
     mask = zero_cell_mask(system, grid)
     labels, count = _label(mask)
     centers = []
-    edges = [grid.edges(i) for i in range(grid.n)]
-    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
+    mids = grid.cell_axes[2]
     for lab in range(1, count + 1):
         idx = np.argwhere(labels == lab)
         centers.append([float(np.mean(mids[ax][idx[:, ax]]))
@@ -282,18 +267,18 @@ def oracle_zero_count(system, grid: GridSpec):
 # component counting
 
 def _atom_mask(term: TermNode, rel: str, grid: GridSpec, abel) -> np.ndarray:
-    ct = compile_terms([term])
+    ct = compile_terms([term], abel)
     flat_val = np.empty(grid.cells)
     flat_tau = np.zeros(grid.cells)
     need_tau = rel == "="
-    for sl, centers in _chunked_centers(grid):
+    for sl, centers in _chunks(grid, grid.cell_axes[2]):
         if need_tau:
-            vals, grads = gradient_points(ct, centers, abel)
+            vals, grads = gradient_points(ct, centers)
             g = np.sqrt(sum(p * p for p in grads[0]))
             flat_tau[sl] = 4.0 * grid.cell_diag * g
             flat_val[sl] = vals[0]
         else:
-            flat_val[sl] = eval_points(ct, centers, abel)[0]
+            flat_val[sl] = eval_points(ct, centers)[0]
     if rel == "=":
         return (np.abs(flat_val) <= flat_tau).reshape(tuple(grid.resolution))
     if rel == ">":
@@ -319,7 +304,7 @@ def membership_mask(dnf, grid: GridSpec, abel,
         mask |= m
     if ball_radius is not None:
         flat = np.zeros(grid.cells, dtype=bool)
-        for sl, centers in _chunked_centers(grid):
+        for sl, centers in _chunks(grid, grid.cell_axes[2]):
             r2 = sum(c * c for c in centers)
             flat[sl] = r2 <= ball_radius * ball_radius
         mask &= flat.reshape(tuple(grid.resolution))

@@ -1,13 +1,15 @@
 """Outward-rounded interval arithmetic and the Krawczyk test.
 
 Every arithmetic helper widens its result by one ulp per operation, so a
-computed interval always contains the exact real-number result. Enclosures
-of the super-logarithm and its derivatives come from the AbelFunction,
-which already folds in its own seed evaluation error.
+computed interval always contains the exact real-number result. The tape
+reaches the super-logarithm and its derivatives as RA primitives (see
+``terms.compile_terms``): their enclosures come from the AbelFunction,
+which already folds in its own seed evaluation error, and are widened by
+two ulps like every primitive's.
 
 An Interval is checked (no NaN, lo <= hi) where it is built from outside
 values: the constructor, ``Interval.point``, ``intersect`` and the
-enclosures of exp, log, 1/x, RA primitives and phi. ``iadd``, ``isub``,
+enclosures of exp, log, 1/x and RA primitives. ``iadd``, ``isub``,
 ``ineg``, ``imul``, ``isqr`` and ``iscale`` skip the check: from valid
 operands they yield ordered, NaN-free bounds by construction.
 """
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .abel import exp_sat, get_default_abel
+from .abel import exp_sat
 from .errors import DomainError
 from .terms import (CONST, RA, CompiledTerms, TermNode, check_arity,
                     compile_terms, run_tape, tape_gradients, tape_values)
@@ -267,7 +269,8 @@ def _ra_range(prim, x: Interval) -> Interval:
 
 
 class IntervalArith:
-    """Outward-rounded intervals for run_tape: enclosures over one box."""
+    """Outward-rounded intervals for run_tape: enclosures over one box.
+    Stateless: the class itself is the arithmetic."""
 
     const = staticmethod(Interval.point)
     add = staticmethod(iadd)
@@ -278,28 +281,16 @@ class IntervalArith:
     log = staticmethod(ilog)
     log_factor = staticmethod(iinv_pos)
 
-    def __init__(self, abel):
-        self.abel = abel
-
-    def ra(self, prim, x):
+    @staticmethod
+    def ra(prim, x):
         if x.lo < prim.lo or x.hi > prim.hi:
             raise DomainError(
                 f"{prim.name} argument range {x} leaves [{prim.lo}, {prim.hi}]")
         return _ra_range(prim, x)
 
-    def phi(self, x):
-        return Interval(*self.abel.interval_phi(x.lo, x.hi))
-
-    def dphi(self, x):
-        return Interval(*self.abel.interval_dphi(x.lo, x.hi))
-
-    def ra_factor(self, prim, x):
+    @staticmethod
+    def ra_factor(prim, x):
         return _ra_range(prim.derivative(), x)
-
-    phi_factor = dphi   # phi' is dphi
-
-    def dphi_factor(self, x):
-        return Interval(*self.abel.interval_d2phi(x.lo, x.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +355,9 @@ class _TapeWriter:
     their results from ``P``. Any other operand is the pair of names of its
     two float locals. iadd, isub, imul, iscale, isqr and ineg are written
     out as their own float operations, so the code keeps every bit of the
-    helpers. exp, log, ra, phi and dphi of inputs, and every derivative
-    factor, are lines that call the IntervalArith ``A``, with its domain
-    checks and messages.
+    helpers. exp, log and ra of inputs, and every derivative factor, are
+    lines that call the IntervalArith ``A``, with its domain checks and
+    messages.
     """
 
     def __init__(self, n_slots: int = 0):
@@ -530,12 +521,8 @@ class _TapeWriter:
     exp = functools.partialmethod(_value, "exp")
     log = functools.partialmethod(_value, "log")
     ra = functools.partialmethod(_value, "ra")
-    phi = functools.partialmethod(_value, "phi")
-    dphi = functools.partialmethod(_value, "dphi")
     log_factor = functools.partialmethod(_call, "log_factor")
     ra_factor = functools.partialmethod(_call, "ra_factor")
-    phi_factor = functools.partialmethod(_call, "phi_factor")
-    dphi_factor = functools.partialmethod(_call, "dphi_factor")
 
 
 class _Shape:
@@ -618,12 +605,12 @@ def _prologue(steps, exports, slots, arith) -> list:
 
 
 def _hot_code(ct: CompiledTerms, grad: bool, n: int, arith):
-    """(code, P, abel) for this pass of the tape over n inputs, or None
-    while the pass of its shape has run fewer than HOT_CALLS times."""
+    """(code, P) for this pass of the tape over n inputs, or None while
+    the pass of its shape has run fewer than HOT_CALLS times."""
     check_arity(ct, n, "box")
     key = ("interval", grad, n)
     got = ct.cache.get(key)
-    if got is not None and got[2] is arith.abel:
+    if got is not None:
         return got
     shape, slots = _instance(ct)
     code = shape.passes.get((grad, n), 0)
@@ -638,7 +625,7 @@ def _hot_code(ct: CompiledTerms, grad: bool, n: int, arith):
         # an input-free value fails on every box; run_tape raises that
         # fault or one before it, as the reference does
         return None
-    got = ct.cache[key] = (code[0], P, arith.abel)
+    got = ct.cache[key] = (code[0], P)
     return got
 
 
@@ -660,20 +647,18 @@ def _jacobian(ct: CompiledTerms, coords, arith, pretest: bool):
     return ranges, tape_gradients(ct, vals, len(coords), arith)
 
 
-def interval_eval_compiled(ct: CompiledTerms, box: Box, abel) -> list[Interval]:
-    return _values(ct, box.coords, IntervalArith(abel))
+def interval_eval_compiled(ct: CompiledTerms, box: Box) -> list[Interval]:
+    return _values(ct, box.coords, IntervalArith)
 
 
 def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
     """Range enclosure of a term over a box."""
-    if abel is None:
-        abel = get_default_abel()
-    return interval_eval_compiled(compile_terms([term]), box, abel)[0]
+    return interval_eval_compiled(compile_terms([term], abel), box)[0]
 
 
-def interval_jacobian_compiled(ct: CompiledTerms, box: Box, abel):
+def interval_jacobian_compiled(ct: CompiledTerms, box: Box):
     """Interval forward mode: values plus per-root interval gradients."""
-    return _jacobian(ct, box.coords, IntervalArith(abel), False)
+    return _jacobian(ct, box.coords, IntervalArith, False)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +737,7 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
     if len(ct.roots) != n:
         raise DomainError(
             f"system has {len(ct.roots)} equations, box dimension {n}")
-    arith = IntervalArith(system.abel)
+    arith = IntervalArith
     if box.max_width == 0.0:    # only the range pretest can decide
         ranges = _values(ct, coords, arith)
         return KrawczykResult("Unknown" if all(r.contains_zero() for r in ranges)

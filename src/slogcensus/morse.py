@@ -262,11 +262,11 @@ def prove_empty(equations: Sequence[TermNode], box: Box, abel,
     misses 0. Returns False at the first undecided box that ``split_step``
     cannot split (depth cap or zero width).
     """
-    ct = compile_terms(list(equations))
+    ct = compile_terms(list(equations), abel)
     stack = [(box, 0)]
     while stack:
         b, depth = stack.pop()
-        ranges = interval_eval_compiled(ct, b, abel)
+        ranges = interval_eval_compiled(ct, b)
         if any(not r.contains_zero() for r in ranges):
             continue
         if not split_step(stack, b, depth, max_depth):
@@ -334,7 +334,8 @@ def certify_schedule(f_l: TermNode, schedule: MilnorSchedule, abel,
     for eps, delta in schedule.pairs:
         d = delta
         for _ in range(8):
-            if _regular_level(f_l, eps, d, abel, nvars):
+            # a draw outside (0, 1) is no tube level: a failed try
+            if 0.0 < d < 1.0 and _regular_level(f_l, eps, d, abel, nvars):
                 break
             d = delta * (1.0 + float(rng.uniform(-0.1, 0.1)))
         else:

@@ -17,6 +17,7 @@ iterated-exponential growth analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -53,6 +54,7 @@ __all__ = [
     "rebuild",
     "parse_term",
     "to_text",
+    "abel_primitives",
     "compile_terms",
     "run_tape",
     "eval_compiled",
@@ -74,12 +76,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RAPrimitive:
-    """A smooth function restricted to a compact interval [lo, hi].
+    """A smooth function restricted to an interval [lo, hi].
 
     ``fn`` evaluates pointwise (scalars or numpy arrays), ``range_fn(a, b)``
     returns a mathematical enclosure of the range over [a, b] (the interval
     layer adds directed-rounding slack on top), ``deriv`` is the derivative
     as another primitive, and ``sup_abs`` bounds |fn| over the domain.
+    The catalog's primitives live on compact intervals; phi and phi' of an
+    AbelFunction are primitives over the whole line (``abel_primitives``),
+    and the phi elimination restricts them to compact ones.
     """
 
     name: str
@@ -239,6 +244,26 @@ def _catalog() -> dict[str, RAPrimitive]:
     if _DEFAULT_CATALOG is None:
         _DEFAULT_CATALOG = default_catalog()
     return _DEFAULT_CATALOG
+
+
+# a process holds one abel, or a few; one evicted from the cache gets new
+# primitives at its next compile, which evaluate and enclose alike
+@functools.lru_cache(maxsize=8)
+def abel_primitives(abel) -> dict[str, RAPrimitive]:
+    """phi and phi' of an AbelFunction as primitives over (-inf, inf),
+    keyed by the term kinds that compile to them. phi's derivative is the
+    phi' primitive, whose own is a phi'' primitive. Their sup_abs is inf:
+    the growth analysis reads phi nodes, not these, and a restriction
+    recomputes it.
+    """
+    inf = math.inf
+    d2phi_p = RAPrimitive("d2phi", -inf, inf, abel.eval_d2phi_array,
+                          abel.interval_d2phi, inf)
+    dphi_p = RAPrimitive("dphi", -inf, inf, abel.eval_dphi_array,
+                         abel.interval_dphi, inf, deriv=d2phi_p)
+    phi_p = RAPrimitive("phi", -inf, inf, abel.eval_phi_array,
+                        abel.interval_phi, inf, deriv=dphi_p)
+    return {"phi": phi_p, "dphi": dphi_p}
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +634,11 @@ def to_text(t: TermNode, var_names: Sequence[str] | None = None) -> str:
 # tape compilation: postorder over the term DAG with shared subterms
 # evaluated once
 
-VAR, CONST, ADD, MUL, SQR, NEG, EXP, LOG, RA, PHI, DPHI = range(11)
+VAR, CONST, ADD, MUL, SQR, NEG, EXP, LOG, RA = range(9)
 
+# phi and dphi are RA ops whose primitive is the abel's own
 _CODE = {"var": VAR, "const": CONST, "add": ADD, "mul": MUL, "neg": NEG,
-         "exp": EXP, "log": LOG, "ra": RA, "phi": PHI, "dphi": DPHI}
+         "exp": EXP, "log": LOG, "ra": RA, "phi": RA, "dphi": RA}
 
 
 @dataclass
@@ -625,16 +651,21 @@ class CompiledTerms:
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def compile_terms(roots: Sequence[TermNode]) -> CompiledTerms:
+def compile_terms(roots: Sequence[TermNode], abel=None) -> CompiledTerms:
     """Flatten terms into a shared evaluation tape.
 
     Structurally equal subterms land in one slot; mul nodes with equal
     children compile to a dedicated square op so downstream interval
-    evaluation avoids the dependency loss of [a,b]*[a,b].
+    evaluation avoids the dependency loss of [a,b]*[a,b]. phi and dphi
+    nodes compile to RA ops over ``abel_primitives(abel)`` (the default
+    abel when ``abel`` is None), so every arithmetic evaluates the tape
+    without knowing the abel, and a tape whose phi nodes were replaced by
+    restrictions of those primitives has the same shape.
     """
     slot: dict[TermNode, int] = {}
     ops: list = []
     n_vars = 0
+    lowered = None
     for node in postorder(roots):
         k = node.kind
         code = _CODE[k]
@@ -650,6 +681,11 @@ def compile_terms(roots: Sequence[TermNode]) -> CompiledTerms:
             a = slot[kids[0]]
             if k == "ra":
                 payload = node.prim
+            elif code == RA:    # phi or dphi
+                if lowered is None:
+                    lowered = abel_primitives(
+                        abel if abel is not None else get_default_abel())
+                payload = lowered[k]
             elif len(kids) == 2:
                 b = slot[kids[1]]
                 if k == "mul" and a == b:   # equal children share a slot
@@ -662,8 +698,8 @@ def compile_terms(roots: Sequence[TermNode]) -> CompiledTerms:
 def tape_values(ct: CompiledTerms, inputs: Sequence, arith) -> list:
     """The value of every slot of a tape in the number kind of ``arith``.
 
-    ``arith`` supplies const/add/mul/sqr/neg, exp/log/phi/dphi(x) and
-    ra(prim, x), each of which returns a value.
+    ``arith`` supplies const/add/mul/sqr/neg, exp/log(x) and ra(prim, x),
+    each of which returns a value.
     """
     const, add, mul, sqr, neg = arith.const, arith.add, arith.mul, arith.sqr, arith.neg
     vals: list = [None] * len(ct.ops)
@@ -684,12 +720,8 @@ def tape_values(ct: CompiledTerms, inputs: Sequence, arith) -> list:
             v = arith.exp(vals[a])
         elif code == LOG:
             v = arith.log(vals[a])
-        elif code == RA:
+        else:  # RA
             v = arith.ra(payload, vals[a])
-        elif code == PHI:
-            v = arith.phi(vals[a])
-        else:  # DPHI
-            v = arith.dphi(vals[a])
         vals[i] = v
     return vals
 
@@ -699,8 +731,8 @@ def tape_gradients(ct: CompiledTerms, vals: list, n: int, arith) -> list:
     values of tape_values.
 
     Besides const/add/mul/neg, ``arith`` supplies the derivative factors
-    log_factor(x), phi_factor(x), dphi_factor(x) and ra_factor(prim, x)
-    at the argument x; that of exp is its value and that of sqr is x + x.
+    log_factor(x) and ra_factor(prim, x) at the argument x; that of exp is
+    its value and that of sqr is x + x.
     """
     const, add, mul, neg = arith.const, arith.add, arith.mul, arith.neg
     zero, one = [const(0.0)] * n, const(1.0)
@@ -726,12 +758,8 @@ def tape_gradients(ct: CompiledTerms, vals: list, n: int, arith) -> list:
                 f = vals[i]
             elif code == LOG:
                 f = arith.log_factor(x)
-            elif code == RA:
+            else:  # RA
                 f = arith.ra_factor(payload, x)
-            elif code == PHI:
-                f = arith.phi_factor(x)
-            else:  # DPHI
-                f = arith.dphi_factor(x)
             g = [mul(f, p) for p in grads[a]]
         grads[i] = g
     return [grads[r] for r in ct.roots]
@@ -763,9 +791,6 @@ class FloatArith:
     neg = staticmethod(operator.neg)
     exp = staticmethod(exp_sat)
 
-    def __init__(self, abel):
-        self.abel = abel
-
     def log(self, x):
         if x <= 0.0:
             raise DomainError(f"log of non-positive value {x}")
@@ -777,22 +802,11 @@ class FloatArith:
                 f"{prim.name} evaluated at {x} outside [{prim.lo}, {prim.hi}]")
         return float(prim.fn(x))
 
-    def phi(self, x):
-        return self.abel.eval_phi(x)
-
-    def dphi(self, x):
-        return self.abel.eval_dphi(x)
-
     def log_factor(self, x):
         return 1.0 / x
 
     def ra_factor(self, prim, x):
         return float(prim.derivative().fn(x))
-
-    phi_factor = dphi   # phi' is dphi
-
-    def dphi_factor(self, x):
-        return self.abel.eval_d2phi(x)
 
 
 def check_arity(ct: CompiledTerms, n: int, what: str) -> None:
@@ -801,12 +815,12 @@ def check_arity(ct: CompiledTerms, n: int, what: str) -> None:
         raise DomainError(f"{what} dimension {n} below term arity {ct.n_vars}")
 
 
-def eval_compiled(ct: CompiledTerms, point: Sequence[float], abel) -> list[float]:
+def eval_compiled(ct: CompiledTerms, point: Sequence[float]) -> list[float]:
     check_arity(ct, len(point), "point")
-    return run_tape(ct, [float(v) for v in point], FloatArith(abel))
+    return run_tape(ct, [float(v) for v in point], FloatArith())
 
 
-def gradient_compiled(ct: CompiledTerms, point: Sequence[float], abel):
+def gradient_compiled(ct: CompiledTerms, point: Sequence[float]):
     """Forward-mode values and gradients for every root term.
 
     Returns (values, gradients) with gradients[r][j] = d root_r / d x_j
@@ -814,22 +828,17 @@ def gradient_compiled(ct: CompiledTerms, point: Sequence[float], abel):
     """
     check_arity(ct, len(point), "point")
     return run_tape(ct, [float(point[j]) for j in range(ct.n_vars)],
-                    FloatArith(abel), grad=True)
+                    FloatArith(), grad=True)
 
 
 def eval_term(t: TermNode, point: Sequence[float], abel=None) -> float:
     """Evaluate a term at a point (tuple/list of coordinates)."""
-    if abel is None:
-        abel = get_default_abel()
-    return eval_compiled(compile_terms([t]), point, abel)[0]
+    return eval_compiled(compile_terms([t], abel), point)[0]
 
 
 def gradient(t: TermNode, point: Sequence[float], abel=None) -> list[float]:
     """Forward-mode gradient of a term at an interior point of its domain."""
-    if abel is None:
-        abel = get_default_abel()
-    ct = compile_terms([t])
-    _, grads = gradient_compiled(ct, point, abel)
+    _, grads = gradient_compiled(compile_terms([t], abel), point)
     return grads[0]
 
 

@@ -206,6 +206,18 @@ def test_certify_schedule_circle(abel):
     assert certify_schedule(f, out, abel, nvars=2) is out
 
 
+def test_certify_schedule_counts_a_delta_outside_the_unit_interval_as_a_failed_try(abel):
+    # delta^2 = 0.95 is the critical value at x = 0, so each seed resamples;
+    # the first draws of seeds 4 and 5 are above 1, a later one is not
+    f = parse_term("x1*x1 - 0.95")
+    schedule = MilnorSchedule(((0.5, 0.95),))
+    deltas = [certify_schedule(f, schedule, abel, nvars=1, seed=s).pairs[0][1]
+              for s in range(6)]
+    assert deltas[:4] == [0.9760227205910762, 0.9522461086930487,
+                          0.9047063055073701, 0.8712733417572887]
+    assert all(0.9 < d < 1.0 for d in deltas[4:])
+
+
 # ---------------------------------------------------------------------------
 # component bounds
 

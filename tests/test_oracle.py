@@ -38,10 +38,10 @@ def test_gridspec_invariants():
 
 def test_eval_points_matches_scalar(abel):
     t = parse_term("phi(x1)*x2 - exp(x2)*0.25")
-    ct = compile_terms([t])
+    ct = compile_terms([t], abel)
     xs = np.linspace(-2.0, 4.0, 7)
     ys = np.linspace(-1.0, 1.0, 7)
-    vals = eval_points(ct, [xs, ys], abel)[0]
+    vals = eval_points(ct, [xs, ys])[0]
     for i in range(7):
         want = eval_term(t, [float(xs[i]), float(ys[i])], abel)
         assert vals[i] == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from slogcensus.errors import (DifferentiationError, DomainError,
                                GrowthAnalysisError, TermSyntaxError)
 from slogcensus import intervals, terms
+from slogcensus.abel import get_default_abel
 from slogcensus.census import (build_system, count_nonsingular_zeros,
                                reduce_phi_complexity)
 from slogcensus.terms import (CONST, MUL, SQR, add, add_all,
@@ -193,6 +194,9 @@ def _compile_recursively(roots):
             payload = node.value
         elif node.kind == "ra":
             payload = node.prim
+            a = visit(node.children[0])
+        elif node.kind in ("phi", "dphi"):
+            payload = terms.abel_primitives(get_default_abel())[node.kind]
             a = visit(node.children[0])
         elif node.kind == "mul" and node.children[0] == node.children[1]:
             code = SQR
