@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "AbelFunction",
     "DominationReport",
     "build_abel",
+    "entrywise",
     "get_default_abel",
     "exp_n",
     "log_n",
@@ -44,7 +45,6 @@ _EPS = 2.0 ** -53
 # default construction parameters
 DEFAULT_ORDER = 3
 DEFAULT_TOL = 1e-8
-RECURSION_CAP = 64
 
 # evaluation-error allowances folded into every interval enclosure; they
 # dominate the accumulated rounding of the short log/exp recursion because
@@ -139,6 +139,24 @@ def _band_range(desc, crits, lo: float, hi: float) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
+def entrywise(range_fn):
+    """A range function ``range_fn(..., lo, hi) -> (lo', hi')`` of float
+    ends, extended to numpy arrays of ends entry by entry: it then returns
+    two arrays of the ends' shape."""
+
+    @wraps(range_fn)
+    def enclose(*args):
+        if not isinstance(args[-2], np.ndarray):
+            return range_fn(*args)
+        *head, lo, hi = args
+        ends = np.array([range_fn(*head, p, q) for p, q in
+                         zip(np.ravel(lo).tolist(), np.ravel(hi).tolist())],
+                        dtype=float).reshape(lo.shape + (2,))
+        return ends[..., 0], ends[..., 1]
+
+    return enclose
+
+
 class AbelFunction:
     """Immutable super-logarithm with seed polynomial on [1, e].
 
@@ -158,7 +176,6 @@ class AbelFunction:
                 f"seed of order {order} needs {2 * order + 1} coefficients")
         self.order = order
         self.tol = float(tol)
-        self.recursion_cap = RECURSION_CAP
 
         # powers-of-(y-1) coefficient tuples, descending for _horner
         d1 = [c * m for m, c in enumerate(self.coeffs, 1)]
@@ -243,8 +260,6 @@ class AbelFunction:
             c1 = c2 * x + c1 * x
             c2 = c2 * x * x
             shift -= 1
-        if abs(shift) > self.recursion_cap:
-            raise DomainError("recursion cap exceeded in phi")
         return x, shift, d1, c2, c1
 
     def _walk_array(self, x, order: int):
@@ -259,10 +274,8 @@ class AbelFunction:
         shift = np.zeros(x.shape) if order == 0 else None
         d1 = np.ones(x.shape) if order == 1 else None
         c2, c1 = (np.ones(x.shape), np.zeros(x.shape)) if order == 2 else (None, None)
-        for _ in range(self.recursion_cap):
-            m = y > _E
-            if not m.any():
-                break
+        # finite entries reach [1, e] in at most 3 log or 2 exp steps
+        while (m := y > _E).any():
             v = y[m]
             if order == 0:
                 shift[m] += 1.0
@@ -273,10 +286,7 @@ class AbelFunction:
                 c1[m] = (c1[m] - c2[m] * inv) * inv
                 c2[m] = c2[m] * inv * inv
             y[m] = np.log(v)
-        for _ in range(self.recursion_cap):
-            m = y < 1.0
-            if not m.any():
-                break
+        while (m := y < 1.0).any():
             v = np.exp(y[m])
             y[m] = v
             if order == 0:
@@ -332,32 +342,36 @@ class AbelFunction:
         return (math.nextafter(self.eval_phi(lo) - w, -math.inf),
                 math.nextafter(self.eval_phi(hi) + w, math.inf))
 
+    @entrywise
     def interval_dphi(self, lo: float, hi: float) -> tuple[float, float]:
-        """Enclosure of {phi'(x) : x in [lo, hi]} by band splitting."""
-        if lo > hi:
-            raise DomainError("empty interval")
-        (a, b), = self._interval_jet(lo, hi, 1, 0)
-        return (math.nextafter(a - _DPHI_SLACK, -math.inf),
-                math.nextafter(b + _DPHI_SLACK, math.inf))
+        """Enclosure of {phi'(x) : x in [lo, hi]} by band splitting;
+        entry by entry over arrays of ends."""
+        return self._jet_enclosure(lo, hi, 1, _DPHI_SLACK)
 
+    @entrywise
     def interval_d2phi(self, lo: float, hi: float) -> tuple[float, float]:
-        """Enclosure of {phi''(x) : x in [lo, hi]} by band splitting."""
-        if lo > hi:
-            raise DomainError("empty interval")
-        _, (a, b) = self._interval_jet(lo, hi, 2, 0)
-        return (math.nextafter(a - _D2PHI_SLACK, -math.inf),
-                math.nextafter(b + _D2PHI_SLACK, math.inf))
+        """Enclosure of {phi''(x) : x in [lo, hi]} by band splitting;
+        entry by entry over arrays of ends."""
+        return self._jet_enclosure(lo, hi, 2, _D2PHI_SLACK)
 
-    def _interval_jet(self, lo, hi, order: int, depth: int):
+    def _jet_enclosure(self, lo, hi, order: int, slack: float):
+        # a finite double reaches [1, e] in at most 3 log or 2 exp steps,
+        # so the band splitting ends; log(inf) = inf and NaN never would
+        if not -math.inf < lo <= hi < math.inf:
+            raise DomainError(f"phi' and phi'' enclosures need finite ends "
+                              f"in order, got [{lo}, {hi}]")
+        a, b = self._interval_jet(lo, hi, order)[-1]
+        return (math.nextafter(a - slack, -math.inf),
+                math.nextafter(b + slack, math.inf))
+
+    def _interval_jet(self, lo, hi, order: int):
         """[(min, max) of phi'] over [lo, hi], followed by that of phi'' when
         order is 2; unrounded, the public enclosures add the slack."""
-        if depth > self.recursion_cap:
-            raise DomainError("recursion cap exceeded in interval phi' or phi''")
         if lo >= 1.0 and hi <= _E:
             bands = ((self._dp_desc, self._dp_crit), (self._d2p_desc, self._d2p_crit))
             return [_band_range(desc, crits, lo, hi) for desc, crits in bands[:order]]
         if lo > _E:
-            jet = self._interval_jet(math.log(lo), math.log(hi), order, depth + 1)
+            jet = self._interval_jet(math.log(lo), math.log(hi), order)
             # phi'(y)/x with x in [lo, hi]; phi' >= 0
             ra, rb = jet[0]
             q1 = [ra / lo, ra / hi, rb / lo, rb / hi]
@@ -371,7 +385,7 @@ class AbelFunction:
             return out
         if hi < 1.0:
             ya, yb = math.exp(lo), math.exp(hi)
-            jet = self._interval_jet(ya, yb, order, depth + 1)
+            jet = self._interval_jet(ya, yb, order)
             # phi'(y) y and phi''(y) y^2 + phi'(y) y with y in [ya, yb] > 0
             ra, rb = jet[0]
             q1 = [ra * ya, ra * yb, rb * ya, rb * yb]
@@ -383,12 +397,11 @@ class AbelFunction:
             return out
         # straddles a junction: split
         if lo < 1.0:
-            left = self._interval_jet(lo, math.nextafter(1.0, 0.0), order, depth + 1)
-            right = self._interval_jet(1.0, hi, order, depth + 1)
+            left = self._interval_jet(lo, math.nextafter(1.0, 0.0), order)
+            right = self._interval_jet(1.0, hi, order)
         else:
-            left = self._interval_jet(lo, _E, order, depth + 1)
-            right = self._interval_jet(math.nextafter(_E, math.inf), hi, order,
-                                       depth + 1)
+            left = self._interval_jet(lo, _E, order)
+            right = self._interval_jet(math.nextafter(_E, math.inf), hi, order)
         return [(min(a1, a2), max(b1, b2)) for (a1, b1), (a2, b2) in zip(left, right)]
 
     # -- inverse ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -23,8 +23,9 @@ from .intervals import (Box, Interval, interval_eval_compiled, krawczyk_test,
                         split_step)
 from .terms import (RAPrimitive, TermNode, abel_primitives, add_all,
                     collect_phi_monomials, compile_terms, const,
-                    gradient_compiled, growth_exponent, mul_all, parse_term,
-                    ra, rebuild, substitute, to_text, var)
+                    derivative_chain, gradient_compiled, growth_exponent,
+                    mul_all, parse_term, ra, rebuild, substitute, to_text,
+                    var)
 
 DEFAULT_RADIUS = 8.0
 DEFAULT_DEPTH = 40
@@ -558,13 +559,10 @@ def _restrict(prim: RAPrimitive, lo: float, hi: float,
     chain = [prim]
     while chain[-1].deriv is not None:
         chain.append(chain[-1].deriv)
-    out = None
-    for k in reversed(range(len(chain))):
-        p = chain[k]
-        out = replace(
-            p, name=label + (f"_d{k}" if k else ""), lo=a, hi=b,
-            sup_abs=max(abs(v) for v in p.range_fn(a, b)), deriv=out)
-    return out
+    return derivative_chain(
+        [label + (f"_d{k}" if k else "") for k in range(len(chain))], a, b,
+        [(p.fn, p.range_fn, max(abs(v) for v in p.range_fn(a, b)))
+         for p in chain])[0]
 
 
 def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:

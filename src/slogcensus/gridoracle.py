@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .abel import EXP_MAX, AbelFunction
+from .abel import EXP_MAX
 from .errors import DomainError
 from .intervals import Box
 from .terms import (CompiledTerms, FloatArith, TermNode, check_arity,
@@ -133,13 +133,6 @@ def _out(lo: np.ndarray, hi: np.ndarray):
     return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
 
 
-def _per_cell(range_fn, al: np.ndarray, ah: np.ndarray):
-    pairs = [range_fn(float(p), float(q)) for p, q in zip(np.ravel(al), np.ravel(ah))]
-    lo = np.array([p[0] for p in pairs]).reshape(al.shape)
-    hi = np.array([p[1] for p in pairs]).reshape(al.shape)
-    return lo, hi
-
-
 class CellArith:
     """(lo, hi) array pairs for run_tape: enclosures over grid cells. No
     caller takes gradients over cells, so there are no derivative factors."""
@@ -179,14 +172,7 @@ class CellArith:
     def ra(self, prim, x):
         if np.any(x[0] < prim.lo) or np.any(x[1] > prim.hi):
             raise DomainError(f"{prim.name} argument leaves domain on grid")
-        range_fn = prim.range_fn
-        if getattr(range_fn, "__func__", None) is AbelFunction.interval_phi:
-            # phi, whole or restricted, encloses every cell at once. Its
-            # ends are already rounded out past the seed error, which is
-            # far wider than the two ulps below, and those would double
-            # the cost of the node
-            return range_fn(*x)
-        return _out(*_out(*_per_cell(range_fn, *x)))
+        return prim.range_fn(*x)
 
 
 def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],

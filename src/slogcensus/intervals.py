@@ -3,9 +3,10 @@
 Every arithmetic helper widens its result by one ulp per operation, so a
 computed interval always contains the exact real-number result. The tape
 reaches the super-logarithm and its derivatives as RA primitives (see
-``terms.compile_terms``): their enclosures come from the AbelFunction,
-which already folds in its own seed evaluation error, and are widened by
-two ulps like every primitive's.
+``terms.compile_terms``). A primitive's range function is its whole
+enclosure, rounded outward by the primitive itself: the catalog widens
+its float formulas by two ulps, and the AbelFunction folds in its own
+seed evaluation error. The interval layer checks the domain and calls it.
 
 An Interval is checked (no NaN, lo <= hi) where it is built from outside
 values: the constructor, ``Interval.point``, ``intersect`` and the
@@ -263,11 +264,6 @@ def split_step(stack: list, box: Box, depth: int, max_depth: int) -> bool:
 # ---------------------------------------------------------------------------
 # interval evaluation over compiled tapes
 
-def _ra_range(prim, x: Interval) -> Interval:
-    lo, hi = prim.range_fn(x.lo, x.hi)
-    return Interval(_dn(_dn(lo)), _up(_up(hi)))
-
-
 class IntervalArith:
     """Outward-rounded intervals for run_tape: enclosures over one box.
     Stateless: the class itself is the arithmetic."""
@@ -286,11 +282,11 @@ class IntervalArith:
         if x.lo < prim.lo or x.hi > prim.hi:
             raise DomainError(
                 f"{prim.name} argument range {x} leaves [{prim.lo}, {prim.hi}]")
-        return _ra_range(prim, x)
+        return Interval(*prim.range_fn(x.lo, x.hi))
 
     @staticmethod
     def ra_factor(prim, x):
-        return _ra_range(prim.derivative(), x)
+        return Interval(*prim.derivative().range_fn(x.lo, x.hi))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .abel import exp_sat, get_default_abel
+from .abel import entrywise, exp_sat, get_default_abel
 from .errors import (
     DifferentiationError,
     DomainError,
@@ -54,6 +54,7 @@ __all__ = [
     "rebuild",
     "parse_term",
     "to_text",
+    "derivative_chain",
     "abel_primitives",
     "compile_terms",
     "run_tape",
@@ -78,13 +79,14 @@ __all__ = [
 class RAPrimitive:
     """A smooth function restricted to an interval [lo, hi].
 
-    ``fn`` evaluates pointwise (scalars or numpy arrays), ``range_fn(a, b)``
-    returns a mathematical enclosure of the range over [a, b] (the interval
-    layer adds directed-rounding slack on top), ``deriv`` is the derivative
-    as another primitive, and ``sup_abs`` bounds |fn| over the domain.
-    The catalog's primitives live on compact intervals; phi and phi' of an
-    AbelFunction are primitives over the whole line (``abel_primitives``),
-    and the phi elimination restricts them to compact ones.
+    ``fn`` evaluates pointwise (scalars or numpy arrays). ``range_fn(a, b)``
+    is the whole enclosure of the range over [a, b], its ends rounded
+    outward by the primitive itself; over numpy arrays of ends it gives
+    two arrays, one enclosure per entry. ``deriv`` is the derivative as
+    another primitive (``derivative_chain``), and ``sup_abs`` bounds |fn|
+    over the domain. The catalog's primitives live on compact intervals;
+    phi, phi' and phi'' of an AbelFunction are primitives over the whole
+    line (``abel_primitives``), and the phi elimination restricts them.
     """
 
     name: str
@@ -120,7 +122,6 @@ def _level_for_bound(m: float) -> int:
 
 
 _TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
 # slack when testing whether a trig extremum lies inside an interval; only
 # ever widens the reported range, never narrows it
 _PHASE_SLACK = 1e-9
@@ -133,42 +134,34 @@ def _contains_phase(a: float, b: float, offset: float) -> bool:
     return k_lo <= k_hi
 
 
-def _sin_range(a: float, b: float):
-    if b - a >= _TWO_PI:
-        return -1.0, 1.0
-    hi = 1.0 if _contains_phase(a, b, _HALF_PI) else max(math.sin(a), math.sin(b))
-    lo = -1.0 if _contains_phase(a, b, -_HALF_PI) else min(math.sin(a), math.sin(b))
-    return lo, hi
-
-
-def _cos_range(a: float, b: float):
-    if b - a >= _TWO_PI:
-        return -1.0, 1.0
-    hi = 1.0 if _contains_phase(a, b, 0.0) else max(math.cos(a), math.cos(b))
-    lo = -1.0 if _contains_phase(a, b, math.pi) else min(math.cos(a), math.cos(b))
-    return lo, hi
-
-
-def _neg_range(range_fn):
+def _rounded(range_fn):
+    # the range of a float formula, two ulps outward at each end so that
+    # it encloses the exact range, and entry by entry over arrays of ends
+    @entrywise
     def rng(a: float, b: float):
         lo, hi = range_fn(a, b)
-        return -hi, -lo
+        dn, up = -math.inf, math.inf
+        return (math.nextafter(math.nextafter(lo, dn), dn),
+                math.nextafter(math.nextafter(hi, up), up))
 
     return rng
 
 
-def _atan_range(a: float, b: float):
-    return math.atan(a), math.atan(b)
+def _trig_range(fn, peak: float, trough: float):
+    # enclosure of fn, sin or cos or their negation: 1 or -1 where [a, b]
+    # holds a phase of its peak or trough, else the larger or smaller end
+    def rng(a: float, b: float):
+        if b - a >= _TWO_PI:
+            return -1.0, 1.0
+        hi = 1.0 if _contains_phase(a, b, peak) else max(fn(a), fn(b))
+        lo = -1.0 if _contains_phase(a, b, trough) else min(fn(a), fn(b))
+        return lo, hi
+
+    return _rounded(rng)
 
 
 def _datan(x):
     return 1.0 / (1.0 + x * x)
-
-
-def _datan_range(a: float, b: float):
-    far = max(abs(a), abs(b))
-    near = 0.0 if a <= 0.0 <= b else min(abs(a), abs(b))
-    return _datan(far), _datan(near)
 
 
 def _d2atan(x):
@@ -182,13 +175,28 @@ def _d3atan(x):
 
 
 def _critical_point_range(fn, crits):
-    # range of fn over [a, b] when fn is monotone between consecutive crits
+    # enclosure of fn over [a, b], monotone between consecutive crits
     def rng(a: float, b: float):
         vals = [fn(a), fn(b)]
         vals.extend(fn(c) for c in crits if a <= c <= b)
         return min(vals), max(vals)
 
-    return rng
+    return _rounded(rng)
+
+
+def derivative_chain(names: Sequence[str], lo: float, hi: float,
+                     links: Sequence[tuple],
+                     cycle: bool = False) -> list[RAPrimitive]:
+    """Primitives on [lo, hi], ``names[k]`` built from ``links[k]`` =
+    (fn, range_fn, sup_abs), each the derivative of the one before. The
+    last has no derivative or, with ``cycle``, the first."""
+    chain, deriv = [], None
+    for name, (fn, range_fn, sup_abs) in reversed(list(zip(names, links))):
+        deriv = RAPrimitive(name, lo, hi, fn, range_fn, sup_abs, deriv)
+        chain.insert(0, deriv)
+    if cycle:
+        object.__setattr__(chain[-1], "deriv", chain[0])
+    return chain
 
 
 def default_catalog(restriction: float = 100.0) -> dict[str, RAPrimitive]:
@@ -203,36 +211,27 @@ def default_catalog(restriction: float = 100.0) -> dict[str, RAPrimitive]:
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError("restriction must be positive and finite")
 
-    # sin/cos family closes under differentiation, so the chain is a cycle
-    sin_p = RAPrimitive("sin", -c, c, np.sin, _sin_range, 1.0)
-    dsin_p = RAPrimitive("dsin", -c, c, np.cos, _cos_range, 1.0)
-    d2sin_p = RAPrimitive("d2sin", -c, c, lambda x: -np.sin(x), _neg_range(_sin_range), 1.0)
-    d3sin_p = RAPrimitive("d3sin", -c, c, lambda x: -np.cos(x), _neg_range(_cos_range), 1.0)
-    cos_p = RAPrimitive("cos", -c, c, np.cos, _cos_range, 1.0)
-    dcos_p = RAPrimitive("dcos", -c, c, lambda x: -np.sin(x), _neg_range(_sin_range), 1.0)
-    d2cos_p = RAPrimitive("d2cos", -c, c, lambda x: -np.cos(x), _neg_range(_cos_range), 1.0)
-    d3cos_p = RAPrimitive("d3cos", -c, c, np.sin, _sin_range, 1.0)
-    for a, b in ((sin_p, dsin_p), (dsin_p, d2sin_p), (d2sin_p, d3sin_p), (d3sin_p, sin_p),
-                 (cos_p, dcos_p), (dcos_p, d2cos_p), (d2cos_p, d3cos_p), (d3cos_p, cos_p)):
-        object.__setattr__(a, "deriv", b)
-
+    # sin/cos family closes under differentiation, so each chain is a cycle
+    pi, half = math.pi, 0.5 * math.pi
+    sin_links = [
+        (np.sin, _trig_range(math.sin, half, -half), 1.0),
+        (np.cos, _trig_range(math.cos, 0.0, pi), 1.0),
+        (lambda x: -np.sin(x), _trig_range(lambda x: -math.sin(x), -half, half), 1.0),
+        (lambda x: -np.cos(x), _trig_range(lambda x: -math.cos(x), pi, 0.0), 1.0)]
+    cos_links = sin_links[1:] + sin_links[:1]
     inv_sqrt3 = 1.0 / math.sqrt(3.0)
-    d3atan_p = RAPrimitive(
-        "d3atan", -c, c, _d3atan,
-        _critical_point_range(_d3atan, (-1.0, 0.0, 1.0)),
-        2.0,
-    )
-    d2atan_p = RAPrimitive(
-        "d2atan", -c, c, _d2atan,
-        _critical_point_range(_d2atan, (-inv_sqrt3, inv_sqrt3)),
-        _d2atan(-inv_sqrt3),
-        deriv=d3atan_p,
-    )
-    datan_p = RAPrimitive("datan", -c, c, _datan, _datan_range, 1.0, deriv=d2atan_p)
-    atan_p = RAPrimitive("atan", -c, c, np.arctan, _atan_range, math.atan(c), deriv=datan_p)
-
-    prims = [sin_p, dsin_p, d2sin_p, d3sin_p, cos_p, dcos_p, d2cos_p, d3cos_p,
-             atan_p, datan_p, d2atan_p, d3atan_p]
+    atan_links = [
+        (np.arctan, _critical_point_range(math.atan, ()), math.atan(c)),
+        (_datan, _critical_point_range(_datan, (0.0,)), 1.0),
+        (_d2atan, _critical_point_range(_d2atan, (-inv_sqrt3, inv_sqrt3)),
+         _d2atan(-inv_sqrt3)),
+        (_d3atan, _critical_point_range(_d3atan, (-1.0, 0.0, 1.0)), 2.0)]
+    prims = [*derivative_chain(("sin", "dsin", "d2sin", "d3sin"), -c, c,
+                               sin_links, cycle=True),
+             *derivative_chain(("cos", "dcos", "d2cos", "d3cos"), -c, c,
+                               cos_links, cycle=True),
+             *derivative_chain(("atan", "datan", "d2atan", "d3atan"), -c, c,
+                               atan_links)]
     return {p.name: p for p in prims}
 
 
@@ -257,12 +256,11 @@ def abel_primitives(abel) -> dict[str, RAPrimitive]:
     recomputes it.
     """
     inf = math.inf
-    d2phi_p = RAPrimitive("d2phi", -inf, inf, abel.eval_d2phi_array,
-                          abel.interval_d2phi, inf)
-    dphi_p = RAPrimitive("dphi", -inf, inf, abel.eval_dphi_array,
-                         abel.interval_dphi, inf, deriv=d2phi_p)
-    phi_p = RAPrimitive("phi", -inf, inf, abel.eval_phi_array,
-                        abel.interval_phi, inf, deriv=dphi_p)
+    phi_p, dphi_p, _ = derivative_chain(
+        ("phi", "dphi", "d2phi"), -inf, inf,
+        [(abel.eval_phi_array, abel.interval_phi, inf),
+         (abel.eval_dphi_array, abel.interval_dphi, inf),
+         (abel.eval_d2phi_array, abel.interval_d2phi, inf)])
     return {"phi": phi_p, "dphi": dphi_p}
 
 

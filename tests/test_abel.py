@@ -145,11 +145,11 @@ def test_interval_d2phi_encloses_samples(abel):
 
 
 @pytest.mark.parametrize("lo,hi", [(3.0, math.inf), (-math.inf, math.inf)])
-def test_interval_derivatives_stop_at_the_depth_cap(abel, lo, hi):
-    # log(inf) = inf, so the right end never reaches the band; only the
-    # depth cap ends the band splitting
+def test_interval_derivatives_reject_infinite_ends(abel, lo, hi):
+    # log(inf) = inf, so the right end would never reach the band; the
+    # enclosures reject such ends before splitting
     for enclosure in (abel.interval_dphi, abel.interval_d2phi):
-        with pytest.raises(DomainError, match="recursion cap"):
+        with pytest.raises(DomainError, match="need finite ends"):
             enclosure(lo, hi)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slogcensus import intervals
-from slogcensus.abel import build_abel
+from slogcensus.abel import AbelFunction, build_abel
 from slogcensus.census import (build_system, count_nonsingular_zeros,
                               reduce_phi_complexity)
 from slogcensus.errors import DifferentiationError, DomainError
@@ -25,11 +25,12 @@ from slogcensus.intervals import (HOT_CALLS, Box, Interval, IntervalArith,
                                   interval_jacobian_compiled, iscale, isub,
                                   krawczyk_test)
 from slogcensus.morse import prove_empty
-from slogcensus.terms import (RA, CompiledTerms, RAPrimitive, add, add_all,
-                              compile_terms, const, default_catalog,
-                              eval_compiled, eval_term, exp, gradient,
-                              gradient_compiled, log, mul, mul_all,
-                              parse_term, run_tape, var)
+from slogcensus.terms import (RA, CompiledTerms, RAPrimitive,
+                              abel_primitives, add, add_all, compile_terms,
+                              const, default_catalog, eval_compiled,
+                              eval_term, exp, gradient, gradient_compiled,
+                              log, mul, mul_all, parse_term, ra, run_tape,
+                              var)
 
 # every tape reads both variables, so gradients have two entries
 SOURCES = [
@@ -468,12 +469,9 @@ def test_point_values_and_gradients_come_from_the_bound_abel(abel2):
 
 
 def test_enclosures_come_from_the_bound_abel(abel2):
-    lo, hi = abel2.interval_phi(0.3, 0.4)
     got = interval_eval(parse_term("phi(x1)"), Box.from_bounds([(0.3, 0.4)]),
                         abel2)
-    dn, up = (lambda v: math.nextafter(v, -math.inf),
-              lambda v: math.nextafter(v, math.inf))
-    assert got == (dn(dn(lo)), up(up(hi)))
+    assert got == abel2.interval_phi(0.3, 0.4)
     # cells: phi encloses the whole array at once
     los, his = np.array([0.3, 1.5, 7.0]), np.array([0.4, 1.75, 9.0])
     ct = compile_terms([parse_term("phi(x1)")], abel2)
@@ -501,6 +499,109 @@ def test_searches_use_the_bound_abel(abel, abel2):
     mids = grid.cell_axes[2][0]
     assert np.array_equal(mask, abel2.eval_phi_array(mids) + 0.65 <= 0.0)
     assert not np.array_equal(mask, abel.eval_phi_array(mids) + 0.65 <= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# a primitive's range function is its whole enclosure, for float ends and,
+# entry by entry, for arrays of ends
+
+
+def _chain(prim):
+    # prim and its derivatives, once round a cycle
+    out = [prim]
+    while out[-1].deriv is not None and out[-1].deriv not in out:
+        out.append(out[-1].deriv)
+    return out
+
+
+@pytest.fixture(scope="module")
+def every_primitive(abel):
+    """The catalog, phi, phi' and phi'' of the abel, and the restricted
+    chains of one phi elimination."""
+    reduced = reduce_phi_complexity(
+        build_system(["phi(x1) - x2", "dphi(x2)*x1"], abel=abel), 2.0)
+    patches = [op[3] for op in reduced.compiled.ops
+               if isinstance(op[3], RAPrimitive)]
+    prims = [*default_catalog().values(),
+             *_chain(abel_primitives(abel)["phi"]),
+             *(q for p in patches for q in _chain(p))]
+    assert len(prims) == 12 + 3 + 5
+    return prims
+
+
+def _ends_in(prim, pairs):
+    # [lo, hi] pairs inside the primitive's domain, cut to [-1e3, 1e3]
+    a, b = max(prim.lo, -1e3), min(prim.hi, 1e3)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    ends = np.array([sorted((mid + half * u, mid + half * v))
+                     for u, v in pairs])
+    return ends[:, 0], ends[:, 1]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _vectorised(prim):
+    # phi and its restrictions enclose arrays with numpy's exp and log
+    return getattr(prim.range_fn, "__func__", None) is AbelFunction.interval_phi
+
+
+def _same_ends(prim, got, want):
+    """Array ends equal per-entry ends by float.hex, or for phi within
+    1e-14: numpy's exp and log differ from math's by an ulp on some
+    platforms, far inside the 1e-13 seed error both ends add."""
+    if _vectorised(prim):
+        assert np.all(np.abs(np.ravel(got) - np.array(list(want))) <= 1e-14), \
+            prim.name
+    else:
+        assert _hex(np.ravel(got)) == _hex(want), prim.name
+
+
+_unit = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                  st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_unit, _unit), min_size=6, max_size=6))
+def test_range_functions_take_arrays_entry_by_entry(every_primitive, pairs):
+    for prim in every_primitive:
+        lo, hi = _ends_in(prim, pairs)
+        want = [prim.range_fn(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        for shape in ((6,), (2, 3)):
+            got = prim.range_fn(lo.reshape(shape), hi.reshape(shape))
+            assert got[0].shape == got[1].shape == shape, prim.name
+            _same_ends(prim, got[0], (w[0] for w in want))
+            _same_ends(prim, got[1], (w[1] for w in want))
+
+
+def test_catalog_ends_lie_two_ulps_outside_its_formulas():
+    # over a point [x, x] both ends of a formula's range are one float
+    xs = np.random.default_rng(3).uniform(-100.0, 100.0, 200).tolist()
+    for prim in default_catalog().values():
+        for x in xs:
+            lo, hi = prim.range_fn(x, x)
+            for _ in range(4):
+                lo = math.nextafter(lo, math.inf)
+            assert lo == hi, (prim.name, x)
+
+
+def test_cells_and_boxes_enclose_primitives_alike(every_primitive):
+    # both are one call of the range function, which rounds its own ends
+    pairs = [(u, v) for u in np.linspace(-1.0, 0.6, 9)
+             for v in (u, u + 0.01, u + 0.3)]
+    for prim in every_primitive:
+        ct = compile_terms([ra(prim, var(0))])
+        lo, hi = _ends_in(prim, pairs)
+        (clo, chi), = eval_cells(ct, [lo], [hi])
+        assert _hex(clo) + _hex(chi) == _hex(np.concatenate(
+            prim.range_fn(lo, hi))), prim.name
+        boxes = [interval_eval_compiled(ct, Box.from_bounds([(a, b)]))[0]
+                 for a, b in zip(lo.tolist(), hi.tolist())]
+        for box, a, b in zip(boxes, lo.tolist(), hi.tolist()):
+            assert _hex(box) == _hex(prim.range_fn(a, b)), prim.name
+        _same_ends(prim, clo, (box.lo for box in boxes))
+        _same_ends(prim, chi, (box.hi for box in boxes))
 
 
 def test_log_of_a_negative_slot_raises_on_every_call(fresh_shapes):
