@@ -10,12 +10,12 @@ thickenings into connected-component bounds for quantifier-free sets.
 from .abel import (AbelFunction, DominationReport, build_abel, exp_n,
                    get_default_abel, log_n)
 from .census import (CensusReport, DeformationPath, RadiusReport,
-                     SquareSystem, StabilityReport, SystemParams,
-                     TrackReport, build_system, count_nonsingular_zeros,
-                     count_over_box, is_regular_value, load_system_file,
-                     probe_boundedness, reduce_phi_complexity,
-                     sample_generic_tilt, sample_regular_value,
-                     search_radius, system_from_dict, track_path)
+                     SquareSystem, SystemParams, TrackReport,
+                     build_system, count_nonsingular_zeros, count_over_box,
+                     is_regular_value, load_system_file,
+                     reduce_phi_complexity, sample_generic_tilt,
+                     sample_regular_value, search_radius, system_from_dict,
+                     track_path)
 from .errors import (BuildError, CertificationError, DifferentiationError,
                      DomainError, GrowthAnalysisError, PathError,
                      SlogcensusError, TermSyntaxError)
@@ -47,7 +47,7 @@ __all__ = [
     "DominationReport", "GammaReport", "GridSpec", "GrowthAnalysisError",
     "Interval", "KrawczykResult", "MilnorSchedule", "PathError",
     "QFFormula", "RAPrimitive", "RadiusReport", "SlogcensusError",
-    "SquareSystem", "StabilityReport", "SystemParams", "TermNode",
+    "SquareSystem", "SystemParams", "TermNode",
     "TermSyntaxError", "TrackReport", "affine_restrict", "atom",
     "build_abel", "build_system", "certify_schedule",
     "collect_phi_monomials", "compile_terms", "component_bound",
@@ -60,7 +60,7 @@ __all__ = [
     "is_regular_value", "krawczyk_test", "load_formula_file",
     "load_system_file", "log_n", "membership_mask", "milnor_tube",
     "normalize", "oracle_components", "oracle_zero_count", "parse_term",
-    "probe_boundedness", "prove_empty", "reduce_phi_complexity",
+    "prove_empty", "reduce_phi_complexity",
     "resolution_stable_components", "sample_generic_tilt",
     "sample_regular_value", "schedule_for_ball", "search_radius",
     "subdivide", "substitute", "system_from_dict", "to_text", "track_path",

@@ -437,15 +437,19 @@ class AbelFunction:
         return x
 
     def _seed_inverse(self, f: float) -> float:
-        # solve p(x) = f on [1, e]; p increasing with p(1)=0, p(e)=1
-        from scipy.optimize import brentq
-
+        # solve p(x) = f on [1, e]; p increasing with p(1)=0, p(e)=1: bisect
+        # until the bracket holds two adjacent doubles, take the nearer one
         if f <= 0.0:
             return 1.0
         if f >= 1.0:
             return _E
-        return float(brentq(lambda x: self.seed(x) - f,
-                            1.0, _E, xtol=1e-15, rtol=8.9e-16))
+        lo, hi = 1.0, _E
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if self.seed(mid) < f:
+                lo = mid
+            else:
+                hi = mid
+        return lo if abs(self.seed(lo) - f) <= abs(self.seed(hi) - f) else hi
 
     def check_transexp(self, i: int, x: float) -> bool:
         """True iff the inverse exceeds the i-fold exponential at x, tested in

@@ -503,48 +503,6 @@ def track_path(system: SquareSystem, path: DeformationPath, steps: int,
     return TrackReport(counts, certified, verdict, first, transitions)
 
 
-@dataclass
-class StabilityReport:
-    radii: list
-    counts: list
-    certified: list
-    zero_sets: list
-    stable: bool
-
-    def to_dict(self) -> dict:
-        return {"radii": self.radii, "counts": self.counts,
-                "certified": self.certified, "stable": self.stable,
-                "zero_sets": self.zero_sets}
-
-
-def probe_boundedness(system: SquareSystem, radii: Sequence[float],
-                      matrix=None, eta=None,
-                      max_depth: int = DEFAULT_DEPTH) -> StabilityReport:
-    """Census at increasing radii; stable when the last two agree.
-
-    Heuristic by construction: a zero outside every probed radius stays
-    invisible. Agreement means equal counts, certified reports, and
-    matching zero locations within 1e-6.
-    """
-    rs = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(rs, rs[1:])) or not rs:
-        raise DomainError("radius schedule must increase")
-    inst = _instantiate(system, matrix, eta, None)
-    counts, certs, zsets = [], [], []
-    for r in rs:
-        rep = count_nonsingular_zeros(inst, r, max_depth)
-        counts.append(rep.certified_count)
-        certs.append(rep.exact)
-        zsets.append(rep.zeros)
-    stable = False
-    if len(rs) >= 2 and certs[-1] and certs[-2] and counts[-1] == counts[-2]:
-        za, zb = zsets[-2], zsets[-1]
-        stable = all(
-            max(abs(p - q) for p, q in zip(u, v)) <= 1e-6
-            for u, v in zip(za, zb))
-    return StabilityReport(rs, counts, certs, zsets, stable)
-
-
 # ---------------------------------------------------------------------------
 # complexity reduction: restrict phi and its derivatives to the ball
 

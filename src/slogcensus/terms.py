@@ -1,8 +1,8 @@
 """Term language over exp, log, restricted-analytic primitives, and the
 super-logarithm.
 
-Terms are immutable trees with structural equality.  The module provides a
-parser and printer for the concrete grammar
+Terms are immutable trees, hash-consed so that equal terms are one
+object.  The module provides a parser and printer for the concrete grammar
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -21,6 +21,7 @@ import functools
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -174,12 +175,32 @@ def _d3atan(x):
     return (6.0 * x * x - 2.0) / (t * t * t)
 
 
-def _critical_point_range(fn, crits):
-    # enclosure of fn over [a, b], monotone between consecutive crits
+# Float error bounds of the two formulas above, from the standard model
+# |fl(a op b) - a op b| <= u |a op b| with u = 2^-53 (Higham 2002, ch. 3).
+# d2atan errs by under 6.1u relatively. d3atan's numerator 6x^2 - 2
+# cancels, so its bound is absolute: under u (72x^2 + 20) / t^3. Both
+# constants leave room for the rounding of the bound itself, and d2atan's
+# float critical points, an ulp from the true ones, move its extremum by
+# far less than the bound.
+_U = 2.0 ** -53
+
+
+def _d2atan_err(x):
+    return 8.0 * _U * abs(_d2atan(x))
+
+
+def _d3atan_err(x):
+    t = 1.0 + x * x
+    return 16.0 * _U * (6.0 * x * x + 2.0) / (t * t * t)
+
+
+def _critical_point_range(fn, crits, err=lambda x: 0.0):
+    # enclosure of fn over [a, b], monotone between consecutive crits; a
+    # formula whose float error passes two ulps widens each value by err
     def rng(a: float, b: float):
-        vals = [fn(a), fn(b)]
-        vals.extend(fn(c) for c in crits if a <= c <= b)
-        return min(vals), max(vals)
+        vals = [(fn(p), err(p))
+                for p in (a, b, *(c for c in crits if a <= c <= b))]
+        return min(v - e for v, e in vals), max(v + e for v, e in vals)
 
     return _rounded(rng)
 
@@ -223,9 +244,10 @@ def default_catalog(restriction: float = 100.0) -> dict[str, RAPrimitive]:
     atan_links = [
         (np.arctan, _critical_point_range(math.atan, ()), math.atan(c)),
         (_datan, _critical_point_range(_datan, (0.0,)), 1.0),
-        (_d2atan, _critical_point_range(_d2atan, (-inv_sqrt3, inv_sqrt3)),
-         _d2atan(-inv_sqrt3)),
-        (_d3atan, _critical_point_range(_d3atan, (-1.0, 0.0, 1.0)), 2.0)]
+        (_d2atan, _critical_point_range(_d2atan, (-inv_sqrt3, inv_sqrt3),
+                                        _d2atan_err), _d2atan(-inv_sqrt3)),
+        (_d3atan, _critical_point_range(_d3atan, (-1.0, 0.0, 1.0),
+                                        _d3atan_err), 2.0)]
     prims = [*derivative_chain(("sin", "dsin", "d2sin", "d3sin"), -c, c,
                                sin_links, cycle=True),
              *derivative_chain(("cos", "dcos", "d2cos", "d3cos"), -c, c,
@@ -272,61 +294,55 @@ _ARITY = {"var": 0, "const": 0, "add": 2, "mul": 2, "neg": 1, "exp": 1,
           "log": 1, "ra": 1, "phi": 1, "dphi": 1}
 
 
-@dataclass(frozen=True, eq=False)
 class TermNode:
-    """Immutable term tree node with cached structural hash."""
+    """Immutable term tree node, hash-consed: equal terms are one object.
 
-    kind: str
-    children: tuple = ()
-    index: int = -1
-    value: float = 0.0
-    prim: RAPrimitive | None = None
+    The constructor looks its (kind, children, index, value, prim) up in
+    one table of weak references and returns the live node with that key
+    if there is one. Children and primitives are compared by identity,
+    so two nodes are equal terms exactly when they are the same object,
+    and nodes compare and hash by identity. A value of -0.0 is stored as
+    0.0. The table never keeps a node alive.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if len(self.children) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} node takes {_ARITY[self.kind]} children")
-        h = hash((self.kind, self.index, self.value,
-                  id(self.prim) if self.prim is not None else 0,
-                  tuple(c._hash for c in self.children)))
-        object.__setattr__(self, "_hash", h)
+    __slots__ = ("kind", "children", "index", "value", "prim", "__weakref__")
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, kind: str, children: tuple = (), index: int = -1,
+                value: float = 0.0, prim: RAPrimitive | None = None):
+        key = (kind, children, index, value + 0.0, prim)   # -0.0 + 0.0 is 0.0
+        node = _TABLE.get(key)
+        if node is None:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown node kind {kind!r}")
+            if len(children) != _ARITY[kind]:
+                raise ValueError(f"{kind} node takes {_ARITY[kind]} children")
+            node = object.__new__(cls)
+            for name, v in zip(cls.__slots__, key):
+                object.__setattr__(node, name, v)
+            _TABLE[key] = node
+        return node
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, TermNode):
-            return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is not b:
-                if (a._hash != b._hash or a.kind != b.kind
-                        or a.index != b.index or a.value != b.value
-                        or a.prim is not b.prim):
-                    return False
-                pairs.extend(zip(a.children, b.children))
-        return True
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: terms are immutable")
+
+    def __reduce__(self):   # copies and pickles intern like any construction
+        return TermNode, (self.kind, self.children, self.index, self.value,
+                          self.prim)
 
     def __repr__(self):
         return f"<term {to_text(self)}>"
 
 
-# one node per variable index, so that equal variables are identical and a
-# dict or set lookup of one stops at the identity test
-_VARS: dict[int, TermNode] = {}
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def var(i: int) -> TermNode:
-    node = _VARS.get(i)
-    if node is None:
-        if i < 0:
-            raise ValueError("variable index must be >= 0")
-        node = _VARS[i] = TermNode("var", index=i)
-    return node
+    if i < 0:
+        raise ValueError("variable index must be >= 0")
+    return TermNode("var", index=i)
 
 
 def const(v: float) -> TermNode:
@@ -395,7 +411,7 @@ def mul_all(ts: Sequence[TermNode]) -> TermNode:
 
 
 def postorder(roots: Iterable[TermNode]):
-    """Each structurally distinct subterm of ``roots`` once, after its
+    """Each distinct subterm of ``roots`` once, after its
     children, in the order a left-to-right recursive walk finishes them.
 
     Every analysis of the DAG is a loop over this walk that keeps its
@@ -411,10 +427,9 @@ def postorder(roots: Iterable[TermNode]):
         if node.__class__ is tuple:     # (node,): its children are done
             yield node[0]
             continue
-        n = len(seen)
-        seen.add(node)
-        if len(seen) == n:      # an equal subterm was walked before
+        if node in seen:
             continue
+        seen.add(node)
         if node.children:
             stack.append((node,))
             stack.extend(node.children[::-1])
@@ -424,17 +439,14 @@ def postorder(roots: Iterable[TermNode]):
 
 def rebuild(roots: Sequence[TermNode], visit: Callable) -> list:
     """Bottom-up copy of the DAG under ``roots``: ``visit`` maps each node,
-    with its children already replaced by their images, to its image.
-    Nodes whose children are unchanged are kept as they are."""
+    with its children already replaced by their images, to its image. A
+    node whose children are their own images is itself again, for equal
+    terms are one object."""
     image: dict = {}
     for node in postorder(roots):
-        out = node
-        if node.children:
-            kids = tuple(image[c] for c in node.children)
-            if any(k is not c for k, c in zip(kids, node.children)):
-                out = TermNode(node.kind, kids, node.index, node.value,
-                               node.prim)
-        image[node] = visit(out)
+        kids = tuple(image[c] for c in node.children)
+        image[node] = visit(TermNode(node.kind, kids, node.index, node.value,
+                                     node.prim))
     return [image[r] for r in roots]
 
 
@@ -585,8 +597,8 @@ def _var_name(i: int, var_names) -> str:
 
 
 def to_text(t: TermNode, var_names: Sequence[str] | None = None) -> str:
-    """Render a term; parse_term(to_text(t)) is structurally equal to t for
-    parser-producible trees."""
+    """Render a term; parse_term(to_text(t)) is t for parser-producible
+    trees."""
     # each node's text is a tuple of strings and of its children's tuples,
     # flattened once at the end, so that deep terms cost linear memory
     text: dict = {}   # node -> (pieces, level: 0 expr, 1 term, 2 factor)
@@ -652,7 +664,7 @@ class CompiledTerms:
 def compile_terms(roots: Sequence[TermNode], abel=None) -> CompiledTerms:
     """Flatten terms into a shared evaluation tape.
 
-    Structurally equal subterms land in one slot; mul nodes with equal
+    Equal subterms land in one slot; mul nodes with equal
     children compile to a dedicated square op so downstream interval
     evaluation avoids the dependency loss of [a,b]*[a,b]. phi and dphi
     nodes compile to RA ops over ``abel_primitives(abel)`` (the default

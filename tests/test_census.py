@@ -12,7 +12,7 @@ from slogcensus.census import (DEFAULT_DEPTH, CensusReport, DeformationPath,
                                SystemParams, _polish,
                                build_system, count_nonsingular_zeros,
                                count_over_box, is_regular_value,
-                               probe_boundedness, reduce_phi_complexity,
+                               reduce_phi_complexity,
                                sample_generic_tilt, sample_regular_value,
                                search_radius, system_from_dict, track_path)
 from slogcensus.errors import (BuildError, CertificationError, DomainError,
@@ -297,26 +297,6 @@ def test_track_rejects_too_few_steps(abel):
     sys_ = build_system(["x1"], abel=abel)
     with pytest.raises(PathError):
         track_path(sys_, DeformationPath.constant(1), steps=1, radius=1.0)
-
-
-# ---------------------------------------------------------------------------
-# boundedness probe
-
-def test_probe_boundedness_stable(abel):
-    sys_ = build_system(["x1*x1 + x2*x2 - 1", "x1 - x2"], abel=abel)
-    rep = probe_boundedness(sys_, [2.0, 4.0, 8.0])
-    assert rep.counts == [2, 2, 2]
-    assert rep.stable
-
-
-def test_probe_boundedness_detects_escape(abel):
-    # zero at (20/3, 0.15) enters only the largest window
-    sys_ = build_system(["x1*x2 - 1", "x2 - 0.15"], abel=abel)
-    rep = probe_boundedness(sys_, [2.0, 4.0, 8.0])
-    assert rep.counts == [0, 0, 1]
-    assert not rep.stable
-    with pytest.raises(DomainError):
-        probe_boundedness(sys_, [4.0, 2.0])
 
 
 def test_reports_are_byte_identical_cold_and_hot(abel, monkeypatch,

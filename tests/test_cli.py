@@ -64,6 +64,25 @@ def test_slog_check_passes(files):
     assert len(doc["checks"]) == 9
 
 
+def _scipy_modules(code):
+    # the scipy modules loaded in a fresh interpreter after running code
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+def test_slog_check_and_the_inverse_load_no_scipy(files):
+    out = files / "check-no-scipy.json"
+    assert _scipy_modules(
+        "from slogcensus.cli import main\n"
+        f"assert main(['slog-check', '--out', {str(out)!r}]) == 0") == "[]"
+    assert _scipy_modules(
+        "from slogcensus.abel import get_default_abel\n"
+        "get_default_abel().trans_exp(0.5)") == "[]"
+
+
 def test_slog_check_rejects_corrupt_seed(files, abel):
     doc = json.loads(abel.to_json())
     doc["coeffs"][2] += 1e-3

@@ -8,6 +8,7 @@ import sys
 import weakref
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +30,8 @@ from slogcensus.terms import (RA, CompiledTerms, RAPrimitive,
                               abel_primitives, add, add_all, compile_terms,
                               const, default_catalog, eval_compiled,
                               eval_term, exp, gradient, gradient_compiled,
-                              log, mul, mul_all, parse_term, ra, run_tape,
-                              var)
+                              log, mul, mul_all, neg, parse_term, ra,
+                              run_tape, var)
 
 # every tape reads both variables, so gradients have two entries
 SOURCES = [
@@ -191,9 +192,10 @@ def _generated_tapes(abel):
         "d3atan(x1) + x2",      # a primitive without derivative
     ]
     extra = [compile_terms([parse_term(s, catalog=cat)]) for s in sources]
-    # signed zero constants, a nonzero constant root and a log of a
-    # negative constant, which must fail on every call
-    extra.append(compile_terms([add(mul(const(-0.0), var(0)),
+    # a signed zero from the prologue (a -0.0 constant is 0.0), a
+    # nonzero constant root and a log of a negative constant, which must
+    # fail on every call
+    extra.append(compile_terms([add(mul(neg(const(0.0)), var(0)),
                                     mul(const(-0.25), var(1))),
                                 const(-2.5),
                                 add(mul(var(0), var(1)), const(5e-324))]))
@@ -350,9 +352,10 @@ def test_generated_code_is_freed_when_its_shape_is_evicted(fresh_shapes):
     assert all(ref() is None for ref in refs)
 
 
-# slot values for tapes of one shape: signed zeros, the least subnormal,
-# ends whose products overflow, negatives (log of them fails)
-_SLOTS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0,
+# slot values for tapes of one shape: zero (a -0.0 constant is 0.0; the
+# prologue's k0*k1 makes a signed zero), the least subnormal, ends whose
+# products overflow, negatives (log of them fails)
+_SLOTS = st.sampled_from((0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0,
                           -1.0, -2.5, 0.5)) | st.floats(
     allow_nan=False, allow_infinity=False)
 
@@ -575,15 +578,55 @@ def test_range_functions_take_arrays_entry_by_entry(every_primitive, pairs):
             _same_ends(prim, got[1], (w[1] for w in want))
 
 
+def _ulps(x, k):
+    # k ulps up from x, or -k down
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+_U = 2.0 ** -53
+# the float error bounds of the d2atan and d3atan formulas at x, from the
+# value v there
+_ATAN_ERR = {
+    "d2atan": lambda x, v: 8.0 * _U * abs(v),
+    "d3atan": lambda x, v: 16.0 * _U * (6.0 * x * x + 2.0) / (
+        (1.0 + x * x) * (1.0 + x * x) * (1.0 + x * x)),
+}
+
+
 def test_catalog_ends_lie_two_ulps_outside_its_formulas():
-    # over a point [x, x] both ends of a formula's range are one float
+    # over a point [x, x] both ends of a formula's range are one float,
+    # or for d2atan and d3atan the value less and plus its error bound
     xs = np.random.default_rng(3).uniform(-100.0, 100.0, 200).tolist()
     for prim in default_catalog().values():
+        err = _ATAN_ERR.get(prim.name)
         for x in xs:
             lo, hi = prim.range_fn(x, x)
-            for _ in range(4):
-                lo = math.nextafter(lo, math.inf)
-            assert lo == hi, (prim.name, x)
+            if err is None:
+                assert _ulps(lo, 4) == hi, (prim.name, x)
+            else:
+                v = prim.fn(x)
+                assert lo == _ulps(v - err(x, v), -2), (prim.name, x)
+                assert hi == _ulps(v + err(x, v), 2), (prim.name, x)
+
+
+def test_atan_derivative_ends_enclose_the_exact_values():
+    # the formulas' float errors pass two ulps near +-1/sqrt(3), where
+    # 6x^2 - 2 cancels, and at many points besides
+    rng = np.random.default_rng(11)
+    xs = (rng.uniform(-100.0, 100.0, 3000).tolist()
+          + rng.uniform(-2.0, 2.0, 3000).tolist()
+          + [0.5773502691896258, -0.5773502691896258])
+    exact = {"d2atan": lambda x: -2 * x / (1 + x * x) ** 2,
+             "d3atan": lambda x: (6 * x * x - 2) / (1 + x * x) ** 3}
+    cat = default_catalog()
+    with mpmath.workdps(60):
+        for name, fn in exact.items():
+            misses = [x for x in xs if not (
+                cat[name].range_fn(x, x)[0] <= fn(mpmath.mpf(x))
+                <= cat[name].range_fn(x, x)[1])]
+            assert not misses, (name, len(misses), misses[:3])
 
 
 def test_cells_and_boxes_enclose_primitives_alike(every_primitive):

@@ -1,6 +1,10 @@
 """Term language: parsing, printing, evaluation, differentiation, analysis."""
 
+import copy
 import math
+import pickle
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +15,13 @@ from slogcensus import intervals, terms
 from slogcensus.abel import get_default_abel
 from slogcensus.census import (build_system, count_nonsingular_zeros,
                                reduce_phi_complexity)
-from slogcensus.terms import (CONST, MUL, SQR, add, add_all,
+from slogcensus.terms import (CONST, MUL, SQR, TermNode, add, add_all,
                               collect_phi_monomials, compile_terms, const,
                               default_catalog, dphi, differentiate, eval_term,
                               exp, fcpx, free_variables, gradient,
                               growth_exponent, log, mul, neg, parse_term, phi,
-                              postorder, ra, sub, substitute, to_text, var)
+                              postorder, ra, rebuild, sub, substitute, to_text,
+                              var)
 
 from conftest import CORPUS, PHI_CORPUS
 
@@ -413,3 +418,59 @@ def test_deep_chain_runs_through_every_analysis(abel, monkeypatch,
     rep = _census(sub(t, var(0)), abel, monkeypatch)
     assert rep.exact and rep.certified_count == 1
     assert rep.zeros[0][0] == pytest.approx(0.5671432904097838, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# hash-consing: equal terms are one object
+
+def test_equal_terms_are_one_node():
+    assert parse_term("x1*x1 + exp(x2)") is parse_term("x1*x1 + exp(x2)")
+    assert parse_term("x1*x1 + exp(x2)") is not parse_term("x1*x1 + exp(x1)")
+    assert const(-0.0) is const(0.0)
+    assert math.copysign(1.0, const(-0.0).value) == 1.0
+
+
+def test_the_constructor_returns_the_interned_node_unchanged():
+    x1, zero = var(0), const(0.0)
+    assert TermNode("add", (x1, zero)) is add(x1, zero)
+    assert TermNode("var", index=0) is x1
+    assert TermNode("const", value=-0.0) is zero
+    assert math.copysign(1.0, zero.value) == 1.0
+    with pytest.raises(AttributeError):
+        zero.value = 1.0
+    with pytest.raises(AttributeError):
+        add(x1, zero).children = ()
+    assert zero.value == 0.0 and add(x1, zero).children == (x1, zero)
+    t = parse_term("x1*x1 + exp(x2)")
+    assert copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
+
+
+def test_rebuild_with_identity_returns_its_roots():
+    roots = [parse_term("x1*x1 + exp(x2)"), _deep_chain(), var(3)]
+    assert all(a is b for a, b in zip(rebuild(roots, lambda n: n), roots))
+
+
+def test_the_table_keeps_no_dropped_term_alive():
+    t = _deep_chain()
+    refs = [weakref.ref(n) for n in postorder([t])]
+    size = len(terms._TABLE)
+    del t
+    # x1 and phi(x1) may live on in other terms; the 3 000 levels above
+    # phi(x1) were only this chain's
+    assert len(refs) == 3002 and all(r() is None for r in refs[2:])
+    assert len(terms._TABLE) <= size - 3000
+
+
+def test_a_deep_chain_is_released_without_recursion(monkeypatch):
+    # a fault inside a deallocation reaches sys.unraisablehook, not the
+    # caller
+    faults = []
+    monkeypatch.setattr(sys, "unraisablehook", faults.append)
+    size = len(terms._TABLE)
+    t = var(0)
+    for i in range(200_000):
+        t = exp(t) if i % 2 else neg(t)
+    top = weakref.ref(t)
+    del t
+    assert top() is None and not faults
+    assert len(terms._TABLE) <= size
