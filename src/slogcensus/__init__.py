@@ -20,9 +20,8 @@ from .errors import (BuildError, CertificationError, DifferentiationError,
                      DomainError, GrowthAnalysisError, PathError,
                      SlogcensusError, TermSyntaxError)
 from .gridoracle import (GridSpec, flood_components,
-                         flood_components_sublevel, grid_zero_cells,
-                         membership_mask, oracle_zero_count,
-                         resolution_stable_components)
+                         flood_components_sublevel, membership_mask,
+                         oracle_zero_count)
 from .intervals import (Box, Interval, KrawczykResult, interval_eval,
                         krawczyk_test, subdivide)
 from .morse import (AffineSubspace, ComponentReport, GammaReport,
@@ -56,12 +55,11 @@ __all__ = [
     "eval_term", "exp_n", "fcpx", "flood_components",
     "flood_components_sublevel", "formula_from_dict", "free_variables",
     "gamma_estimate", "get_default_abel", "gradient", "gradient_compiled",
-    "grid_zero_cells", "growth_exponent", "interval_eval",
+    "growth_exponent", "interval_eval",
     "is_regular_value", "krawczyk_test", "load_formula_file",
     "load_system_file", "log_n", "membership_mask", "milnor_tube",
     "normalize", "oracle_components", "oracle_zero_count", "parse_term",
-    "prove_empty", "reduce_phi_complexity",
-    "resolution_stable_components", "sample_generic_tilt",
+    "prove_empty", "reduce_phi_complexity", "sample_generic_tilt",
     "sample_regular_value", "schedule_for_ball", "search_radius",
     "subdivide", "substitute", "system_from_dict", "to_text", "track_path",
     "wilkie_reduce",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Optional, Sequence
 
@@ -619,31 +620,16 @@ def get_default_abel() -> AbelFunction:
     return _default_abel_cached()
 
 
+@dataclass(frozen=True)
 class DominationReport:
     """Result of a log_n-domination threshold scan."""
 
-    def __init__(self, n: int, x_lo: float, x_hi: float, samples: int,
-                 threshold: Optional[float]):
-        self.n = n
-        self.x_lo = x_lo
-        self.x_hi = x_hi
-        self.samples = samples
-        self.threshold = threshold
+    n: int
+    x_lo: float
+    x_hi: float
+    samples: int
+    threshold: Optional[float]
 
     @property
     def found(self) -> bool:
         return self.threshold is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "x_lo": self.x_lo,
-            "x_hi": self.x_hi,
-            "samples": self.samples,
-            "found": self.found,
-            "threshold": self.threshold,
-        }
-
-    def __repr__(self):  # pragma: no cover
-        state = f"threshold={self.threshold}" if self.found else "not found in range"
-        return f"DominationReport(n={self.n}, {state})"

@@ -65,19 +65,15 @@ class SystemParams:
             raise BuildError(f"expected {n + 1} l-entries and {n} eps-entries")
         return cls(l, eps, delta)
 
-    def to_dict(self) -> dict:
-        return {"l": list(self.l), "eps": list(self.eps), "delta": self.delta}
-
 
 class SquareSystem:
     """n equations in n unknowns with numeric parameters substituted."""
 
-    def __init__(self, equations: Sequence[TermNode], params: SystemParams,
-                 abel, sources: Sequence[str] | None = None,
+    def __init__(self, equations: Sequence[TermNode], abel,
+                 sources: Sequence[str] | None = None,
                  var_names: Sequence[str] | None = None):
         self.equations = tuple(equations)
         self.n = len(self.equations)
-        self.params = params
         self.abel = abel
         self.sources = tuple(sources) if sources is not None else None
         self.var_names = tuple(var_names) if var_names is not None else None
@@ -92,7 +88,7 @@ class SquareSystem:
         """System with target vector subtracted: equations - eta."""
         eqs = [add_all([eq, const(-float(e))]) if e != 0.0 else eq
                for eq, e in zip(self.equations, eta)]
-        return SquareSystem(eqs, self.params, self.abel)
+        return SquareSystem(eqs, self.abel)
 
     def tilted(self, matrix) -> "SquareSystem":
         """System composed with a linear map: equations evaluated at A x."""
@@ -109,7 +105,7 @@ class SquareSystem:
                 parts.append(var(j) if c == 1.0 else mul_all([const(c), var(j)]))
             mapping[i] = add_all(parts) if parts else const(0.0)
         eqs = [substitute(eq, mapping) for eq in self.equations]
-        return SquareSystem(eqs, self.params, self.abel)
+        return SquareSystem(eqs, self.abel)
 
     def __repr__(self):
         eqs = ", ".join(to_text(eq, self.var_names) for eq in self.equations)
@@ -156,7 +152,7 @@ def build_system(equations: Sequence, params=None, abel=None,
             sources.append(None)
             nodes.append(e)
     srcs = sources if all(s is not None for s in sources) else None
-    return SquareSystem(nodes, sp, abel, sources=srcs, var_names=var_names)
+    return SquareSystem(nodes, abel, sources=srcs, var_names=var_names)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +166,6 @@ class RadiusReport:
     cutoff: float = 0.0
     phi_count: int = 0
     dphi_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {"radius": self.radius, "heuristic": self.heuristic,
-                "growth_level": self.growth_level, "cutoff": self.cutoff,
-                "phi_count": self.phi_count, "dphi_count": self.dphi_count}
 
 
 def _chain_cutoff(k: int, s: int, abel) -> float:
@@ -558,7 +549,7 @@ def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:
         return ra(made[-1], arg)
 
     eqs = rebuild(system.equations, rewrite)
-    return SquareSystem(eqs, system.params, abel, var_names=system.var_names)
+    return SquareSystem(eqs, abel, var_names=system.var_names)
 
 
 # ---------------------------------------------------------------------------

@@ -105,16 +105,24 @@ class PointArith(FloatArith):
         return np.asarray(prim.derivative().fn(x), dtype=float)
 
 
+def _run_quiet(ct: CompiledTerms, inputs, arith, grad: bool = False):
+    # overflow to inf, the 0*inf corners and inf - inf are handled by the
+    # arithmetics themselves, so numpy's warnings about them carry nothing
+    with np.errstate(all="ignore"):
+        return run_tape(ct, inputs, arith, grad=grad)
+
+
 def eval_points(ct: CompiledTerms, coords: Sequence[np.ndarray]) -> list:
     """Values of every root at an array of points (one array per variable)."""
     check_arity(ct, len(coords), "point")
-    return run_tape(ct, coords, PointArith(coords[0]))
+    return _run_quiet(ct, coords, PointArith(coords[0]))
 
 
 def gradient_points(ct: CompiledTerms, coords: Sequence[np.ndarray]):
     """Forward-mode values and gradients at an array of points."""
     check_arity(ct, len(coords), "point")
-    return run_tape(ct, coords[:ct.n_vars], PointArith(coords[0]), grad=True)
+    return _run_quiet(ct, coords[:ct.n_vars], PointArith(coords[0]),
+                      grad=True)
 
 
 def _mul_corners(al, ah, bl, bh):
@@ -153,9 +161,9 @@ class CellArith:
 
     def sqr(self, x):
         al, ah = x
-        lo, hi = _mul_corners(al, ah, al, ah)
-        lo = np.where((al <= 0.0) & (ah >= 0.0), 0.0, np.maximum(lo, 0.0))
-        return _out(lo, hi)
+        a, b = al * al, ah * ah
+        lo = np.where((al <= 0.0) & (ah >= 0.0), 0.0, np.minimum(a, b))
+        return _out(lo, np.maximum(a, b))
 
     def neg(self, x):
         return -x[1], -x[0]
@@ -179,7 +187,7 @@ def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],
                his: Sequence[np.ndarray]) -> list:
     """Interval enclosures of every root over an array of cells."""
     check_arity(ct, min(len(los), len(his)), "cell")
-    return run_tape(ct, list(zip(los, his)), CellArith(los[0]))
+    return _run_quiet(ct, list(zip(los, his)), CellArith(los[0]))
 
 
 def _chunks(grid: GridSpec, *tables):
@@ -214,13 +222,6 @@ def zero_cell_mask(system, grid: GridSpec) -> np.ndarray:
             ok &= (lo <= 0.0) & (hi >= 0.0)
         flat[sl] = ok
     return flat.reshape(tuple(grid.resolution))
-
-
-def grid_zero_cells(system, grid: GridSpec) -> list:
-    """Index tuples of cells whose interval evaluation contains zero in
-    every equation."""
-    mask = zero_cell_mask(system, grid)
-    return [tuple(int(v) for v in idx) for idx in np.argwhere(mask)]
 
 
 def _label(mask: np.ndarray):
@@ -311,12 +312,3 @@ def flood_components_sublevel(term: TermNode, grid: GridSpec, abel) -> int:
     _, count = _label(mask)
     return int(count)
 
-
-def resolution_stable_components(dnf, box: Box, abel, resolutions=(512, 1024),
-                                 ball_radius: float | None = None):
-    """Counts at each resolution plus a stability flag (top two agree)."""
-    counts = []
-    for res in resolutions:
-        grid = GridSpec(box, tuple([res] * box.n))
-        counts.append(flood_components(dnf, grid, abel, ball_radius))
-    return counts, counts[-1] == counts[-2]

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .abel import get_default_abel
-from .census import (SquareSystem, SystemParams, count_nonsingular_zeros,
-                     read_file_fields)
+from .census import SquareSystem, count_nonsingular_zeros, read_file_fields
 from .errors import BuildError, CertificationError, DomainError
 from .gridoracle import GridSpec, flood_components, flood_components_sublevel
 from .intervals import Box, interval_eval_compiled, split_step
@@ -62,69 +61,45 @@ class QFFormula:
                 if rel not in ("=", ">"):
                     raise BuildError(f"non-normalized relation {rel!r}")
 
-    def atoms(self):
-        return [atom for conj in self.dnf for atom in conj]
+
+# Each relation of t to 0, stated once as the disjunction of {=, >} atoms
+# it means; True marks an atom over -t. A negated atom takes the
+# relation's complement.
+_MEANS = {
+    "=": (("=", False),),
+    ">": ((">", False),),
+    "<": ((">", True),),
+    ">=": ((">", False), ("=", False)),
+    "<=": ((">", True), ("=", False)),
+    "!=": ((">", False), (">", True)),
+}
+_COMPLEMENT = {"=": "!=", "!=": "=", ">": "<=", "<=": ">", "<": ">=",
+               ">=": "<"}
 
 
-def _neg_atom(term: TermNode, rel: str):
-    # returns a formula tree for the negation of one atom
-    if rel == "=":
-        return ("or", ("atom", term, ">"), ("atom", neg(term), ">"))
-    if rel == ">":
-        return ("or", ("atom", neg(term), ">"), ("atom", term, "="))
-    raise BuildError(f"negation of unexpanded relation {rel!r}")
-
-
-def _expand(node):
-    """Eliminate <, <=, >=, != and push negations to atoms."""
+def _dnf(node, negated: bool) -> list:
+    """DNF of a formula tree, or of its negation when ``negated``: a list
+    of conjunctions, each a list of (term, rel) atoms with rel in {=, >}.
+    Negation moves down by De Morgan and ends in a complement relation."""
     kind = node[0]
     if kind == "atom":
         _, term, rel = node
-        if rel in ("=", ">"):
-            return node
-        if rel == "<":
-            return ("atom", neg(term), ">")
-        if rel == "<=":
-            return ("or", ("atom", neg(term), ">"), ("atom", term, "="))
-        if rel == ">=":
-            return ("or", ("atom", term, ">"), ("atom", term, "="))
-        if rel == "!=":
-            return ("or", ("atom", term, ">"), ("atom", neg(term), ">"))
-        raise BuildError(f"unknown relation {rel!r}")
+        if not (isinstance(rel, str) and rel in _MEANS):
+            raise BuildError(f"unknown relation {rel!r}")
+        if negated:
+            rel = _COMPLEMENT[rel]
+        return [[(neg(term) if flip else term, r)] for r, flip in _MEANS[rel]]
     if kind == "not":
-        inner = node[1]
-        ik = inner[0]
-        if ik == "not":
-            return _expand(inner[1])
-        if ik == "and":
-            return _expand(("or",) + tuple(("not", c) for c in inner[1:]))
-        if ik == "or":
-            return _expand(("and",) + tuple(("not", c) for c in inner[1:]))
-        expanded = _expand(inner)
-        if expanded[0] == "atom":
-            return _expand(_neg_atom(expanded[1], expanded[2]))
-        return _expand(("not", expanded))
-    if kind in ("and", "or"):
-        return (kind,) + tuple(_expand(c) for c in node[1:])
-    raise BuildError(f"unknown formula node {kind!r}")
-
-
-def _dnf(node) -> list:
-    kind = node[0]
-    if kind == "atom":
-        return [[(node[1], node[2])]]
-    if kind == "or":
-        out = []
-        for c in node[1:]:
-            out.extend(_dnf(c))
-        return out
-    if kind == "and":
-        parts = [_dnf(c) for c in node[1:]]
-        out = [[]]
-        for p in parts:
-            out = [a + b for a in out for b in p]
-        return out
-    raise BuildError(f"unexpected node {kind!r} after expansion")
+        return _dnf(node[1], not negated)
+    if kind not in ("and", "or"):
+        raise BuildError(f"unknown formula node {kind!r}")
+    parts = [_dnf(c, negated) for c in node[1:]]
+    if (kind == "or") != negated:     # an or, or a negated and: a union
+        return [conj for p in parts for conj in p]
+    out = [[]]
+    for p in parts:
+        out = [a + b for a in out for b in p]
+    return out
 
 
 def normalize(formula, n: int) -> QFFormula:
@@ -136,9 +111,7 @@ def normalize(formula, n: int) -> QFFormula:
     """
     if isinstance(formula, QFFormula):
         return formula
-    expanded = _expand(formula)
-    dnf = _dnf(expanded)
-    return QFFormula(tuple(tuple(c) for c in dnf), n)
+    return QFFormula(tuple(tuple(c) for c in _dnf(formula, False)), n)
 
 
 def atom(term: TermNode, rel: str = "="):
@@ -185,10 +158,6 @@ class AffineSubspace:
     @classmethod
     def full(cls) -> "AffineSubspace":
         return cls(())
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
 
     def constraint_terms(self, n: int) -> list[TermNode]:
         out = []
@@ -248,7 +217,7 @@ def critical_system(f_l: TermNode, eps: float, delta: float, rotation,
         eqs.append(add_all([mul_all([const(2.0), g, dg]),
                             mul_all([const(2.0 * eps), var(i)])]))
     eqs.append(milnor_tube(g, eps, delta, nv))
-    return SquareSystem(eqs, SystemParams.zeros(nv), abel)
+    return SquareSystem(eqs, abel)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +248,6 @@ class MilnorSchedule:
     """Strictly decreasing (eps, delta) stages inside (0, 1)^2."""
 
     pairs: tuple
-    certified: bool = False
 
     def __post_init__(self):
         for e, d in self.pairs:
@@ -327,8 +295,6 @@ def certify_schedule(f_l: TermNode, schedule: MilnorSchedule, abel,
     """Check each delta^2 is a regular value, resampling delta within
     +/-10% (seeded, at most 8 tries) when a stage fails its
     certificate."""
-    if schedule.certified:
-        return schedule
     rng = np.random.default_rng(seed)
     out = []
     for eps, delta in schedule.pairs:
@@ -346,7 +312,7 @@ def certify_schedule(f_l: TermNode, schedule: MilnorSchedule, abel,
     ds = [p[1] for p in out]
     if any(b >= a for a, b in zip(ds, ds[1:])):
         raise CertificationError("resampled deltas lost monotonicity")
-    return MilnorSchedule(tuple(out), certified=True)
+    return MilnorSchedule(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +505,13 @@ def load_formula_file(path: str):
 
 def formula_from_dict(doc: dict):
     names, dnf_field, radius = read_file_fields(doc, "formula", "dnf")
-    dnf = []
-    for conj in dnf_field:
-        if not (isinstance(conj, list) and all(
-                isinstance(e, dict) and isinstance(e.get("term"), str)
-                for e in conj)):
-            raise BuildError("each dnf entry must be a list of atoms, "
-                             "objects with a term string")
-        dnf.append(tuple((parse_term(e["term"], names), e.get("rel", "="))
-                         for e in conj))
-    return QFFormula(tuple(dnf), len(names)), radius
+    if not all(isinstance(conj, list) and all(
+            isinstance(e, dict) and isinstance(e.get("term"), str)
+            for e in conj) for conj in dnf_field):
+        raise BuildError("each dnf entry must be a list of atoms, "
+                         "objects with a term string")
+    tree = ("or",) + tuple(
+        ("and",) + tuple(atom(parse_term(e["term"], names), e.get("rel", "="))
+                         for e in conj)
+        for conj in dnf_field)
+    return normalize(tree, len(names)), radius

@@ -2,9 +2,11 @@
 
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slogcensus import intervals
 from slogcensus.errors import BuildError, CertificationError, DomainError
@@ -60,6 +62,67 @@ def test_normalize_weak_inequality():
     f = normalize(atom(parse_term("x1"), "<="), 1)
     rels = sorted(rel for conj in f.dnf for _, rel in conj)
     assert rels == ["=", ">"]
+
+
+# each relation of t to 0 and the DNF of its negation, with the number of
+# strict atoms (witness variables) that DNF costs
+_NEGATIONS = [("=", [[("x1", ">")], [("-x1", ">")]], 2),
+              (">", [[("-x1", ">")], [("x1", "=")]], 1),
+              ("<", [[("x1", ">")], [("x1", "=")]], 1),
+              ("<=", [[("x1", ">")]], 1),
+              (">=", [[("-x1", ">")]], 1),
+              ("!=", [[("x1", "=")]], 0)]
+
+
+@pytest.mark.parametrize("rel, dnf, aux", _NEGATIONS)
+def test_normalize_negation_is_the_complement_relation(rel, dnf, aux):
+    f = normalize(("not", atom(parse_term("x1"), rel)), 1)
+    assert f.dnf == tuple(tuple((parse_term(t), r) for t, r in conj)
+                          for conj in dnf)
+    assert wilkie_reduce(f)[1] == aux
+
+
+_HOLDS = {"=": operator.eq, ">": operator.gt, "<": operator.lt,
+          "<=": operator.le, ">=": operator.ge, "!=": operator.ne}
+_TREE_TERMS = [parse_term(s) for s in ("x1", "x2", "x1 - x2", "x1*x1 - 1")]
+# every term above is zero somewhere on this grid, and exact on all of it
+_TREE_POINTS = [(a, b) for a in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+                for b in (-1.0, 0.0, 0.5, 1.0)]
+
+
+def _trees(depth):
+    atoms = st.builds(atom, st.sampled_from(_TREE_TERMS),
+                      st.sampled_from(sorted(_HOLDS)))
+    if depth == 0:
+        return atoms
+    inner = _trees(depth - 1)
+    return st.one_of(
+        atoms, st.tuples(st.just("not"), inner),
+        st.builds(lambda kind, children: (kind,) + tuple(children),
+                  st.sampled_from(("and", "or")),
+                  st.lists(inner, min_size=1, max_size=2)))
+
+
+def _holds(node, x):
+    kind = node[0]
+    if kind == "atom":
+        return _HOLDS[node[2]](eval_term(node[1], list(x)), 0.0)
+    if kind == "not":
+        return not _holds(node[1], x)
+    held = [_holds(c, x) for c in node[1:]]
+    return all(held) if kind == "and" else any(held)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(3))
+def test_normalize_keeps_the_set_of_every_tree(tree):
+    f = normalize(tree, 2)
+    terms = {t for conj in f.dnf for t, _ in conj}
+    for x in _TREE_POINTS:
+        at = {t: eval_term(t, list(x)) for t in terms}
+        in_dnf = any(all(_HOLDS[rel](at[t], 0.0) for t, rel in conj)
+                     for conj in f.dnf)
+        assert in_dnf == _holds(tree, x), x
 
 
 def test_normalize_distributes():
@@ -176,7 +239,6 @@ def test_prove_empty(abel):
 def test_default_schedule_halving():
     s = default_schedule()
     assert s.pairs == ((0.01, 0.1), (0.0025, 0.05), (0.000625, 0.025))
-    assert not s.certified
 
 
 def test_schedule_for_ball_couples_radius():
@@ -201,9 +263,19 @@ def test_schedule_invariants():
 def test_certify_schedule_circle(abel):
     f, _ = wilkie_reduce(_formula([(_CIRCLE, "=")]))
     out = certify_schedule(f, schedule_for_ball(2.0), abel, nvars=2)
-    assert out.certified
     assert len(out.pairs) == 3
-    assert certify_schedule(f, out, abel, nvars=2) is out
+    # re-certifying keeps the pairs
+    assert certify_schedule(f, out, abel, nvars=2).pairs == out.pairs
+
+
+def test_certify_schedule_checks_the_formula_it_is_given(abel):
+    # a schedule certified for x^2 - 0.5 is no certificate for x^2 - 0.95,
+    # whose critical value delta^2 = 0.95 the stage sits on
+    first = certify_schedule(parse_term("x1*x1 - 0.5"),
+                             MilnorSchedule(((0.5, 0.95),)), abel, nvars=1)
+    assert first.pairs == ((0.5, 0.95),)
+    again = certify_schedule(parse_term("x1*x1 - 0.95"), first, abel, nvars=1)
+    assert again.pairs == ((0.5, 0.9760227205910762),)
 
 
 def test_certify_schedule_counts_a_delta_outside_the_unit_interval_as_a_failed_try(abel):
@@ -305,6 +377,19 @@ def test_component_bound_strict_atom(abel):
     assert rep.component_bound >= rep.oracle_components
 
 
+@pytest.mark.parametrize("rel, same, critical, bound", [
+    ("!=", "=", 4, 2), ("<=", ">", 12, 6)])
+def test_component_bound_of_a_negated_relation(abel, rel, same, critical,
+                                               bound):
+    # not(t != 0) is t = 0 and not(t <= 0) is t > 0, atom for atom
+    t = parse_term("x1*x1 - 1")
+    reps = [component_bound(tree, AffineSubspace.full(), 2.0, abel=abel, n=1)
+            for tree in (("not", atom(t, rel)), atom(t, same))]
+    assert reps[0].to_dict() == reps[1].to_dict()
+    assert (reps[0].critical_count, reps[0].component_bound,
+            reps[0].oracle_components) == (critical, bound, 2)
+
+
 def test_oracle_components_affine_slice(abel):
     f = _formula([(_CIRCLE, "=")])
     full = oracle_components(f, AffineSubspace.full(), 2.0, abel)
@@ -361,10 +446,20 @@ def test_formula_from_dict_named_vars():
     assert f.n == 2
 
 
+def test_formula_from_dict_takes_every_relation_of_the_tree_api():
+    doc = {"vars": 2, "dnf": [[{"term": "x1", "rel": "<="},
+                               {"term": "x2", "rel": "!="}]]}
+    f, _ = formula_from_dict(doc)
+    x1, x2 = parse_term("x1"), parse_term("x2")
+    assert f == normalize(("and", atom(x1, "<="), atom(x2, "!=")), 2)
+    assert len(f.dnf) == 4
+
+
 def test_formula_from_dict_rejects_bad_relation():
-    doc = {"vars": 1, "dnf": [[{"term": "x1", "rel": "~"}]]}
-    with pytest.raises(BuildError):
-        formula_from_dict(doc)
+    for rel in ("~", 5):
+        doc = {"vars": 1, "dnf": [[{"term": "x1", "rel": rel}]]}
+        with pytest.raises(BuildError):
+            formula_from_dict(doc)
 
 
 def test_formula_from_dict_rejects_malformed_documents():

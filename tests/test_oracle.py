@@ -1,18 +1,19 @@
 """Grid oracle: vectorised evaluation, zero cells, component counting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from slogcensus.census import build_system
 from slogcensus.errors import DomainError
-from slogcensus.gridoracle import (GridSpec, eval_points, flood_components,
-                                   flood_components_sublevel, grid_zero_cells,
+from slogcensus.gridoracle import (GridSpec, eval_cells, eval_points,
+                                   flood_components,
+                                   flood_components_sublevel,
                                    membership_mask, oracle_zero_count,
-                                   resolution_stable_components,
                                    zero_cell_mask)
-from slogcensus.intervals import Box
+from slogcensus.intervals import Box, interval_eval_compiled
 from slogcensus.terms import compile_terms, eval_term, parse_term
 
 
@@ -47,6 +48,21 @@ def test_eval_points_matches_scalar(abel):
         assert vals[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("text, bounds", [
+    # a 0 * inf corner, and exp overflowing on both sides of a difference
+    ("x1*exp(x2)", [(0.0, 1.0), (709.0, 710.0)]),
+    ("exp(x1) - exp(x2)", [(709.0, 710.0), (709.0, 710.0)])])
+def test_cells_near_overflow_equal_their_boxes_without_warning(abel, text,
+                                                               bounds):
+    ct = compile_terms([parse_term(text)], abel)
+    (box,) = interval_eval_compiled(ct, Box.from_bounds(bounds))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((lo, hi),) = eval_cells(ct, [np.array([b[0]]) for b in bounds],
+                                 [np.array([b[1]]) for b in bounds])
+    assert (lo[0], hi[0]) == (box.lo, box.hi)
+
+
 # ---------------------------------------------------------------------------
 # zero cells and zero counting
 
@@ -56,7 +72,7 @@ def test_zero_cells_cover_known_zeros(abel):
     mask = zero_cell_mask(sys_, grid)
     assert mask.any()
     s = math.sqrt(0.5)
-    cells = grid_zero_cells(sys_, grid)
+    cells = np.argwhere(mask)
     edges = [grid.edges(axis) for axis in (0, 1)]
 
     def covered(point):
@@ -141,14 +157,6 @@ def test_sublevel_components(abel):
     t2 = parse_term("(x1*x1 - 1)*(x1*x1 - 4)")  # two bands, 1<=|x|<=2
     n = flood_components_sublevel(t2, GridSpec.square(3.0, 1, 2048), abel)
     assert n == 2
-
-
-def test_resolution_stability(abel):
-    dnf = _dnf([("x1*x1 + x2*x2 - 1", "=")])
-    counts, stable = resolution_stable_components(
-        dnf, Box.cube(2.0, 2), abel, resolutions=(256, 512))
-    assert counts == [1, 1]
-    assert stable
 
 
 def test_phi_membership(abel):
