@@ -354,6 +354,13 @@ class _TapeWriter:
     helpers. exp, log and ra of inputs, and every derivative factor, are
     lines that call the IntervalArith ``A``, with its domain checks and
     messages.
+
+    Every operation is value-numbered: keyed by its method and the names of
+    its operands (a constant Interval's names are keyed by the float.hex of
+    its ends, so 0.0 and -0.0 stay apart), an operation already written or
+    stepped returns its earlier result. add and mul are keyed without
+    order: IEEE + and * commute, and imul(x, y) equals imul(y, x) bit for
+    bit.
     """
 
     def __init__(self, n_slots: int = 0):
@@ -368,6 +375,22 @@ class _TapeWriter:
         # whole (an Interval or a primitive), in the order of P
         self.exports: dict = {}
         self.points: set = set()    # constant slots and their negations
+        self.numbered: dict = {}    # operation key -> its result
+        self.consts: dict = {}      # float.hex key -> bound name
+
+    def _key(self, x):
+        # an operand as a key: constants by the bits of their ends
+        if type(x) is _Param:
+            return "P", int(x)
+        if isinstance(x, Interval):
+            return "I", x[0].hex(), x[1].hex()
+        return x
+
+    def _numbered(self, key, write):
+        got = self.numbered.get(key)
+        if got is None:
+            got = self.numbered[key] = write()
+        return got
 
     def const(self, v):
         # a slot of the shape, or a seed gradient
@@ -378,8 +401,11 @@ class _TapeWriter:
         return p
 
     def _step(self, method: str, *args) -> _Param:
-        self.steps.append((method, args))
-        return _Param(self.n_slots + len(self.steps) - 1)
+        def write():
+            self.steps.append((method, args))
+            return _Param(self.n_slots + len(self.steps) - 1)
+        return self._numbered(
+            ("step", method) + tuple(map(self._key, args)), write)
 
     def _fold(self, method: str, helper, *args):
         # every operand is input-free
@@ -398,10 +424,19 @@ class _TapeWriter:
         self.ns[name] = value
         return name
 
+    def _const(self, key, value) -> str:
+        got = self.consts.get(key)
+        if got is None:
+            got = self.consts[key] = self.bind(value)
+        return got
+
     def names(self, x):
         if type(x) is _Param:
             return self._export(x, False)
-        return (self.bind(x[0]), self.bind(x[1])) if isinstance(x, Interval) else x
+        if isinstance(x, Interval):
+            return (self._const(x[0].hex(), x[0]),
+                    self._const(x[1].hex(), x[1]))
+        return x
 
     def out(self):
         n = len(self.lines)
@@ -412,7 +447,9 @@ class _TapeWriter:
         # prologue value or primitive is read from P
         if type(x) is tuple:
             return f"tn(IV, ({x[0]}, {x[1]}))"
-        return self._export(x, True) if type(x) is _Param else self.bind(x)
+        if type(x) is _Param:
+            return self._export(x, True)
+        return self._const(self._key(x), x)
 
     def function(self, params: str, result: str):
         unpack = [n for names in self.exports.values()
@@ -426,7 +463,12 @@ class _TapeWriter:
     def add(self, x, y):
         if type(x) is not tuple and type(y) is not tuple:
             return self._fold("add", iadd, x, y)
-        (xl, xh), (yl, yh) = self.names(x), self.names(y)
+        x, y = self.names(x), self.names(y)
+        return self._numbered(("add",) + tuple(sorted((x, y))),
+                              lambda: self._add(x, y))
+
+    def _add(self, x, y):
+        (xl, xh), (yl, yh) = x, y
         lo, hi = self.out()
         # a NaN end is -inf + inf, widened to that side's infinity
         self.lines.append(f"{lo} = nx(t, ninf) if (t := {xl} + {yl}) == t else ninf; "
@@ -434,7 +476,11 @@ class _TapeWriter:
         return lo, hi
 
     def sub(self, x, y):
-        (xl, xh), (yl, yh) = self.names(x), self.names(y)
+        x, y = self.names(x), self.names(y)
+        return self._numbered(("sub", x, y), lambda: self._sub(x, y))
+
+    def _sub(self, x, y):
+        (xl, xh), (yl, yh) = x, y
         lo, hi = self.out()
         self.lines.append(f"{lo} = nx(t, ninf) if (t := {xl} - {yh}) == t else ninf; "
                           f"{hi} = nx(t, inf) if (t := {xh} - {yl}) == t else inf")
@@ -446,6 +492,9 @@ class _TapeWriter:
             if x in self.points:
                 self.points.add(p)
             return p
+        return self._numbered(("neg", x), lambda: self._neg(x))
+
+    def _neg(self, x):
         lo, hi = self.out()
         self.lines.append(f"{lo} = -{x[1]}; {hi} = -{x[0]}")
         return lo, hi
@@ -453,11 +502,16 @@ class _TapeWriter:
     def sqr(self, x):
         if type(x) is not tuple:
             return self._fold("sqr", isqr, x)
+        return self._numbered(("sqr", x), lambda: self._sqr(x))
+
+    def _sqr(self, x):
         xl, xh = x
         lo, hi = self.out()
+        # comparisons in place of max and min, which they equal bit for bit
         self.lines.append(
-            f"m0 = {xl} * {xl}; m1 = {xh} * {xh}; {hi} = nx(max(m0, m1), inf); "
-            f"{lo} = 0.0 if {xl} <= 0.0 <= {xh} else nx(min(m0, m1), ninf)")
+            f"m0 = {xl} * {xl}; m1 = {xh} * {xh}; "
+            f"{hi} = nx(m1 if m1 > m0 else m0, inf); "
+            f"{lo} = 0.0 if {xl} <= 0.0 <= {xh} else nx(m1 if m1 < m0 else m0, ninf)")
         return lo, hi
 
     def mul(self, x, y):
@@ -467,6 +521,10 @@ class _TapeWriter:
             if type(y) is not tuple:
                 return self._fold("mul", imul, x, y)
             x, y = y, x     # imul(x, y) and imul(y, x) agree to the bit
+        return self._numbered(("mul",) + tuple(sorted((x, self.names(y)))),
+                              lambda: self._mul(x, y))
+
+    def _mul(self, x, y):
         lo, hi = self.out()
         xl, xh = x
         yl, yh = self.names(y)
@@ -474,25 +532,41 @@ class _TapeWriter:
         # are the extreme corners, in order when c > 0
         two = (f"{lo} = nx({xl} * {yl}, ninf); {hi} = nx({xh} * {yl}, inf)",
                f"{lo} = nx({xh} * {yl}, ninf); {hi} = nx({xl} * {yl}, inf)")
-        four = [
-            f"m0 = {xl} * {yl}; m1 = {xl} * {yh}; m2 = {xh} * {yl}; m3 = {xh} * {yh}",
-            "if (t := m0 + m1 + m2 + m3) != t: "
-            "m0 = pin(m0); m1 = pin(m1); m2 = pin(m2); m3 = pin(m3)",
-            f"{lo} = nx(min(m0, m1, m2, m3), ninf); {hi} = nx(max(m0, m1, m2, m3), inf)"]
-        if type(y) is _Param and y in self.points:
-            # a point whose value is not known here: its sign picks the
-            # corners when the code runs, and 0 or inf takes imul itself
-            self.lines += [f"if 0.0 < {yl} < inf: {two[0]}",
-                           f"elif ninf < {yl} < 0.0: {two[1]}",
-                           f"else: {lo}, {hi} = imul(({xl}, {xh}), ({yl}, {yh}))"]
-        elif isinstance(y, Interval) and y[0] == y[1] and 0.0 < abs(y[0]) < _INF:
-            self.lines.append(two[y[0] < 0.0])
+        # finite ends of one sign: no 0 * inf, and the signs of x's ends
+        # pick the two extreme corners when the code runs
+        signed = (f"{lo} = nx({xl} * {yl} if {xl} >= 0.0 else {xl} * {yh}, ninf); "
+                  f"{hi} = nx({xh} * {yh} if {xh} >= 0.0 else {xh} * {yl}, inf)",
+                  f"{lo} = nx({xh} * {yl} if {xh} >= 0.0 else {xh} * {yh}, ninf); "
+                  f"{hi} = nx({xl} * {yh} if {xl} >= 0.0 else {xl} * {yl}, inf)")
+        rest = f"else: {lo}, {hi} = imul(({xl}, {xh}), ({yl}, {yh}))"
+        if type(y) is _Param:
+            # a value not known here: its signs pick the corners when the
+            # code runs, and an end at 0 or inf takes imul itself
+            pick = two if y in self.points else signed
+            self.lines += [f"if 0.0 < {yl} and {yh} < inf: {pick[0]}",
+                           f"elif ninf < {yl} and {yh} < 0.0: {pick[1]}", rest]
+        elif type(y) is not tuple and (0.0 < y[0] and y[1] < _INF
+                                       or _NINF < y[0] and y[1] < 0.0):
+            self.lines.append((two if y[0] == y[1] else signed)[y[0] < 0.0])
         else:
-            self.lines += four
+            # comparisons in place of min and max, which they equal bit for
+            # bit (the first of equal corners wins either way)
+            self.lines += [
+                f"m0 = {xl} * {yl}; m1 = {xl} * {yh}; m2 = {xh} * {yl}; m3 = {xh} * {yh}",
+                "if (t := m0 + m1 + m2 + m3) != t: "
+                "m0 = pin(m0); m1 = pin(m1); m2 = pin(m2); m3 = pin(m3)",
+                "a = m1 if m1 < m0 else m0; a = m2 if m2 < a else a; "
+                f"a = m3 if m3 < a else a; {lo} = nx(a, ninf)",
+                "a = m1 if m1 > m0 else m0; a = m2 if m2 > a else a; "
+                f"a = m3 if m3 > a else a; {hi} = nx(a, inf)"]
         return lo, hi
 
     def scale(self, x, c: str):
         """iscale(x, c) for the float local c."""
+        x = self.names(x)
+        return self._numbered(("scale", x, c), lambda: self._scale(x, c))
+
+    def _scale(self, x, c):
         xl, xh = x
         lo, hi = self.out()
         self.lines += [
@@ -503,9 +577,13 @@ class _TapeWriter:
         return lo, hi
 
     def _call(self, method: str, *args):
-        lo, hi = self.out()
-        self.lines.append(f"{lo}, {hi} = A.{method}({', '.join(map(self.interval, args))})")
-        return lo, hi
+        args = ", ".join(map(self.interval, args))
+
+        def write():
+            lo, hi = self.out()
+            self.lines.append(f"{lo}, {hi} = A.{method}({args})")
+            return lo, hi
+        return self._numbered(("call", method, args), write)
 
     def _value(self, method: str, *args):
         # an input-free value is a prologue step; a derivative factor is

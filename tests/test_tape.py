@@ -25,7 +25,8 @@ from slogcensus.intervals import (HOT_CALLS, Box, Interval, IntervalArith,
                                   interval_eval, interval_eval_compiled,
                                   interval_jacobian_compiled, iscale, isub,
                                   krawczyk_test)
-from slogcensus.morse import prove_empty
+from slogcensus.morse import (_haar_rotation, critical_system, prove_empty,
+                              schedule_for_ball)
 from slogcensus.terms import (RA, CompiledTerms, RAPrimitive,
                               abel_primitives, add, add_all, compile_terms,
                               const, default_catalog, eval_compiled,
@@ -190,6 +191,8 @@ def _generated_tapes(abel):
         "log(x1) + log(2.0) - sin(x2)*atan(x1)",
         "exp(x1 - x2)*x1*x1 + dphi(x2)*phi(x1)",
         "d3atan(x1) + x2",      # a primitive without derivative
+        # folded gradients [2-, 2+] and [-2-, -2+], finite and of one sign
+        "(x1 + x1)*x2 + x1*(x1 - x2 - x2)",
     ]
     extra = [compile_terms([parse_term(s, catalog=cat)]) for s in sources]
     # a signed zero from the prologue (a -0.0 constant is 0.0), a
@@ -350,6 +353,82 @@ def test_generated_code_is_freed_when_its_shape_is_evicted(fresh_shapes):
         interval_eval_compiled(compile_terms([var(k)]), Box.cube(1.0, k + 1))
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+# constants of one sign with finite ends, which multiply by two corners
+_ONE_SIGN = [(1.9999999999999978, 2.000000000000002),
+             (-0.7486060729621854, -0.7486060729621847), (0.5, 1.0),
+             (-1.0, -0.5), (5e-324, 5e-324), (5e-324, _MAX), (1.0, _MAX),
+             (-_MAX, -5e-324), (_MAX, _MAX), (-_MAX, -_MAX)]
+
+
+def _product_code(y):
+    """imul(x, y) as generated code, a function of (xl, xh, P): y is a
+    folded constant Interval, "slot" (any interval, read from P) or
+    "point" (a constant slot, a point read from P)."""
+    w = intervals._TapeWriter(1)
+    if y == "slot":
+        y = intervals._Param(0)
+    elif y == "point":
+        y = w.const(intervals._Param(0))
+    fn = w.function("xl0, xh0, P", w.interval(w.mul(("xl0", "xh0"), y)))
+    return fn, w
+
+
+@pytest.mark.parametrize("kind", ["constant", "slot", "point"])
+def test_products_by_a_constant_keep_every_bit_of_imul(kind):
+    xs = [Interval(*p) for p in _SPECIAL_IV + _PARTNERS]
+    if kind == "constant":
+        ys = [Interval(*p) for p in _ONE_SIGN]
+        codes = [(_product_code(y)[0], []) for y in ys]
+    else:
+        # every special interval, or every special point, as the slot: a
+        # sign change or an end at 0 or inf takes imul itself
+        fn, w = _product_code(kind)
+        ys = [Interval(*p) for p in _SPECIAL_IV + _PARTNERS + _ONE_SIGN
+              if kind == "slot" or p[0] == p[1]]
+        codes = [(fn, intervals._prologue(
+            w.steps, list(w.exports), [y if kind == "slot" else y[0]],
+            IntervalArith)) for y in ys]
+    for y, (fn, P) in zip(ys, codes):
+        for x in xs:
+            assert _bits(fn(x[0], x[1], P)) == _bits(imul(x, y)), (x, y)
+
+
+def test_no_operation_of_the_circle_jacobian_pass_is_written_twice(
+        abel, monkeypatch):
+    """Each operation of the Jacobian pass of the circle's last-stage
+    critical system is one group of lines; no two groups compute the same
+    thing (the same text over the same operand names, in any order)."""
+    eps, delta = schedule_for_ball(2.0).pairs[-1]
+    q = _haar_rotation(2, np.random.default_rng(0))
+    system = critical_system(parse_term("x1*x1 + x2*x2 - 1"), eps, delta, q,
+                             abel)
+    starts = []
+
+    class Recording(intervals._TapeWriter):
+        def out(self):
+            starts.append(len(self.lines))
+            return super().out()
+
+        def function(self, params, result):
+            self.groups = [self.lines[a:b] for a, b in
+                           zip(starts, starts[1:] + [len(self.lines)])]
+            return super().function(params, result)
+
+    made = []
+    monkeypatch.setattr(intervals, "_TapeWriter",
+                        lambda n: made.append(Recording(n)) or made[-1])
+    intervals._generate(intervals._instance(system.compiled)[0], 2, True)
+    name = re.compile(r"\b(?:lo|hi|pl|ph|pw|xl|xh|k)\d+\b")
+    seen = {}
+    for start, group in zip(starts, made[0].groups):
+        text = " ".join(line for line in group if "pretest" not in line)
+        text = re.sub(rf"\b(?:lo|hi){start}\b", "OUT", text)
+        key = (name.sub("N", text), frozenset(name.findall(text)))
+        assert key not in seen, (seen[key], group)
+        seen[key] = group
+    assert len(seen) > 60
 
 
 # slot values for tapes of one shape: zero (a -0.0 constant is 0.0; the

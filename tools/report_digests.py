@@ -8,6 +8,14 @@ sort_keys=True)`` (with the radius report's fields beside the growth
 census), oracle counts, and each CLI command's (exit code, stdout,
 ``--out`` bytes).
 
+Beside each census and morse digest it prints the counts that a change of
+report bytes must not move: ``certified_count``, ``exact``, the number of
+unknown boxes, ``critical_count``, ``component_bound`` and
+``stage_counts``, and for a gamma trial its ``bound`` and ``components``.
+So where a change moves digests on purpose (a new rounding of the
+polished zeros, say), a diff of this script's output shows whether any
+count moved with them.
+
     python3 tools/report_digests.py [--seed N]
 """
 
@@ -37,6 +45,33 @@ def _report(out):
     return dataclasses.asdict(out)
 
 
+# the fields of a report that are counts, in the order they are printed;
+# unknown_boxes is printed as its length
+_COUNTS = ("certified_count", "exact", "unknown_boxes", "critical_count",
+           "component_bound", "stage_counts", "estimate", "bound",
+           "components")
+
+
+def _counts(report, path: str = "") -> list[str]:
+    """path=value for every count field of a report, depth first; a field
+    of a nested report is prefixed with the keys that lead to it."""
+    if isinstance(report, list):
+        return [c for part in report for c in _counts(part, path)]
+    if not isinstance(report, dict):
+        return []
+    out = []
+    for key in _COUNTS:
+        if key in report:
+            value = report[key]
+            if key == "unknown_boxes":
+                key, value = "unknown", len(value)
+            out.append(f"{path}{key}={json.dumps(value)}")
+    for key in sorted(report):
+        if key not in _COUNTS:
+            out += _counts(report[key], f"{path}{key}.")
+    return out
+
+
 def _bytes(workload: str, out) -> bytes:
     if workload == "oracle":
         count = out[0] if isinstance(out, tuple) else out
@@ -59,8 +94,11 @@ def main(argv=None) -> int:
                "env": env}
         for workload, build in workloads.WORKLOADS.items():
             for op in build(abel, ctx):
-                digest = hashlib.sha256(_bytes(workload, op.run()))
-                print(f"{digest.hexdigest()}  {op.name}", flush=True)
+                out = op.run()
+                digest = hashlib.sha256(_bytes(workload, out)).hexdigest()
+                counts = ("  " + " ".join(_counts(_report(out)))
+                          if workload in ("census", "morse") else "")
+                print(f"{digest}  {op.name}{counts}", flush=True)
     return 0
 
 
