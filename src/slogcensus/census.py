@@ -19,8 +19,8 @@ import numpy as np
 
 from .abel import exp_n, get_default_abel
 from .errors import BuildError, CertificationError, DomainError, PathError
-from .intervals import (Box, Interval, interval_eval_compiled, krawczyk_test,
-                        split_step)
+from .intervals import (Box, Interval, float_inverse, interval_eval_compiled,
+                        krawczyk_test, split_step)
 from .terms import (RAPrimitive, TermNode, abel_primitives, add_all,
                     collect_phi_monomials, compile_terms, const,
                     derivative_chain, gradient_compiled, growth_exponent,
@@ -247,26 +247,29 @@ def _inflate(box: Box, outer: Box) -> Box:
 
 def _polish(system: SquareSystem, enclosure: Box) -> list[float]:
     # Newton from the midpoint, kept inside the certified enclosure; it
-    # stops at the last finite point when a value or a step is not finite
-    lo, hi = np.array(enclosure.bounds()).T
-    x = np.array(enclosure.midpoint(), dtype=float)
+    # stops at the last finite point when a value, the Jacobian's inverse
+    # or a step is not finite. The inverse is the preconditioner's float
+    # Gauss-Jordan, and each step a sum in a fixed order, so the polished
+    # zeros depend on no linear-algebra library
+    bounds = enclosure.bounds()
+    x = enclosure.midpoint()
     for _ in range(20):
         vals, grads = gradient_compiled(system.compiled, x)
-        j = np.array(grads, dtype=float)
-        f = np.array(vals, dtype=float)
-        if not (np.isfinite(j).all() and np.isfinite(f).all()):
+        inverse = float_inverse(grads)
+        if inverse is None or not all(map(math.isfinite, vals)):
             break
-        try:
-            step = np.linalg.solve(j, f)
-        except np.linalg.LinAlgError:
+        step = []
+        for row in inverse:
+            s = 0.0
+            for c, f in zip(row, vals):
+                s += c * f
+            step.append(s)
+        if not all(map(math.isfinite, step)):
             break
-        if not np.isfinite(step).all():
+        x = [min(max(v - s, lo), hi) for v, s, (lo, hi) in zip(x, step, bounds)]
+        if max(map(abs, step)) < 1e-14 * (1.0 + max(map(abs, x))):
             break
-        with np.errstate(over="ignore"):    # clipped back into the box
-            x = np.clip(x - step, lo, hi)
-        if float(np.max(np.abs(step))) < 1e-14 * (1.0 + float(np.max(np.abs(x)))):
-            break
-    return [float(v) for v in x]
+    return x
 
 
 def _count_over_box(system: SquareSystem, root: Box, max_depth: int,

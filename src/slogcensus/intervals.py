@@ -20,11 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import Sequence
-
-import numpy as np
 
 from .abel import exp_sat
 from .errors import DomainError
@@ -43,6 +40,18 @@ def _dn(x: float) -> float:
 
 def _up(x: float) -> float:
     return math.nextafter(x, _INF)
+
+
+def _mid(lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi]: 0 or the finite end clamped to 0 where an
+    end is infinite, and never an overflow."""
+    if lo == -_INF or hi == _INF:
+        return 0.0 if lo == -_INF and hi == _INF else (
+            min(hi, 0.0) if lo == -_INF else max(lo, 0.0))
+    m = 0.5 * (lo + hi)
+    if m == _INF or m == _NINF:     # lo + hi overflowed
+        m = 0.5 * lo + 0.5 * hi
+    return m
 
 
 class Interval(tuple):
@@ -73,14 +82,7 @@ class Interval(tuple):
 
     @property
     def mid(self) -> float:
-        lo, hi = self
-        if lo == -_INF or hi == _INF:
-            return 0.0 if lo == -_INF and hi == _INF else (
-                min(hi, 0.0) if lo == -_INF else max(lo, 0.0))
-        m = 0.5 * (lo + hi)
-        if m == _INF or m == _NINF:     # lo + hi overflowed
-            m = 0.5 * lo + 0.5 * hi
-        return m
+        return _mid(self[0], self[1])
 
     @property
     def width(self) -> float:
@@ -296,21 +298,26 @@ class IntervalArith:
 # by a slot, with its roots and its number of variables; the slot values
 # are the tape's own. Tapes that differ only in their constants, such as
 # the critical systems of one formula under different rotations, share a
-# shape. An interval pass of a shape (its values, or its Jacobian over n
-# inputs with the values and the range pretest before it) runs through
-# run_tape for its first HOT_CALLS calls, counted over every tape of the
-# shape, then through Python generated once for the shape.
-# On a 2-core 2.0 GHz Xeon VM, generating costs 50 to 55 us a line. On the
-# Jacobian pass of the circle's last-stage critical system (40 slots, 122
-# lines) that is 6.0 to 6.6 ms, the time the generated code saves in about
-# 27 to 37 calls (195-250 -> 26-28 us each, the cold path walking the
-# values once and reusing them for the gradients); its value pass (54
-# lines) costs 2.8 to 3.0 ms, about 70 calls' saving (50-54 -> 10.5-11
-# us). Each tape of the shape also runs a prologue once per pass, 16 us
-# (values) or 81 to 92 us (Jacobian). A pass is generated once its shape
-# has run it that many times, so a shape evaluated only a few times in
-# all never pays for generation, and one evaluated often pays at most
-# about twice (Jacobian) to three times (values) the least it could.
+# shape. An interval pass of a shape over n inputs (its values, its
+# Jacobian, or the whole Krawczyk test) runs through run_tape for its first
+# HOT_CALLS calls, counted over every tape of the shape, then through
+# Python generated once for the shape.
+# On a 2-core 2.0 GHz Xeon VM, generating costs 30 to 70 us a line, nearly
+# all of it in compile(); the memo of repeated operations costs little.
+# For the circle's last-stage critical system (40 slots) the Krawczyk
+# function has 250 lines and takes 7.6 to 17 ms, about 80 to 170 calls'
+# saving (103-116 -> 12-14 us a call over the boxes of its census, half of
+# which the range pretest decides); its value pass (48 lines) takes 1.3 to
+# 1.9 ms, about 60 calls' saving (26-35 -> 4.3-4.6 us), and its Jacobian
+# pass (119 lines) 3.3 to 5.1 ms, about 30 calls' saving (131-144 ->
+# 11-13 us). Each tape of the shape also runs a prologue once per pass,
+# 7 to 12 us (values) or 33 to 57 us (Jacobian, Krawczyk). A pass is
+# generated once its shape has run it that many times, so a shape
+# evaluated only a few times in all never pays for generation. One run
+# just past HOT_CALLS times pays up to about twice (Jacobian), three times
+# (values) or six times (Krawczyk) the least it could, and one run
+# hundreds of times, as the morse workload's critical systems are, close
+# to the least.
 HOT_CALLS = 32
 # Shapes whose call counts and generated code outlive their tapes; a shape
 # that this many others have been looked up after is dropped. One pass of
@@ -368,7 +375,9 @@ class _TapeWriter:
         # constants are bound here, never formatted into the source, so
         # inf, -0.0 and subnormals keep their bits
         self.ns = {"nx": _nextafter, "inf": _INF, "ninf": _NINF,
-                   "tn": _tuple_new, "IV": Interval, "pin": _pin, "imul": imul}
+                   "tn": _tuple_new, "IV": Interval, "pin": _pin, "imul": imul,
+                   "mid": _mid, "KR": KrawczykResult, "BOX": Box,
+                   "NOZERO": _NOZERO, "UNKNOWN": _UNKNOWN}
         self.n_slots = n_slots
         self.steps: list = []       # (IntervalArith method, arguments)
         # (_Param, whole) -> the local names of its two ends, or of it
@@ -451,14 +460,28 @@ class _TapeWriter:
             return self._export(x, True)
         return self._const(self._key(x), x)
 
-    def function(self, params: str, result: str):
+    def function(self, params: str, result: str | None = None):
+        """The lines as a function of params that returns result, or that
+        ends in the lines' own returns."""
         unpack = [n for names in self.exports.values()
                   for n in ((names,) if isinstance(names, str) else names)]
         lines = ([", ".join(unpack) + ", = P"] if unpack else []) + self.lines
+        if result is not None:
+            lines.append(f"return {result}")
         src = "".join(f"    {line}\n" for line in lines)
-        exec(compile(f"def code({params}):\n{src}    return {result}\n",
-                     "<interval code>", "exec"), self.ns)
+        exec(compile(f"def code({params}):\n{src}", "<interval code>", "exec"),
+             self.ns)
         return self.ns.pop("code")
+
+    def mid(self, name: str, x) -> None:
+        """A line that sets the float local name to Interval.mid of x."""
+        if isinstance(x, Interval):
+            self.lines.append(f"{name} = {self._const(x.mid.hex(), x.mid)}")
+            return
+        lo, hi = self.names(x)
+        # the common case inline, the rest as Interval.mid
+        self.lines.append(f"{name} = t if ninf < {lo} and {hi} < inf and "
+                          f"ninf < (t := 0.5 * ({lo} + {hi})) < inf else mid({lo}, {hi})")
 
     def add(self, x, y):
         if type(x) is not tuple and type(y) is not tuple:
@@ -470,9 +493,13 @@ class _TapeWriter:
     def _add(self, x, y):
         (xl, xh), (yl, yh) = x, y
         lo, hi = self.out()
-        # a NaN end is -inf + inf, widened to that side's infinity
-        self.lines.append(f"{lo} = nx(t, ninf) if (t := {xl} + {yl}) == t else ninf; "
-                          f"{hi} = nx(t, inf) if (t := {xh} + {yh}) == t else inf")
+        # a NaN end is -inf + inf, widened to that side's infinity; a sum of
+        # points (a pair of one name, as at the midpoint) is one sum
+        self.lines.append(
+            f"t = {xl} + {yl}; {lo} = nx(t, ninf) if t == t else ninf; "
+            f"{hi} = nx(t, inf) if t == t else inf" if xl == xh and yl == yh else
+            f"{lo} = nx(t, ninf) if (t := {xl} + {yl}) == t else ninf; "
+            f"{hi} = nx(t, inf) if (t := {xh} + {yh}) == t else inf")
         return lo, hi
 
     def sub(self, x, y):
@@ -482,8 +509,11 @@ class _TapeWriter:
     def _sub(self, x, y):
         (xl, xh), (yl, yh) = x, y
         lo, hi = self.out()
-        self.lines.append(f"{lo} = nx(t, ninf) if (t := {xl} - {yh}) == t else ninf; "
-                          f"{hi} = nx(t, inf) if (t := {xh} - {yl}) == t else inf")
+        self.lines.append(
+            f"t = {xl} - {yl}; {lo} = nx(t, ninf) if t == t else ninf; "
+            f"{hi} = nx(t, inf) if t == t else inf" if xl == xh and yl == yh else
+            f"{lo} = nx(t, ninf) if (t := {xl} - {yh}) == t else ninf; "
+            f"{hi} = nx(t, inf) if (t := {xh} - {yl}) == t else inf")
         return lo, hi
 
     def neg(self, x):
@@ -507,6 +537,10 @@ class _TapeWriter:
     def _sqr(self, x):
         xl, xh = x
         lo, hi = self.out()
+        if xl == xh:    # a point: one square
+            self.lines.append(f"m0 = {xl} * {xl}; {hi} = nx(m0, inf); "
+                              f"{lo} = 0.0 if {xl} == 0.0 else nx(m0, ninf)")
+            return lo, hi
         # comparisons in place of max and min, which they equal bit for bit
         self.lines.append(
             f"m0 = {xl} * {xl}; m1 = {xh} * {xh}; "
@@ -521,6 +555,8 @@ class _TapeWriter:
             if type(y) is not tuple:
                 return self._fold("mul", imul, x, y)
             x, y = y, x     # imul(x, y) and imul(y, x) agree to the bit
+        elif type(y) is tuple and y[0] == y[1]:
+            x, y = y, x     # a point pair first
         return self._numbered(("mul",) + tuple(sorted((x, self.names(y)))),
                               lambda: self._mul(x, y))
 
@@ -539,7 +575,19 @@ class _TapeWriter:
                   f"{lo} = nx({xh} * {yl} if {xh} >= 0.0 else {xh} * {yh}, ninf); "
                   f"{hi} = nx({xl} * {yh} if {xl} >= 0.0 else {xl} * {yl}, inf)")
         rest = f"else: {lo}, {hi} = imul(({xl}, {xh}), ({yl}, {yh}))"
-        if type(y) is _Param:
+        if xl == xh:
+            # a point x: its corners with yl and yh, each twice; a NaN
+            # corner is 0 * inf
+            if yl == yh or y in self.points:
+                self.lines.append(f"t = {xl} * {yl}; t = t if t == t else 0.0; "
+                                  f"{lo} = nx(t, ninf); {hi} = nx(t, inf)")
+            else:
+                self.lines += [
+                    f"m0 = {xl} * {yl}; m1 = {xl} * {yh}",
+                    "if (t := m0 + m1) != t: m0 = pin(m0); m1 = pin(m1)",
+                    f"{lo} = nx(m1 if m1 < m0 else m0, ninf); "
+                    f"{hi} = nx(m1 if m1 > m0 else m0, inf)"]
+        elif type(y) is _Param:
             # a value not known here: its signs pick the corners when the
             # code runs, and an end at 0 or inf takes imul itself
             pick = two if y in self.points else signed
@@ -601,7 +649,7 @@ class _TapeWriter:
 
 class _Shape:
     """A tape shape: a tape whose CONST and RA payloads are slots
-    (``_Param``), and per interval pass over n inputs, keyed (grad, n), its
+    (``_Param``), and per interval pass over n inputs, keyed (kind, n), its
     call count or its generated code, prologue steps and exports."""
 
     __slots__ = ("tape", "n_slots", "passes")
@@ -633,34 +681,52 @@ def _instance(ct: CompiledTerms):
     return got
 
 
-def _generate(shape: _Shape, n: int, grad: bool):
+def _listed(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+def _generate(shape: _Shape, n: int, kind: str):
     """Straight-line code for an interval pass of a tape shape over n input
     intervals, written by running the walkers of run_tape over a
     _TapeWriter. Returns (code, steps, exports): the prologue runs the
     steps on a tape's slots once and hands the exports to the code as P.
+    code is a function of (coords, A, P) that returns, by kind:
 
-    Without grad, code is a function of (coords, A, P) that returns
-    run_tape(ct, coords, A). With grad, a function of (coords, A, P,
-    pretest) in three parts: every value (tape_values); then, when pretest
-    is set, the Krawczyk range pretest, which returns None if some root's
-    range excludes 0; then the gradients from those values
-    (tape_gradients), and the return of run_tape(ct, coords, A, grad=True).
+    - "values": run_tape(ct, coords, A);
+    - "jacobian": run_tape(ct, coords, A, grad=True);
+    - "krawczyk": the KrawczykResult of krawczyk_test on the box. Every
+      value (tape_values), then the range pretest and Unknown for a box
+      of zero width, then the gradients from those values
+      (tape_gradients), the midpoint m, the values over [m, m], and the
+      tail of _write_tail.
     """
     w = _TapeWriter(shape.n_slots)
     coords = [(f"xl{j}", f"xh{j}") for j in range(n)]
-    w.lines.append("[" + ", ".join(f"({lo}, {hi})" for lo, hi in coords) + "] = coords")
+    w.lines.append(_listed(f"({lo}, {hi})" for lo, hi in coords) + " = coords")
+    roots = shape.tape.roots
     vals = tape_values(shape.tape, coords, w)
-    roots = [vals[r] for r in shape.tape.roots]
-    result = "[" + ", ".join(map(w.interval, roots)) + "]"
-    if not grad:
+    result = _listed(w.interval(vals[r]) for r in roots)
+    if kind == "values":
         return w.function("coords, A, P", result), w.steps, list(w.exports)
-
-    inside = " and ".join("{} <= 0.0 <= {}".format(*w.names(r)) for r in roots)
-    w.lines.append(f"if pretest and not ({inside}): return None")
+    if kind == "krawczyk":
+        inside = " and ".join("{} <= 0.0 <= {}".format(*w.names(vals[r]))
+                              for r in roots)
+        # box.max_width == 0.0, the widths compared in order as max does
+        widest = "; ".join(f"w = t if (t := {hi} - {lo}) > w else w"
+                           for lo, hi in coords[1:])
+        w.lines += [f"if not ({inside}): return NOZERO",
+                    f"w = {coords[0][1]} - {coords[0][0]}" + "; " * bool(widest)
+                    + widest, "if w == 0.0: return UNKNOWN"]
     grads = tape_gradients(shape.tape, vals, n, w)
-    result += ", [" + ", ".join(
-        "[" + ", ".join(map(w.interval, g)) + "]" for g in grads) + "]"
-    return w.function("coords, A, P, pretest", result), w.steps, list(w.exports)
+    if kind == "jacobian":
+        result += ", " + _listed(_listed(map(w.interval, g)) for g in grads)
+        return w.function("coords, A, P", result), w.steps, list(w.exports)
+    mids = [f"mp{j}" for j in range(n)]
+    for m, x in zip(mids, coords):
+        w.mid(m, x)
+    at_m = tape_values(shape.tape, [(m, m) for m in mids], w)
+    _write_tail(w, coords, mids, [at_m[r] for r in roots], grads)
+    return w.function("coords, A, P"), w.steps, list(w.exports)
 
 
 def _prologue(steps, exports, slots, arith) -> list:
@@ -678,21 +744,21 @@ def _prologue(steps, exports, slots, arith) -> list:
     return P
 
 
-def _hot_code(ct: CompiledTerms, grad: bool, n: int, arith):
+def _hot_code(ct: CompiledTerms, kind: str, n: int, arith):
     """(code, P) for this pass of the tape over n inputs, or None while
     the pass of its shape has run fewer than HOT_CALLS times."""
-    check_arity(ct, n, "box")
-    key = ("interval", grad, n)
+    key = ("interval", kind, n)
     got = ct.cache.get(key)
     if got is not None:
         return got
+    check_arity(ct, n, "box")
     shape, slots = _instance(ct)
-    code = shape.passes.get((grad, n), 0)
+    code = shape.passes.get((kind, n), 0)
     if type(code) is int:
         if code < HOT_CALLS:
-            shape.passes[(grad, n)] = code + 1
+            shape.passes[(kind, n)] = code + 1
             return None
-        code = shape.passes[(grad, n)] = _generate(shape, n, grad)
+        code = shape.passes[(kind, n)] = _generate(shape, n, kind)
     try:
         P = _prologue(code[1], code[2], slots, arith)
     except Exception:
@@ -703,26 +769,12 @@ def _hot_code(ct: CompiledTerms, grad: bool, n: int, arith):
     return got
 
 
-def _values(ct: CompiledTerms, coords, arith) -> list[Interval]:
-    hot = _hot_code(ct, False, len(coords), arith)
-    return run_tape(ct, coords, arith) if hot is None else hot[0](coords, arith, hot[1])
-
-
-def _jacobian(ct: CompiledTerms, coords, arith, pretest: bool):
-    """run_tape(ct, coords, arith, grad=True), or None when pretest is set
-    and some root's range excludes 0."""
-    hot = _hot_code(ct, True, len(coords), arith)
-    if hot is not None:
-        return hot[0](coords, arith, hot[1], pretest)
-    vals = tape_values(ct, coords, arith)
-    ranges = [vals[r] for r in ct.roots]
-    if pretest and not all(r[0] <= 0.0 <= r[1] for r in ranges):
-        return None
-    return ranges, tape_gradients(ct, vals, len(coords), arith)
-
-
 def interval_eval_compiled(ct: CompiledTerms, box: Box) -> list[Interval]:
-    return _values(ct, box.coords, IntervalArith)
+    coords = box.coords
+    hot = _hot_code(ct, "values", len(coords), IntervalArith)
+    if hot is None:
+        return run_tape(ct, coords, IntervalArith)
+    return hot[0](coords, IntervalArith, hot[1])
 
 
 def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
@@ -732,7 +784,11 @@ def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
 
 def interval_jacobian_compiled(ct: CompiledTerms, box: Box):
     """Interval forward mode: values plus per-root interval gradients."""
-    return _jacobian(ct, box.coords, IntervalArith, False)
+    coords = box.coords
+    hot = _hot_code(ct, "jacobian", len(coords), IntervalArith)
+    if hot is None:
+        return run_tape(ct, coords, IntervalArith, grad=True)
+    return hot[0](coords, IntervalArith, hot[1])
 
 
 # ---------------------------------------------------------------------------
@@ -748,15 +804,57 @@ class KrawczykResult:
     contracted: Box | None = None
 
 
-@functools.cache
-def _krawczyk_rows(n: int):
-    """K = m - C f(m) + (I - C J)(X - m) over n coordinates as straight-line
-    float code, generated on first use for each n: a function of
-    (X, m, F, J, C) that returns the rows of K as Intervals. X is the box,
-    m its midpoint, F the enclosure of f at m, J the interval Jacobian over
-    X (J[k][j] = d f_k / d x_j) and C the preconditioner as lists of
-    floats. Row i comes from the same float operations, in the same order,
-    as this helper form:
+_NOZERO = KrawczykResult("NoZero")
+_UNKNOWN = KrawczykResult("Unknown")
+
+
+def _write_inverse(w: _TapeWriter, c: list, fail: str) -> None:
+    """Lines that replace the n x n matrix in the float locals c[i][j] by
+    its inverse, or return ``fail`` when an entry is not finite, a pivot is
+    0 or not finite, or an entry of the inverse is not finite. A value that
+    overflows on the way stays non-finite to the end unless it is a pivot,
+    so no overflow goes unseen.
+
+    Gauss-Jordan elimination in place with partial pivoting: the pivot of
+    column k is the first largest |c[i][k]| for i >= k, its row is swapped
+    into row k and divided by it, and every other row i less c[i][k] times
+    row k; the columns are swapped back, last swap first, at the end.
+    """
+    n = len(c)
+    finite = " and ".join(f"ninf < {v} < inf" for row in c for v in row)
+    check = f"if not ({finite}): return {fail}"
+    w.lines.append(check)
+
+    def swaps(k, flip):
+        for i in range(k + 1, n):
+            a, b = flip(k), flip(i)
+            w.lines.append(f"{'el' if i > k + 1 else ''}if p{k} == {i}: "
+                           f"{', '.join(a + b)} = {', '.join(b + a)}")
+
+    for k in range(n):
+        pivot = c[k][k]
+        if k + 1 < n:
+            w.lines.append(f"p{k} = {k}; b = {pivot} if {pivot} >= 0.0 else -{pivot}")
+            w.lines += [f"if (t := {c[i][k]} if {c[i][k]} >= 0.0 else -{c[i][k]}) > b: "
+                        f"p{k} = {i}; b = t" for i in range(k + 1, n)]
+            swaps(k, lambda i: c[i])
+        w.lines.append(f"if {pivot} == 0.0 or not ninf < {pivot} < inf: return {fail}")
+        w.lines.append(f"d = {pivot}; {pivot} = 1.0; "
+                       + "; ".join(f"{v} = {v} / d" for v in c[k]))
+        w.lines += [f"f = {c[i][k]}; {c[i][k]} = 0.0; " + "; ".join(
+            f"{v} = {v} - f * {u}" for v, u in zip(c[i], c[k]))
+            for i in range(n) if i != k]
+    for k in reversed(range(n - 1)):
+        swaps(k, lambda j: [row[j] for row in c])
+    w.lines.append(check)
+
+
+def _write_rows(w: _TapeWriter, x, mids, fm, jac, c) -> list:
+    """Lines for the rows of K = m - C f(m) + (I - C J)(X - m), over the
+    operands x (the box), mids (the names of m's floats), fm (f over
+    [m, m]), jac (jac[k][j] = d f_k / d x_j over X) and the float locals
+    c of the preconditioner. Row i comes from the same float operations,
+    in the same order, as this helper form:
 
         s_j = isub(X_j, [m_j, m_j])
         acc = [m_i, m_i];  acc = isub(acc, iscale(F_j, C[i][j]))  for each j
@@ -764,26 +862,11 @@ def _krawczyk_rows(n: int):
                           e = isub(e, iscale(J[k][j], C[i][k]))  for each k
                           acc = iadd(acc, imul(e, s_j))
     """
-    w = _TapeWriter()
-    r = range(n)
-    x = [(f"xl{j}", f"xh{j}") for j in r]
-    fm = [(f"fl{j}", f"fh{j}") for j in r]
-    jac = [[(f"jl{k}_{j}", f"jh{k}_{j}") for j in r] for k in r]
-    c = [[f"c{i}_{k}" for k in r] for i in r]
-
-    def pattern(items):
-        return "[" + ", ".join(items) + "]"
-
-    w.lines += [
-        pattern(f"({lo}, {hi})" for lo, hi in x) + " = X",
-        pattern(f"mp{j}" for j in r) + " = m",
-        pattern(f"({lo}, {hi})" for lo, hi in fm) + " = F",
-        pattern(pattern(f"({lo}, {hi})" for lo, hi in row) for row in jac) + " = J",
-        pattern(pattern(row) for row in c) + " = C"]
-    shifted = [w.sub(x[j], (f"mp{j}", f"mp{j}")) for j in r]
+    r = range(len(x))
+    shifted = [w.sub(x[j], (mids[j], mids[j])) for j in r]
     rows = []
     for i in r:
-        acc = (f"mp{i}", f"mp{i}")
+        acc = (mids[i], mids[i])
         for j in r:
             acc = w.sub(acc, w.scale(fm[j], c[i][j]))
         for j in r:
@@ -792,7 +875,78 @@ def _krawczyk_rows(n: int):
                 entry = w.sub(entry, w.scale(jac[k][j], c[i][k]))
             acc = w.add(acc, w.mul(entry, shifted[j]))
         rows.append(acc)
-    return w.function("X, m, F, J, C", pattern(map(w.interval, rows)))
+    return rows
+
+
+def _write_tail(w: _TapeWriter, x, mids, fm, jac) -> None:
+    """Lines that end the Krawczyk test from the box x, the names of its
+    midpoint's floats, f over [m, m] and the interval Jacobian over x, each
+    return a KrawczykResult:
+
+    - Unknown unless the midpoints of the Jacobian's entries have a finite
+      inverse C (``_write_inverse``);
+    - UniqueZero, with K as the contracted box, when every row of K
+      (``_write_rows``) lies strictly inside x;
+    - NoZero when some row misses x, else Unknown.
+    """
+    r = range(len(x))
+    c = [[f"c{i}_{j}" for j in r] for i in r]
+    for i in r:
+        for j in r:
+            w.mid(c[i][j], jac[i][j])
+    _write_inverse(w, c, "UNKNOWN")
+    rows = _write_rows(w, x, mids, fm, jac, c)
+    inside = " and ".join(f"{xl} < {kl} and {kh} < {xh}"
+                          for (kl, kh), (xl, xh) in zip(rows, x))
+    w.lines.append(f"if {inside}: return KR('UniqueZero', BOX(("
+                   + "".join(f"tn(IV, ({kl}, {kh})), " for kl, kh in rows) + ")))")
+    meets = " and ".join(f"{kl} <= {xh} and {xl} <= {kh}"
+                         for (kl, kh), (xl, xh) in zip(rows, x))
+    w.lines += [f"if not ({meets}): return NOZERO", "return UNKNOWN"]
+
+
+def _unpack(items, name: str) -> str:
+    def pattern(x):
+        if isinstance(x, list):
+            return _listed(map(pattern, x))
+        return x if isinstance(x, str) else f"({x[0]}, {x[1]})"
+    return f"{pattern(items)} = {name}"
+
+
+@functools.cache
+def _krawczyk_tail(n: int):
+    """The end of a cold Krawczyk test over n coordinates, written by
+    _write_tail as the hot code's is: a function of (X, m, F, J), the box's
+    Intervals, its midpoint's floats, f over [m, m] and the interval
+    Jacobian, that returns the KrawczykResult."""
+    w = _TapeWriter()
+    r = range(n)
+    x = [(f"xl{j}", f"xh{j}") for j in r]
+    mids = [f"mp{j}" for j in r]
+    fm = [(f"fl{j}", f"fh{j}") for j in r]
+    jac = [[(f"jl{k}_{j}", f"jh{k}_{j}") for j in r] for k in r]
+    w.lines += [_unpack(x, "X"), _unpack(mids, "m"), _unpack(fm, "F"),
+                _unpack(jac, "J")]
+    _write_tail(w, x, mids, fm, jac)
+    return w.function("X, m, F, J")
+
+
+@functools.cache
+def _inverse(n: int):
+    w = _TapeWriter()
+    c = [[f"c{i}_{j}" for j in range(n)] for i in range(n)]
+    w.lines.append(_unpack(c, "M"))
+    _write_inverse(w, c, "None")
+    return w.function("M", _listed(map(_listed, c)))
+
+
+def float_inverse(matrix) -> list | None:
+    """The inverse of a square matrix of floats (a sequence of rows) by the
+    Gauss-Jordan elimination of the Krawczyk preconditioner, as a list of
+    rows; None when an entry is not finite, a pivot is 0 or not finite, or
+    an entry of the inverse is not finite. Plain float code, so its bits depend on no
+    linear-algebra library."""
+    return _inverse(len(matrix))(matrix)
 
 
 def krawczyk_test(system, box: Box) -> KrawczykResult:
@@ -804,6 +958,10 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
     so it can never flip under box shrinking) or from K(X) missing X.
     Both verdicts hold for any finite preconditioner C, and f(m) enters
     as an enclosure over the point box [m, m], never as a float.
+
+    A hot shape runs the whole test as one generated function; a cold one
+    runs run_tape's walkers and the tail that the same writer generates
+    per n, so both give the same bits.
     """
     ct = system.compiled
     coords = box.coords
@@ -812,33 +970,17 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
         raise DomainError(
             f"system has {len(ct.roots)} equations, box dimension {n}")
     arith = IntervalArith
-    if box.max_width == 0.0:    # only the range pretest can decide
-        ranges = _values(ct, coords, arith)
-        return KrawczykResult("Unknown" if all(r.contains_zero() for r in ranges)
-                              else "NoZero")
-
-    # the range pretest, then the interval Jacobian from the same values
-    got = _jacobian(ct, coords, arith, True)
-    if got is None:
-        return KrawczykResult("NoZero")
-    jac = got[1]
+    hot = _hot_code(ct, "krawczyk", n, arith)
+    if hot is not None:
+        return hot[0](coords, arith, hot[1])
+    # the range pretest, which alone can decide a box of zero width, then
+    # the interval Jacobian from the same values
+    vals = tape_values(ct, coords, arith)
+    if not all(vals[r][0] <= 0.0 <= vals[r][1] for r in ct.roots):
+        return _NOZERO
+    if box.max_width == 0.0:
+        return _UNKNOWN
+    jac = tape_gradients(ct, vals, n, arith)
     m = box.midpoint()
-    fm = _values(ct, [Interval.point(v) for v in m], arith)
-    mid_jac = [[g.mid for g in row] for row in jac]
-    if not all(map(math.isfinite, chain.from_iterable(mid_jac))):
-        return KrawczykResult("Unknown")
-    try:
-        # LAPACK's bits set C, and with it every K row and every report
-        C = np.linalg.inv(mid_jac).tolist()
-    except np.linalg.LinAlgError:
-        return KrawczykResult("Unknown")
-    if not all(map(math.isfinite, chain.from_iterable(C))):
-        return KrawczykResult("Unknown")
-
-    k_rows = _krawczyk_rows(n)(coords, m, fm, jac, C)
-    if all(k.strictly_inside(c) for k, c in zip(k_rows, coords)):
-        contracted = Box(tuple(k.intersect(c) for k, c in zip(k_rows, coords)))
-        return KrawczykResult("UniqueZero", contracted)
-    if any(not k.intersects(c) for k, c in zip(k_rows, coords)):
-        return KrawczykResult("NoZero")
-    return KrawczykResult("Unknown")
+    fm = run_tape(ct, [Interval.point(v) for v in m], arith)
+    return _krawczyk_tail(n)(coords, m, fm, jac)

@@ -312,9 +312,9 @@ def test_component_bound_generates_each_pass_of_a_shape_once(
     made = []
     generate = intervals._generate
 
-    def counted(shape, n, grad):
-        made.append((shape, grad, n))
-        return generate(shape, n, grad)
+    def counted(shape, n, kind):
+        made.append((shape, kind, n))
+        return generate(shape, n, kind)
 
     monkeypatch.setattr(intervals, "_generate", counted)
 

@@ -21,8 +21,8 @@ from slogcensus.errors import DifferentiationError, DomainError
 from slogcensus.gridoracle import (GridSpec, eval_cells, eval_points,
                                    gradient_points, membership_mask)
 from slogcensus.intervals import (HOT_CALLS, Box, Interval, IntervalArith,
-                                  _krawczyk_rows, iadd, imul,
-                                  interval_eval, interval_eval_compiled,
+                                  float_inverse, iadd, imul, interval_eval,
+                                  interval_eval_compiled,
                                   interval_jacobian_compiled, iscale, isub,
                                   krawczyk_test)
 from slogcensus.morse import (_haar_rotation, critical_system, prove_empty,
@@ -33,6 +33,8 @@ from slogcensus.terms import (RA, CompiledTerms, RAPrimitive,
                               eval_term, exp, gradient, gradient_compiled,
                               log, mul, mul_all, neg, parse_term, ra,
                               run_tape, var)
+
+from conftest import CORPUS
 
 # every tape reads both variables, so gradients have two entries
 SOURCES = [
@@ -346,7 +348,7 @@ def test_generated_code_is_freed_when_its_shape_is_evicted(fresh_shapes):
     # the code outlives the tape: the next tape of the shape runs it at once
     again = compile_terms([parse_term("x1*x2 + exp(x1)")])
     interval_eval_compiled(again, _SAFE)
-    assert again.cache[("interval", False, 2)][0] is refs[0]()
+    assert again.cache[("interval", "values", 2)][0] is refs[0]()
     del again
     # until SHAPE_CACHE other shapes have been looked up since
     for k in range(intervals.SHAPE_CACHE):
@@ -419,7 +421,8 @@ def test_no_operation_of_the_circle_jacobian_pass_is_written_twice(
     made = []
     monkeypatch.setattr(intervals, "_TapeWriter",
                         lambda n: made.append(Recording(n)) or made[-1])
-    intervals._generate(intervals._instance(system.compiled)[0], 2, True)
+    intervals._generate(intervals._instance(system.compiled)[0], 2,
+                        "jacobian")
     name = re.compile(r"\b(?:lo|hi|pl|ph|pw|xl|xh|k)\d+\b")
     seen = {}
     for start, group in zip(starts, made[0].groups):
@@ -507,9 +510,9 @@ def test_a_reduced_tape_runs_the_code_of_its_original(abel, monkeypatch,
     made = []
     generate = intervals._generate
 
-    def counted(shape, n, grad):
-        made.append((grad, n))
-        return generate(shape, n, grad)
+    def counted(shape, n, kind):
+        made.append((kind, n))
+        return generate(shape, n, kind)
 
     monkeypatch.setattr(intervals, "_generate", counted)
     system = build_system(["phi(x1) - x2", "x2 - 0.25"], abel=abel)
@@ -517,7 +520,7 @@ def test_a_reduced_tape_runs_the_code_of_its_original(abel, monkeypatch,
     for ct in (system.compiled, reduced.compiled):
         _heat(ct)
     # one function per pass between them
-    assert sorted(made) == [(False, 2), (True, 2)]
+    assert sorted(made) == [("jacobian", 2), ("values", 2)]
     assert intervals._instance(reduced.compiled)[0] is \
         intervals._instance(system.compiled)[0]
     assert count_nonsingular_zeros(reduced, 4.0).to_dict() == \
@@ -804,8 +807,8 @@ def test_a_cold_jacobian_evaluates_each_value_once(abel, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# the Krawczyk test on hot tapes (one generated pass for the range pretest
-# and the Jacobian) against cold ones (run_tape)
+# the Krawczyk test on hot tapes (one generated function for the whole
+# test) against cold ones (run_tape and the generated tail)
 
 # square systems over 1, 2 and 3 unknowns; with the reduced phi system
 # they cover every opcode. In the d3atan ones a derivative factor that
@@ -824,12 +827,16 @@ _KRAWCZYK_SOURCES = [
 
 
 def _krawczyk_systems(abel):
+    """The systems above, the square tapes of _generated_tapes (the reduced
+    phi system, and the log of a negative constant, whose prologue fails)
+    and the census corpus."""
     cat = default_catalog(restriction=2.0)
     systems = [compile_terms([parse_term(s, catalog=cat) for s in eqs])
                for eqs in _KRAWCZYK_SOURCES]
-    reduced = reduce_phi_complexity(
-        build_system(["phi(x1) - x2", "dphi(x2)*x1"], abel=abel), 2.0)
-    return systems + [reduced.compiled]
+    square = [ct for ct in _generated_tapes(abel) if len(ct.roots) == 2]
+    assert len(square) == 2
+    corpus = [build_system(eqs, abel=abel).compiled for _, eqs, _, _ in CORPUS]
+    return systems + square + corpus
 
 
 def _krawczyk_outcome(ct, box):
@@ -858,8 +865,11 @@ def _hot_matches_cold(ct, box):
 def hot_systems(abel):
     systems = _krawczyk_systems(abel)
     for ct in systems:
-        _heat(ct, Box.from_bounds([(0.5, 0.6)] * len(ct.roots)))
-        assert _generated(ct) == 2
+        box = Box.from_bounds([(0.5, 0.6)] * len(ct.roots))
+        for _ in range(HOT_CALLS + 1):
+            _krawczyk_outcome(ct, box)
+        n = len(ct.roots)
+        assert type(intervals._instance(ct)[0].passes[("krawczyk", n)]) is tuple
     return systems
 
 
@@ -882,7 +892,8 @@ def test_hot_krawczyk_keeps_every_bit_on_special_ends(hot_systems):
     for ct in hot_systems:
         for box in _special_boxes(len(ct.roots)):
             verdicts.add(_hot_matches_cold(ct, box)[0])
-    assert {"NoZero", "Unknown", DomainError, DifferentiationError} <= verdicts
+    assert {"UniqueZero", "NoZero", "Unknown", DomainError,
+            DifferentiationError} <= verdicts
 
 
 def _small_boxes(n, count, seed):
@@ -936,6 +947,22 @@ def _rows_by_helpers(X, m, F, J, C):
     return rows
 
 
+def _rows_code(n):
+    """The K rows as _write_rows writes them for both Krawczyk paths, as a
+    function of (X, m, F, J, C)."""
+    w = intervals._TapeWriter()
+    r = range(n)
+    x = [(f"xl{j}", f"xh{j}") for j in r]
+    mids = [f"mp{j}" for j in r]
+    fm = [(f"fl{j}", f"fh{j}") for j in r]
+    jac = [[(f"jl{k}_{j}", f"jh{k}_{j}") for j in r] for k in r]
+    c = [[f"c{i}_{k}" for k in r] for i in r]
+    w.lines += [intervals._unpack(v, name) for v, name in
+                ((x, "X"), (mids, "m"), (fm, "F"), (jac, "J"), (c, "C"))]
+    rows = intervals._write_rows(w, x, mids, fm, jac, c)
+    return w.function("X, m, F, J, C", "[" + ", ".join(map(w.interval, rows)) + "]")
+
+
 # finite preconditioner entries, exact zeros of both signs among them
 _C_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, -3.25, 1e300,
               -_MAX)
@@ -949,7 +976,7 @@ def test_krawczyk_rows_keep_every_bit_of_the_helpers(n):
     def pick(k):
         return [ivs[i] for i in rng.integers(len(ivs), size=k)]
 
-    rows = _krawczyk_rows(n)
+    rows = _rows_code(n)
     for _ in range(3000):
         X = pick(n)
         m = [x.mid for x in X]
@@ -959,4 +986,134 @@ def test_krawczyk_rows_keep_every_bit_of_the_helpers(n):
              for _ in range(n)]
         assert _bits(rows(X, m, F, J, C)) == \
             _bits(_rows_by_helpers(X, m, F, J, C)), (X, m, F, J, C)
-    assert _krawczyk_rows(n) is rows
+
+
+def _gauss_jordan(M):
+    """Reference inverse: Gauss-Jordan in place with partial pivoting (the
+    first largest |a[i][k]|, i >= k), the columns swapped back at the end;
+    None for a non-finite entry, a zero or non-finite pivot or a non-finite
+    inverse."""
+    n = len(M)
+    if not all(math.isfinite(v) for row in M for v in row):
+        return None
+    a = [list(row) for row in M]
+    pivots = []
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > abs(a[p][k]):
+                p = i
+        a[k], a[p] = a[p], a[k]
+        pivots.append(p)
+        if a[k][k] == 0.0 or not math.isfinite(a[k][k]):
+            return None
+        d = a[k][k]
+        a[k][k] = 1.0
+        a[k] = [v / d for v in a[k]]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i][k] = 0.0
+                a[i] = [v - f * u for v, u in zip(a[i], a[k])]
+    for k in reversed(range(n)):
+        for row in a:
+            row[k], row[pivots[k]] = row[pivots[k]], row[k]
+    if not all(math.isfinite(v) for row in a for v in row):
+        return None
+    return a
+
+
+def _hex_matrix(a):
+    return None if a is None else [[v.hex() for v in row] for row in a]
+
+
+_ENTRY = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, 3.0,
+                          1e-300, 1e300, _MAX, -_MAX)) | st.floats(
+    allow_nan=False, allow_infinity=False) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):     # singular: one row a multiple of another
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] = [draw(st.sampled_from((0.0, 2.0, -0.5))) * v for v in rows[j]]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices())
+def test_the_generated_inverse_is_the_reference_gauss_jordan(M):
+    assert _hex_matrix(float_inverse(M)) == _hex_matrix(_gauss_jordan(M)), M
+
+
+@pytest.mark.parametrize("M", [
+    [[0.0]], [[5e-324]], [[1e-309]], [[math.inf]], [[math.nan]],
+    [[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [1.0, 1.0]],
+    [[5e-324, 0.0], [0.0, 1.0]], [[1e-200, 1.0], [1.0, 1e200]],
+    [[_MAX, _MAX], [-_MAX, _MAX]], [[1.0, math.inf], [0.0, 1.0]],
+    [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]],
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+     [0.0, 0.0, 0.0, 1.0]],
+])
+def test_singular_subnormal_and_overflowing_matrices_have_no_inverse(M):
+    assert float_inverse(M) is None
+    assert _gauss_jordan(M) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_generated_inverse_inverts(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        M = rng.uniform(-2.0, 2.0, (n, n)) + 3.0 * np.eye(n)
+        C = float_inverse(M.tolist())
+        assert np.allclose(np.array(C) @ M, np.eye(n), atol=1e-12)
+    # a row swap at every step, undone on the columns
+    perm = np.eye(n)[::-1]
+    assert np.allclose(np.array(float_inverse(perm.tolist())), perm.T)
+
+
+def _tail_by_helpers(X, m, F, J):
+    """The end of the Krawczyk test with the interval helpers and the
+    reference inverse, as krawczyk_test formed it with LAPACK's."""
+    C = _gauss_jordan([[e.mid for e in row] for row in J])
+    if C is None:
+        return "Unknown", None
+    rows = _rows_by_helpers(X, m, F, J, C)
+    if all(k.strictly_inside(x) for k, x in zip(rows, X)):
+        return "UniqueZero", _bits([k.intersect(x) for k, x in zip(rows, X)])
+    if any(not k.intersects(x) for k, x in zip(rows, X)):
+        return "NoZero", None
+    return "Unknown", None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_krawczyk_tail_is_the_helpers_with_the_reference_inverse(n):
+    rng = np.random.default_rng(10 + n)
+    ivs = [Interval(*p) for p in _SPECIAL_IV + _PARTNERS]
+    tail = intervals._krawczyk_tail(n)
+    verdicts = set()
+    for k in range(3000):
+        if k % 2:   # special ends
+            X = [ivs[i] for i in rng.integers(len(ivs), size=n)]
+            F = [ivs[i] for i in rng.integers(len(ivs), size=n)]
+            J = [[ivs[i] for i in rng.integers(len(ivs), size=n)]
+                 for _ in range(n)]
+        else:       # near a regular zero, or near a miss
+            c = rng.uniform(-1.0, 1.0, n)
+            w = rng.uniform(1e-3, 0.5, n)
+            X = [Interval(a - b, a + b) for a, b in zip(c, w)]
+            A = rng.uniform(-1.0, 1.0, (n, n)) + 2.0 * np.eye(n)
+            e = rng.uniform(0.0, 0.2)
+            J = [[Interval(v - e, v + e) for v in row] for row in A]
+            f = rng.uniform(-1.0, 1.0, n) * rng.choice([0.1, 3.0])
+            F = [Interval(v, v + 1e-12) for v in f]
+        m = [x.mid for x in X]
+        res = tail(X, m, F, J)
+        got = res.verdict, None if res.contracted is None else _bits(
+            list(res.contracted.coords))
+        assert got == _tail_by_helpers(X, m, F, J), (X, m, F, J)
+        verdicts.add(got[0])
+    assert verdicts == {"UniqueZero", "NoZero", "Unknown"}
