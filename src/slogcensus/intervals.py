@@ -385,7 +385,7 @@ class _TapeWriter:
         self.exports: dict = {}
         self.points: set = set()    # constant slots and their negations
         self.numbered: dict = {}    # operation key -> its result
-        self.consts: dict = {}      # float.hex key -> bound name
+        self.consts: dict = {}      # constant's key -> its bound name
 
     def _key(self, x):
         # an operand as a key: constants by the bits of their ends
@@ -428,15 +428,12 @@ class _TapeWriter:
             self.exports[key] = f"pw{p}" if whole else (f"pl{p}", f"ph{p}")
         return self.exports[key]
 
-    def bind(self, value) -> str:
-        name = f"k{len(self.ns)}"
-        self.ns[name] = value
-        return name
-
     def _const(self, key, value) -> str:
+        # the name bound to a constant, one per key
         got = self.consts.get(key)
         if got is None:
-            got = self.consts[key] = self.bind(value)
+            got = self.consts[key] = f"k{len(self.ns)}"
+            self.ns[got] = value
         return got
 
     def names(self, x):
@@ -712,11 +709,11 @@ def _generate(shape: _Shape, n: int, kind: str):
         inside = " and ".join("{} <= 0.0 <= {}".format(*w.names(vals[r]))
                               for r in roots)
         # box.max_width == 0.0, the widths compared in order as max does
-        widest = "; ".join(f"w = t if (t := {hi} - {lo}) > w else w"
-                           for lo, hi in coords[1:])
         w.lines += [f"if not ({inside}): return NOZERO",
-                    f"w = {coords[0][1]} - {coords[0][0]}" + "; " * bool(widest)
-                    + widest, "if w == 0.0: return UNKNOWN"]
+                    "width = {1} - {0}".format(*coords[0])]
+        w.lines += ["width = t if (t := {1} - {0}) > width else width".format(*c)
+                    for c in coords[1:]]
+        w.lines.append("if width == 0.0: return UNKNOWN")
     grads = tape_gradients(shape.tape, vals, n, w)
     if kind == "jacobian":
         result += ", " + _listed(_listed(map(w.interval, g)) for g in grads)

@@ -426,7 +426,7 @@ def test_no_operation_of_the_circle_jacobian_pass_is_written_twice(
     name = re.compile(r"\b(?:lo|hi|pl|ph|pw|xl|xh|k)\d+\b")
     seen = {}
     for start, group in zip(starts, made[0].groups):
-        text = " ".join(line for line in group if "pretest" not in line)
+        text = " ".join(group)
         text = re.sub(rf"\b(?:lo|hi){start}\b", "OUT", text)
         key = (name.sub("N", text), frozenset(name.findall(text)))
         assert key not in seen, (seen[key], group)
@@ -919,6 +919,21 @@ def test_hot_krawczyk_keeps_every_bit_on_small_boxes(hot_systems):
             if box.n == n:
                 verdicts.add(_hot_matches_cold(ct, box)[0])
     assert {"UniqueZero", "NoZero", "Unknown"} <= verdicts
+
+
+def test_hot_krawczyk_keeps_every_bit_around_zeros(hot_systems, abel):
+    # boxes of three widths around each zero of the corpus, off centre, so
+    # that most are UniqueZero and their contracted bits rest on m and f(m)
+    rng = np.random.default_rng(4)
+    verdicts = []
+    for (_, eqs, radius, _), ct in zip(CORPUS, hot_systems[-len(CORPUS):]):
+        report = count_nonsingular_zeros(build_system(eqs, abel=abel), radius)
+        for z in report.zeros:
+            for w in (0.1, 1e-3, 1e-6):
+                lo, hi = rng.uniform(0.2, 1.0, (2, len(z))) * w
+                box = Box.from_bounds(list(zip(np.array(z) - lo, np.array(z) + hi)))
+                verdicts.append(_hot_matches_cold(ct, box)[0])
+    assert verdicts.count("UniqueZero") > 0.8 * len(verdicts) > 50
 
 
 @settings(max_examples=150, deadline=None)
