@@ -26,7 +26,7 @@ from typing import Sequence
 from .abel import exp_sat
 from .errors import DomainError
 from .terms import (CONST, RA, CompiledTerms, TermNode, check_arity,
-                    compile_terms, run_tape, tape_gradients, tape_values)
+                    compile_terms, tape_gradients, tape_values)
 
 _INF = math.inf
 _NINF = -math.inf
@@ -299,31 +299,18 @@ class IntervalArith:
 # are the tape's own. Tapes that differ only in their constants, such as
 # the critical systems of one formula under different rotations, share a
 # shape. An interval pass of a shape over n inputs (its values, its
-# Jacobian, or the whole Krawczyk test) runs through run_tape for its first
-# HOT_CALLS calls, counted over every tape of the shape, then through
-# Python generated once for the shape.
-# On a 2-core 2.0 GHz Xeon VM, generating costs 30 to 70 us a line, nearly
-# all of it in compile(); the memo of repeated operations costs little.
-# For the circle's last-stage critical system (40 slots) the Krawczyk
-# function has 250 lines and takes 7.6 to 17 ms, about 80 to 170 calls'
-# saving (103-116 -> 12-14 us a call over the boxes of its census, half of
-# which the range pretest decides); its value pass (48 lines) takes 1.3 to
-# 1.9 ms, about 60 calls' saving (26-35 -> 4.3-4.6 us), and its Jacobian
-# pass (119 lines) 3.3 to 5.1 ms, about 30 calls' saving (131-144 ->
-# 11-13 us). Each tape of the shape also runs a prologue once per pass,
-# 7 to 12 us (values) or 33 to 57 us (Jacobian, Krawczyk). A pass is
-# generated once its shape has run it that many times, so a shape
-# evaluated only a few times in all never pays for generation. One run
-# just past HOT_CALLS times pays up to about twice (Jacobian), three times
-# (values) or six times (Krawczyk) the least it could, and one run
-# hundreds of times, as the morse workload's critical systems are, close
-# to the least.
-HOT_CALLS = 32
-# Shapes whose call counts and generated code outlive their tapes; a shape
-# that this many others have been looked up after is dropped. One pass of
-# the benchmark's census workload looks up 23 shapes and one of morse 20,
-# so the bound holds the working sets of two such workloads; tier-1 makes
-# about 210, nearly all used by one test.
+# Jacobian, or the whole Krawczyk test) is generated at its first call over
+# any tape of the shape, and every tape of the shape runs that function;
+# each tape runs the pass's prologue once. Generating is nearly all
+# compile(), 30 to 70 us a line on a 2-core 2.0 GHz Xeon VM; on the
+# benchmark's workloads, running a pass through the tape walker for its
+# first 32 calls before generating it saved no time.
+
+# Shapes whose generated code outlives their tapes; a shape that this many
+# others have been looked up after is dropped. One pass of the benchmark's
+# census workload looks up 23 shapes and one of morse 20, so the bound
+# holds the working sets of two such workloads; tier-1 makes about 210,
+# nearly all used by one test.
 SHAPE_CACHE = 64
 
 _ZERO = Interval.point(0.0)
@@ -359,8 +346,8 @@ class _TapeWriter:
     two float locals. iadd, isub, imul, iscale, isqr and ineg are written
     out as their own float operations, so the code keeps every bit of the
     helpers. exp, log and ra of inputs, and every derivative factor, are
-    lines that call the IntervalArith ``A``, with its domain checks and
-    messages.
+    lines that call IntervalArith, bound as ``A`` in the namespace, with
+    its domain checks and messages.
 
     Every operation is value-numbered: keyed by its method and the names of
     its operands (a constant Interval's names are keyed by the float.hex of
@@ -376,6 +363,7 @@ class _TapeWriter:
         # inf, -0.0 and subnormals keep their bits
         self.ns = {"nx": _nextafter, "inf": _INF, "ninf": _NINF,
                    "tn": _tuple_new, "IV": Interval, "pin": _pin, "imul": imul,
+                   "A": IntervalArith,
                    "mid": _mid, "KR": KrawczykResult, "BOX": Box,
                    "NOZERO": _NOZERO, "UNKNOWN": _UNKNOWN}
         self.n_slots = n_slots
@@ -647,7 +635,7 @@ class _TapeWriter:
 class _Shape:
     """A tape shape: a tape whose CONST and RA payloads are slots
     (``_Param``), and per interval pass over n inputs, keyed (kind, n), its
-    call count or its generated code, prologue steps and exports."""
+    generated code, prologue steps and exports."""
 
     __slots__ = ("tape", "n_slots", "passes")
 
@@ -687,10 +675,10 @@ def _generate(shape: _Shape, n: int, kind: str):
     intervals, written by running the walkers of run_tape over a
     _TapeWriter. Returns (code, steps, exports): the prologue runs the
     steps on a tape's slots once and hands the exports to the code as P.
-    code is a function of (coords, A, P) that returns, by kind:
+    code is a function of (coords, P) that returns, by kind:
 
-    - "values": run_tape(ct, coords, A);
-    - "jacobian": run_tape(ct, coords, A, grad=True);
+    - "values": run_tape(ct, coords, IntervalArith);
+    - "jacobian": run_tape(ct, coords, IntervalArith, grad=True);
     - "krawczyk": the KrawczykResult of krawczyk_test on the box. Every
       value (tape_values), then the range pretest and Unknown for a box
       of zero width, then the gradients from those values
@@ -704,7 +692,7 @@ def _generate(shape: _Shape, n: int, kind: str):
     vals = tape_values(shape.tape, coords, w)
     result = _listed(w.interval(vals[r]) for r in roots)
     if kind == "values":
-        return w.function("coords, A, P", result), w.steps, list(w.exports)
+        return w.function("coords, P", result), w.steps, list(w.exports)
     if kind == "krawczyk":
         inside = " and ".join("{} <= 0.0 <= {}".format(*w.names(vals[r]))
                               for r in roots)
@@ -717,20 +705,20 @@ def _generate(shape: _Shape, n: int, kind: str):
     grads = tape_gradients(shape.tape, vals, n, w)
     if kind == "jacobian":
         result += ", " + _listed(_listed(map(w.interval, g)) for g in grads)
-        return w.function("coords, A, P", result), w.steps, list(w.exports)
+        return w.function("coords, P", result), w.steps, list(w.exports)
     mids = [f"mp{j}" for j in range(n)]
     for m, x in zip(mids, coords):
         w.mid(m, x)
     at_m = tape_values(shape.tape, [(m, m) for m in mids], w)
     _write_tail(w, coords, mids, [at_m[r] for r in roots], grads)
-    return w.function("coords, A, P"), w.steps, list(w.exports)
+    return w.function("coords, P"), w.steps, list(w.exports)
 
 
-def _prologue(steps, exports, slots, arith) -> list:
+def _prologue(steps, exports, slots) -> list:
     """P for one tape: every input-free value, from the slot values."""
     env = list(slots)
     for method, args in steps:
-        env.append(getattr(arith, method)(
+        env.append(getattr(IntervalArith, method)(
             *[env[a] if type(a) is _Param else a for a in args]))
     P: list = []
     for p, whole in exports:
@@ -741,37 +729,36 @@ def _prologue(steps, exports, slots, arith) -> list:
     return P
 
 
-def _hot_code(ct: CompiledTerms, kind: str, n: int, arith):
-    """(code, P) for this pass of the tape over n inputs, or None while
-    the pass of its shape has run fewer than HOT_CALLS times."""
+def _hot_code(ct: CompiledTerms, kind: str, coords):
+    """(code, P) for this pass of the tape over the intervals coords: the
+    code of its shape, generated at the first call of the pass over any
+    tape of the shape, and the tape's prologue values."""
+    n = len(coords)
     key = ("interval", kind, n)
     got = ct.cache.get(key)
     if got is not None:
         return got
     check_arity(ct, n, "box")
     shape, slots = _instance(ct)
-    code = shape.passes.get((kind, n), 0)
-    if type(code) is int:
-        if code < HOT_CALLS:
-            shape.passes[(kind, n)] = code + 1
-            return None
+    code = shape.passes.get((kind, n))
+    if code is None:
         code = shape.passes[(kind, n)] = _generate(shape, n, kind)
     try:
-        P = _prologue(code[1], code[2], slots, arith)
+        P = _prologue(code[1], code[2], slots)
     except Exception:
-        # an input-free value fails on every box; run_tape raises that
-        # fault or one before it, as the reference does
-        return None
+        # an input-free value fails on every box. Only a value step can
+        # fail, so the tape's value walk raises that fault, or an earlier
+        # one of the inputs, as run_tape does
+        tape_values(ct, coords, IntervalArith)
+        raise
     got = ct.cache[key] = (code[0], P)
     return got
 
 
 def interval_eval_compiled(ct: CompiledTerms, box: Box) -> list[Interval]:
     coords = box.coords
-    hot = _hot_code(ct, "values", len(coords), IntervalArith)
-    if hot is None:
-        return run_tape(ct, coords, IntervalArith)
-    return hot[0](coords, IntervalArith, hot[1])
+    code, P = _hot_code(ct, "values", coords)
+    return code(coords, P)
 
 
 def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
@@ -782,10 +769,8 @@ def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
 def interval_jacobian_compiled(ct: CompiledTerms, box: Box):
     """Interval forward mode: values plus per-root interval gradients."""
     coords = box.coords
-    hot = _hot_code(ct, "jacobian", len(coords), IntervalArith)
-    if hot is None:
-        return run_tape(ct, coords, IntervalArith, grad=True)
-    return hot[0](coords, IntervalArith, hot[1])
+    code, P = _hot_code(ct, "jacobian", coords)
+    return code(coords, P)
 
 
 # ---------------------------------------------------------------------------
@@ -911,24 +896,6 @@ def _unpack(items, name: str) -> str:
 
 
 @functools.cache
-def _krawczyk_tail(n: int):
-    """The end of a cold Krawczyk test over n coordinates, written by
-    _write_tail as the hot code's is: a function of (X, m, F, J), the box's
-    Intervals, its midpoint's floats, f over [m, m] and the interval
-    Jacobian, that returns the KrawczykResult."""
-    w = _TapeWriter()
-    r = range(n)
-    x = [(f"xl{j}", f"xh{j}") for j in r]
-    mids = [f"mp{j}" for j in r]
-    fm = [(f"fl{j}", f"fh{j}") for j in r]
-    jac = [[(f"jl{k}_{j}", f"jh{k}_{j}") for j in r] for k in r]
-    w.lines += [_unpack(x, "X"), _unpack(mids, "m"), _unpack(fm, "F"),
-                _unpack(jac, "J")]
-    _write_tail(w, x, mids, fm, jac)
-    return w.function("X, m, F, J")
-
-
-@functools.cache
 def _inverse(n: int):
     w = _TapeWriter()
     c = [[f"c{i}_{j}" for j in range(n)] for i in range(n)]
@@ -956,9 +923,8 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
     Both verdicts hold for any finite preconditioner C, and f(m) enters
     as an enclosure over the point box [m, m], never as a float.
 
-    A hot shape runs the whole test as one generated function; a cold one
-    runs run_tape's walkers and the tail that the same writer generates
-    per n, so both give the same bits.
+    The whole test runs as one function, generated for the tape's shape
+    at its first test (``_generate``).
     """
     ct = system.compiled
     coords = box.coords
@@ -966,18 +932,5 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
     if len(ct.roots) != n:
         raise DomainError(
             f"system has {len(ct.roots)} equations, box dimension {n}")
-    arith = IntervalArith
-    hot = _hot_code(ct, "krawczyk", n, arith)
-    if hot is not None:
-        return hot[0](coords, arith, hot[1])
-    # the range pretest, which alone can decide a box of zero width, then
-    # the interval Jacobian from the same values
-    vals = tape_values(ct, coords, arith)
-    if not all(vals[r][0] <= 0.0 <= vals[r][1] for r in ct.roots):
-        return _NOZERO
-    if box.max_width == 0.0:
-        return _UNKNOWN
-    jac = tape_gradients(ct, vals, n, arith)
-    m = box.midpoint()
-    fm = run_tape(ct, [Interval.point(v) for v in m], arith)
-    return _krawczyk_tail(n)(coords, m, fm, jac)
+    code, P = _hot_code(ct, "krawczyk", coords)
+    return code(coords, P)

@@ -1,9 +1,10 @@
 """Component bounds for quantifier-free sets via compact level-set tubes.
 
 The chain: normalize a formula to a disjunction of {=, >} atoms, collapse
-it to a single equation (fresh auxiliary variable per strict atom), add
-squared affine constraints, thicken the zero set to a compact tube, and
-count critical points of a generic height function on the tube boundary.
+it to a single equation (one auxiliary variable per strict atom of a
+conjunction, shared across conjunctions), add squared affine constraints,
+thicken the zero set to a compact tube, and count critical points of a
+generic height function on the tube boundary.
 Half the certified critical count bounds the number of connected
 components; a grid oracle supplies the independent comparison value.
 
@@ -124,22 +125,28 @@ def atom(term: TermNode, rel: str = "="):
 def wilkie_reduce(formula: QFFormula):
     """Collapse a DNF to one equation whose zero set projects onto it.
 
-    Equality atoms contribute their term squared; each strict atom f > 0
-    gets a fresh variable u with (f*u^2 - 1)^2, solvable exactly when
-    f > 0. Returns (product term, auxiliary variable count).
+    Equality atoms contribute their term squared; the j-th strict atom
+    f > 0 of a conjunction gets the variable u_j with (f*u_j^2 - 1)^2,
+    solvable exactly when f > 0. Every conjunction shares u_0, u_1, ...:
+    the product's zero set is the union of its factors' zero sets, and each
+    factor still projects onto its own conjunction. Returns (product term,
+    auxiliary variable count), the count being the most strict atoms in
+    one conjunction.
     """
     aux = 0
     factors = []
     for conj in formula.dnf:
         squares = []
+        strict = 0
         for term, rel in conj:
             if rel == "=":
                 squares.append(_sq(term))
             else:
-                u = var(formula.n + aux)
-                aux += 1
+                u = var(formula.n + strict)
+                strict += 1
                 squares.append(_sq(sub(mul_all([term, _sq(u)]),
                                           const(1.0))))
+        aux = max(aux, strict)
         factors.append(add_all(squares))
     return mul_all(factors), aux
 

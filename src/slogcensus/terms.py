@@ -348,7 +348,7 @@ def var(i: int) -> TermNode:
 def const(v: float) -> TermNode:
     v = float(v)
     if not math.isfinite(v):
-        raise ValueError("constants must be finite")
+        raise DomainError(f"constants must be finite, not {v}")
     return TermNode("const", value=v)
 
 

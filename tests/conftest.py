@@ -23,8 +23,8 @@ def abel():
 
 @pytest.fixture
 def fresh_shapes(monkeypatch):
-    """An empty cache of tape shapes for one test, so that call counts and
-    generated code start from nothing; the shared cache comes back after."""
+    """An empty cache of tape shapes for one test, so that generated code
+    starts from nothing; the shared cache comes back after."""
     monkeypatch.setattr(intervals, "_shape", functools.lru_cache(
         maxsize=intervals.SHAPE_CACHE)(intervals._Shape))
 

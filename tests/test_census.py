@@ -17,7 +17,7 @@ from slogcensus.census import (DEFAULT_DEPTH, CensusReport, DeformationPath,
                                search_radius, system_from_dict, track_path)
 from slogcensus.errors import (BuildError, CertificationError, DomainError,
                                PathError)
-from slogcensus import intervals
+from slogcensus import census, intervals
 from slogcensus.gridoracle import GridSpec, oracle_zero_count
 from slogcensus.intervals import Box
 from slogcensus.morse import (CENSUS_DEPTH, _haar_rotation, critical_system,
@@ -25,6 +25,7 @@ from slogcensus.morse import (CENSUS_DEPTH, _haar_rotation, critical_system,
 from slogcensus.terms import RAPrimitive, fcpx, parse_term
 
 from conftest import CORPUS, ORACLE_RES, PHI_CORPUS
+from krawczyk_reference import krawczyk_by_helpers
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +300,7 @@ def test_track_rejects_too_few_steps(abel):
         track_path(sys_, DeformationPath.constant(1), steps=1, radius=1.0)
 
 
-def test_reports_are_byte_identical_cold_and_hot(abel, monkeypatch,
-                                                 fresh_shapes):
+def test_reports_are_byte_identical_cold_and_hot(abel, fresh_shapes):
     # the corpus, and the circle's last-stage critical system with the
     # first rotation of seed 0
     eps, delta = schedule_for_ball(2.0).pairs[-1]
@@ -310,31 +310,27 @@ def test_reports_are_byte_identical_cold_and_hot(abel, monkeypatch,
              for _, eqs, radius, _ in CORPUS]
     cases.append((lambda: critical_system(circle, eps, delta, q, abel),
                   delta / math.sqrt(eps) * 1.01 + 1e-9, CENSUS_DEPTH))
-    default = intervals.HOT_CALLS
 
     def report(system, radius, depth):
         return json.dumps(
             count_nonsingular_zeros(system, radius, depth).to_dict())
 
     for build, radius, depth in cases:
-        reports = []
-        # every pass through run_tape, then every pass generated at once
-        for hot_calls in (10**9, 0):
-            monkeypatch.setattr(intervals, "HOT_CALLS", hot_calls)
-            intervals._shape.cache_clear()
-            system = build()
-            reports.append(report(system, radius, depth))
-            passes = intervals._instance(system.compiled)[0].passes
-            assert any(type(v) is not int for v in passes.values()) == \
-                (hot_calls == 0)
-        # by default the first census of a new shape starts cold and the
-        # second runs on what the first made hot
-        monkeypatch.setattr(intervals, "HOT_CALLS", default)
         intervals._shape.cache_clear()
+        # cold: every Krawczyk test by the walker and the interval helpers
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "krawczyk_test", krawczyk_by_helpers)
+            system = build()
+            want = report(system, radius, depth)
+        key = ("krawczyk", len(system.compiled.roots))
+        assert key not in intervals._instance(system.compiled)[0].passes
+        # hot: by generated code, which the first census makes and the
+        # second runs on
         system = build()
-        reports += [report(system, radius, depth) for _ in range(2)]
-        assert reports.count(reports[0]) == 4, build().equations
-    assert json.loads(reports[0])["certified_count"] == 4
+        assert [report(system, radius, depth) for _ in range(2)] == \
+            [want, want], system.equations
+        assert key in intervals._instance(system.compiled)[0].passes
+    assert json.loads(want)["certified_count"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, report shapes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -39,6 +40,10 @@ def files(tmp_path_factory):
         "array.json": [{"vars": 1, "equations": ["x1"]}],
         "deep.json": {"vars": 1, "equations": ["(" * 3000 + "x1" + ")" * 3000]},
         "line.json": {"vars": 1, "equations": ["x1 - 0.5"], "radius": 2.0},
+        "huge_constant.json": {"vars": 1, "equations": ["1e999*x1 - 1"],
+                               "radius": 2.0},
+        "nan_target_path.json": {"breakpoints": [0.0, 1.0],
+                                 "targets": [[math.nan], [0.0]]},
         "text_steps_path.json": {"breakpoints": [0.0, 1.0], "steps": "x"},
         "ragged_path.json": {"breakpoints": [0.0, 1.0],
                              "targets": [[0.0], [0.5, 1.0]]},
@@ -207,23 +212,27 @@ def test_track_steps_flag(files):
 @pytest.mark.parametrize("argv", [
     ["eval", "x1", "--at", "a"],
     ["eval", "(" * 3000 + "x1" + ")" * 3000, "--at", "1"],
+    ["eval", "1e999*x1", "--at", "1"],
     ["zeros", "number_equation.json"],
     ["zeros", "text_radius.json"],
     ["zeros", "text_param.json"],
     ["zeros", "array.json"],
     ["zeros", "deep.json"],
+    ["zeros", "huge_constant.json"],
     ["track", "line.json", "text_steps_path.json"],
     ["track", "line.json", "ragged_path.json"],
+    ["track", "line.json", "nan_target_path.json"],
     ["components", "array_formula.json", "--radius", "2"],
-], ids=["eval-at-text", "eval-deep", "equation-number", "radius-text",
-        "param-text", "system-array", "system-deep", "path-steps-text",
-        "path-ragged", "formula-array"])
+], ids=["eval-at-text", "eval-deep", "eval-overflow", "equation-number",
+        "radius-text", "param-text", "system-array", "system-deep",
+        "equation-overflow", "path-steps-text", "path-ragged",
+        "path-nan-target", "formula-array"])
 def test_malformed_input_exits_two(files, argv):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]
     r = _run(*argv)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ")
-    assert "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_normalize_weak_inequality():
 
 # each relation of t to 0 and the DNF of its negation, with the number of
 # strict atoms (witness variables) that DNF costs
-_NEGATIONS = [("=", [[("x1", ">")], [("-x1", ">")]], 2),
+_NEGATIONS = [("=", [[("x1", ">")], [("-x1", ">")]], 1),
               (">", [[("-x1", ">")], [("x1", "=")]], 1),
               ("<", [[("x1", ">")], [("x1", "=")]], 1),
               ("<=", [[("x1", ">")]], 1),
@@ -165,6 +165,19 @@ def test_wilkie_strict_atom_gets_witness_var():
     for x in [-1.0, 0.0]:
         vals = [eval_term(term, [x, uu]) for uu in np.linspace(-3, 3, 61)]
         assert min(vals) > 0.0
+
+
+@pytest.mark.parametrize("tree, aux", [
+    (("not", atom(parse_term("x1"), "=")), 1),
+    (("or", atom(parse_term("x1"), ">"), atom(parse_term("x1 + 1"), "<")), 1),
+    (("and", atom(parse_term("x1"), "!="), atom(parse_term("x1 - 1"), "!=")),
+     2)])
+def test_wilkie_conjunctions_share_auxiliary_unknowns(tree, aux):
+    # as many as the most strict atoms in one conjunction, not in all
+    f = normalize(tree, 1)
+    term, got = wilkie_reduce(f)
+    assert got == aux < sum(map(len, f.dnf))
+    assert free_variables(term) == set(range(1 + aux))
 
 
 def test_affine_restrict_adds_squared_constraints():
@@ -375,6 +388,14 @@ def test_component_bound_strict_atom(abel):
     assert rep.component_bound == 3
     assert rep.oracle_components == 1
     assert rep.component_bound >= rep.oracle_components
+
+
+def test_component_bound_of_a_union_of_half_lines(abel):
+    # {x1 > 0} or {x1 < -1}: two components, whose strict atoms share one
+    # auxiliary unknown
+    tree = ("or", atom(parse_term("x1"), ">"), atom(parse_term("x1 + 1"), "<"))
+    rep = component_bound(tree, AffineSubspace.full(), 2.0, abel=abel, n=1)
+    assert rep.component_bound >= rep.oracle_components == 2
 
 
 @pytest.mark.parametrize("rel, same, critical, bound", [

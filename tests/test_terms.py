@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from slogcensus.errors import (DifferentiationError, DomainError,
                                GrowthAnalysisError, TermSyntaxError)
-from slogcensus import intervals, terms
+from slogcensus import census, terms
 from slogcensus.abel import get_default_abel
 from slogcensus.census import (build_system, count_nonsingular_zeros,
                                reduce_phi_complexity)
@@ -24,6 +24,7 @@ from slogcensus.terms import (CONST, MUL, SQR, TermNode, add, add_all,
                               var)
 
 from conftest import CORPUS, PHI_CORPUS
+from krawczyk_reference import krawczyk_by_helpers
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +358,15 @@ def _deep_chain():
     return t
 
 
-def _census(t, abel, monkeypatch):
-    # radius-2 census through the tape walker, then through generated code
-    cold = count_nonsingular_zeros(build_system([t], abel=abel), 2.0)
-    monkeypatch.setattr(intervals, "HOT_CALLS", 0)
-    hot = count_nonsingular_zeros(build_system([t], abel=abel), 2.0)
-    assert hot.to_dict() == cold.to_dict()
-    return cold
+def _census(t, abel):
+    # radius-2 census with every Krawczyk test by the walker and the
+    # interval helpers, then by generated code
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "krawczyk_test", krawczyk_by_helpers)
+        want = count_nonsingular_zeros(build_system([t], abel=abel), 2.0)
+    got = count_nonsingular_zeros(build_system([t], abel=abel), 2.0)
+    assert got.to_dict() == want.to_dict()
+    return got
 
 
 def test_postorder_finishes_children_first_and_dedupes():
@@ -373,8 +376,7 @@ def test_postorder_finishes_children_first_and_dedupes():
         "x1", "exp(x1)", "x2", "exp(x1)*x2", "exp(x1)*x2 + exp(x1)"]
 
 
-def test_wide_sum_runs_through_every_analysis(abel, monkeypatch,
-                                              fresh_shapes):
+def test_wide_sum_runs_through_every_analysis(abel, fresh_shapes):
     t = _wide_sum()
     assert _wide_sum() == t and hash(_wide_sum()) == hash(t)
     assert t != add(t.children[0], const(-2.0))
@@ -392,13 +394,12 @@ def test_wide_sum_runs_through_every_analysis(abel, monkeypatch,
     s = substitute(t, {0: const(2.0)})
     assert free_variables(s) == set()
     assert eval_term(s, []) == pytest.approx(2.0 * h - 1.0, rel=1e-12)
-    rep = _census(t, abel, monkeypatch)
+    rep = _census(t, abel)
     assert rep.exact and rep.certified_count == 1
     assert rep.zeros[0][0] == pytest.approx(1.0 / h, rel=1e-9)
 
 
-def test_deep_chain_runs_through_every_analysis(abel, monkeypatch,
-                                                fresh_shapes):
+def test_deep_chain_runs_through_every_analysis(abel, fresh_shapes):
     t = _deep_chain()
     assert _deep_chain() == t and hash(_deep_chain()) == hash(t)
     assert t != substitute(t, {0: const(0.0)})
@@ -415,7 +416,7 @@ def test_deep_chain_runs_through_every_analysis(abel, monkeypatch,
     assert eval_term(shifted, [0.3], abel) == eval_term(t, [1.3], abel)
     # exp(-u) iterated converges to the omega constant, so t - x1 has one
     # zero there
-    rep = _census(sub(t, var(0)), abel, monkeypatch)
+    rep = _census(sub(t, var(0)), abel)
     assert rep.exact and rep.certified_count == 1
     assert rep.zeros[0][0] == pytest.approx(0.5671432904097838, rel=1e-12)
 
