@@ -32,6 +32,7 @@ DEFAULT_DEPTH = 40
 
 _INFLATE = 0.05          # relative child-box inflation against face zeros
 _DET_FLOOR = 1e-6
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -238,11 +239,21 @@ class CensusReport:
 
 
 def _inflate(box: Box, outer: Box) -> Box:
+    # box padded by _INFLATE of each width (at least 1e-300) and clamped to
+    # outer. Each comparison is max(a, b) or min(a, b) of the same operands
+    # in the same order, so signed zeros and NaN come out as they would
     coords = []
-    for c, o in zip(box.coords, outer.coords):
-        pad = _INFLATE * max(c.width, 1e-300)
-        coords.append(Interval(max(c.lo - pad, o.lo), min(c.hi + pad, o.hi)))
-    return Box(tuple(coords))
+    for (lo, hi), (olo, ohi) in zip(box, outer):
+        pad = hi - lo
+        pad = _INFLATE * (1e-300 if 1e-300 > pad else pad)
+        lo -= pad
+        hi += pad
+        lo = olo if olo > lo else lo
+        hi = ohi if ohi < hi else hi
+        if not lo <= hi:    # as Interval(lo, hi) checks
+            raise DomainError(f"invalid interval [{lo}, {hi}]")
+        coords.append(_tuple_new(Interval, (lo, hi)))
+    return _tuple_new(Box, coords)
 
 
 def _polish(system: SquareSystem, enclosure: Box) -> list[float]:

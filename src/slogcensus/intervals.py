@@ -13,6 +13,10 @@ values: the constructor, ``Interval.point``, ``intersect`` and the
 enclosures of exp, log, 1/x and RA primitives. ``iadd``, ``isub``,
 ``ineg``, ``imul``, ``isqr`` and ``iscale`` skip the check: from valid
 operands they yield ordered, NaN-free bounds by construction.
+
+A Box is the tuple of its coordinate Intervals, and its constructor
+checks that it has one. ``subdivide``, ``split_step`` and
+``census._inflate`` build their boxes unchecked from a box that has.
 """
 
 from __future__ import annotations
@@ -184,70 +188,91 @@ def iinv_pos(x: Interval) -> Interval:
     return Interval(lo_part, hi_part)
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned product of intervals."""
+class Box(tuple):
+    """Axis-aligned product of intervals, stored as the tuple of its
+    coordinate Intervals.
 
-    coords: tuple
+    Being a tuple, a Box is immutable and hashable, and compares equal to
+    the plain tuple of its Intervals.
+    """
 
-    def __post_init__(self):
-        if not self.coords:
+    __slots__ = ()
+
+    def __new__(cls, coords) -> "Box":
+        box = _tuple_new(cls, coords)
+        if not box:
             raise DomainError("box needs at least one coordinate")
+        return box
+
+    def __getnewargs__(self):
+        return (tuple(self),)
 
     @classmethod
     def from_bounds(cls, bounds: Sequence[Sequence[float]]) -> "Box":
-        return cls(tuple(Interval(float(a), float(b)) for a, b in bounds))
+        return cls(Interval(float(a), float(b)) for a, b in bounds)
 
     @classmethod
     def cube(cls, radius: float, n: int) -> "Box":
-        return cls(tuple(Interval(-radius, radius) for _ in range(n)))
+        return cls(Interval(-radius, radius) for _ in range(n))
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return len(self)
 
     @property
     def widths(self) -> tuple:
-        return tuple(c.width for c in self.coords)
+        return tuple(c.width for c in self)
 
     @property
     def max_width(self) -> float:
         return max(self.widths)
 
     def midpoint(self) -> list[float]:
-        return [c.mid for c in self.coords]
+        return [c.mid for c in self]
 
     def contains(self, point: Sequence[float]) -> bool:
-        return all(c.contains(float(v)) for c, v in zip(self.coords, point))
+        return all(c.contains(float(v)) for c, v in zip(self, point))
 
     def within(self, other: "Box") -> bool:
-        return all(o.lo <= c.lo and c.hi <= o.hi
-                   for c, o in zip(self.coords, other.coords))
+        return all(o.lo <= c.lo and c.hi <= o.hi for c, o in zip(self, other))
 
     def intersects(self, other: "Box") -> bool:
-        return all(c.intersects(o) for c, o in zip(self.coords, other.coords))
+        return all(c.intersects(o) for c, o in zip(self, other))
 
     def bounds(self) -> list[tuple[float, float]]:
-        return [(c.lo, c.hi) for c in self.coords]
+        return [(c.lo, c.hi) for c in self]
 
     def __repr__(self):
-        return " x ".join(repr(c) for c in self.coords)
+        return " x ".join(map(repr, self))
+
+
+def _halves(box: Box):
+    """The halves of box across its first widest coordinate, split at that
+    coordinate's midpoint; None when no coordinate has positive width."""
+    widths = [hi - lo for lo, hi in box]
+    w = max(widths)
+    if w <= 0.0:
+        return None
+    i = widths.index(w)
+    lo, hi = box[i]
+    m = _mid(lo, hi)
+    left = list(box)
+    right = list(box)
+    left[i] = Interval(lo, m)
+    right[i] = Interval(m, hi)
+    return _tuple_new(Box, left), _tuple_new(Box, right)
 
 
 def subdivide(box: Box) -> tuple[Box, Box]:
     """Bisect the widest coordinate; ties go to the lowest index."""
-    widths = box.widths
-    w = max(widths)
-    if w <= 0.0:
+    halves = _halves(box)
+    if halves is None:
         raise DomainError("cannot subdivide a point box")
-    i = widths.index(w)
-    c = box.coords[i]
-    m = c.mid
-    left = list(box.coords)
-    right = list(box.coords)
-    left[i] = Interval(c.lo, m)
-    right[i] = Interval(m, c.hi)
-    return Box(tuple(left)), Box(tuple(right))
+    return halves
 
 
 def split_step(stack: list, box: Box, depth: int, max_depth: int) -> bool:
@@ -255,11 +280,11 @@ def split_step(stack: list, box: Box, depth: int, max_depth: int) -> bool:
     pairs: push the halves of ``box`` at ``depth + 1``, right then left,
     so the left half is popped next. Returns False, pushing nothing, when
     ``box`` is at the depth cap or has zero width."""
-    if depth >= max_depth or box.max_width == 0.0:
+    halves = None if depth >= max_depth else _halves(box)
+    if halves is None:
         return False
-    left, right = subdivide(box)
-    stack.append((right, depth + 1))
-    stack.append((left, depth + 1))
+    stack.append((halves[1], depth + 1))
+    stack.append((halves[0], depth + 1))
     return True
 
 
@@ -756,9 +781,8 @@ def _hot_code(ct: CompiledTerms, kind: str, coords):
 
 
 def interval_eval_compiled(ct: CompiledTerms, box: Box) -> list[Interval]:
-    coords = box.coords
-    code, P = _hot_code(ct, "values", coords)
-    return code(coords, P)
+    code, P = _hot_code(ct, "values", box)
+    return code(box, P)
 
 
 def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
@@ -768,9 +792,8 @@ def interval_eval(term: TermNode, box: Box, abel=None) -> Interval:
 
 def interval_jacobian_compiled(ct: CompiledTerms, box: Box):
     """Interval forward mode: values plus per-root interval gradients."""
-    coords = box.coords
-    code, P = _hot_code(ct, "jacobian", coords)
-    return code(coords, P)
+    code, P = _hot_code(ct, "jacobian", box)
+    return code(box, P)
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +903,7 @@ def _write_tail(w: _TapeWriter, x, mids, fm, jac) -> None:
     rows = _write_rows(w, x, mids, fm, jac, c)
     inside = " and ".join(f"{xl} < {kl} and {kh} < {xh}"
                           for (kl, kh), (xl, xh) in zip(rows, x))
-    w.lines.append(f"if {inside}: return KR('UniqueZero', BOX(("
+    w.lines.append(f"if {inside}: return KR('UniqueZero', tn(BOX, ("
                    + "".join(f"tn(IV, ({kl}, {kh})), " for kl, kh in rows) + ")))")
     meets = " and ".join(f"{kl} <= {xh} and {xl} <= {kh}"
                          for (kl, kh), (xl, xh) in zip(rows, x))
@@ -927,10 +950,13 @@ def krawczyk_test(system, box: Box) -> KrawczykResult:
     at its first test (``_generate``).
     """
     ct = system.compiled
-    coords = box.coords
-    n = len(coords)
-    if len(ct.roots) != n:
-        raise DomainError(
-            f"system has {len(ct.roots)} equations, box dimension {n}")
-    code, P = _hot_code(ct, "krawczyk", coords)
-    return code(coords, P)
+    n = len(box)
+    got = ct.cache.get(("interval", "krawczyk", n))
+    if got is None:
+        # a pass is cached only for an n that passed this check
+        if len(ct.roots) != n:
+            raise DomainError(
+                f"system has {len(ct.roots)} equations, box dimension {n}")
+        got = _hot_code(ct, "krawczyk", box)
+    code, P = got
+    return code(box, P)

@@ -3,13 +3,46 @@ reference that the generated Krawczyk code is held to bit for bit. It
 shares no code with ``intervals._TapeWriter``: the values, gradients and
 ``f(m)`` come from ``run_tape``'s walks over ``IntervalArith``, the
 preconditioner from a pure-Python Gauss-Jordan elimination and the rows of
-K from ``iadd``, ``isub``, ``imul`` and ``iscale``."""
+K from ``iadd``, ``isub``, ``imul`` and ``iscale``.
+
+Beside it, the census's per-box steps in checked ``Interval`` form, the
+reference for their float forms: the inflation of a tested box
+(``census._inflate``) and the bisection (``intervals.subdivide``)."""
 
 import math
 
+from slogcensus.census import _INFLATE
+from slogcensus.errors import DomainError
 from slogcensus.intervals import (Box, Interval, IntervalArith,
                                   KrawczykResult, iadd, imul, iscale, isub)
 from slogcensus.terms import run_tape, tape_gradients, tape_values
+
+
+def inflate_by_helpers(box, outer) -> Box:
+    """``census._inflate`` by Interval, max and min: each coordinate padded
+    by _INFLATE of its width (at least 1e-300) and clamped to outer."""
+    coords = []
+    for c, o in zip(box.coords, outer.coords):
+        pad = _INFLATE * max(c.width, 1e-300)
+        coords.append(Interval(max(c.lo - pad, o.lo), min(c.hi + pad, o.hi)))
+    return Box(tuple(coords))
+
+
+def subdivide_by_helpers(box) -> tuple:
+    """``intervals.subdivide`` by Interval: the first widest coordinate
+    split at its ``Interval.mid``."""
+    widths = [c.width for c in box.coords]
+    w = max(widths)
+    if w <= 0.0:
+        raise DomainError("cannot subdivide a point box")
+    i = widths.index(w)
+    c = box.coords[i]
+    m = c.mid
+    left = list(box.coords)
+    right = list(box.coords)
+    left[i] = Interval(c.lo, m)
+    right[i] = Interval(m, c.hi)
+    return Box(tuple(left)), Box(tuple(right))
 
 
 def gauss_jordan(M):

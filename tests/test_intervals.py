@@ -1,5 +1,6 @@
 """Interval arithmetic, boxes, enclosures, and the Krawczyk certifier."""
 
+import dataclasses
 import itertools
 import math
 import pickle
@@ -9,8 +10,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krawczyk_reference import inflate_by_helpers, subdivide_by_helpers
 from slogcensus.abel import EXP_MAX, exp_sat
-from slogcensus.census import build_system
+from slogcensus.census import _inflate, build_system
 from slogcensus.errors import DomainError
 from slogcensus.intervals import (Box, Interval, iadd, iexp, ilog, imul,
                                   iinv_pos, ineg, interval_eval, iscale,
@@ -297,6 +299,106 @@ def test_subdivide_near_the_end_of_the_double_range():
     assert m == right.coords[0].lo and 1e308 < m < 1.7e308
 
 
+def test_box_is_the_tuple_of_its_intervals(abel):
+    b = Box.from_bounds([(0.0, 1.0), (-1.0, 1.0)])
+    coords = (Interval(0.0, 1.0), Interval(-1.0, 1.0))
+    assert not dataclasses.is_dataclass(Box)
+    assert b == coords == ((0.0, 1.0), (-1.0, 1.0))
+    assert hash(b) == hash(coords)
+    assert b.coords == tuple(b) and type(b.coords) is tuple
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(b, protocol))
+        assert type(back) is Box and back == b
+        assert all(type(c) is Interval for c in back)
+    for empty in (lambda: Box(()), lambda: Box.cube(1.0, 0)):
+        with pytest.raises(DomainError, match="box needs at least one coordinate"):
+            empty()
+    res = krawczyk_test(build_system(["x1*x1 - 2"], abel=abel),
+                        Box.from_bounds([(1.0, 2.0)]))
+    assert type(res.contracted) is Box
+    assert all(type(c) is Interval for c in res.contracted)
+
+
+# census._inflate and subdivide on floats against their Interval forms
+
+def _box_bits(box):
+    assert type(box) is Box and all(type(c) is Interval for c in box)
+    return [(lo.hex(), hi.hex()) for lo, hi in box]
+
+
+def _outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+    return [_box_bits(b) for b in got] if type(got) is tuple else _box_bits(got)
+
+
+def _same_as_helpers(box, outer):
+    assert _outcome(_inflate, box, outer) == \
+        _outcome(inflate_by_helpers, box, outer), (box, outer)
+    assert _outcome(subdivide, box) == \
+        _outcome(subdivide_by_helpers, box), box
+    # split_step pushes subdivide's halves, right then left
+    stack = []
+    assert not split_step(stack, box, 5, 5) and stack == []
+    if max(c.width for c in box) == 0.0:
+        assert not split_step(stack, box, 0, 5) and stack == []
+    else:
+        assert split_step(stack, box, 0, 5)
+        assert [_box_bits(b) for b, _ in reversed(stack)] == \
+            _outcome(subdivide_by_helpers, box), box
+
+
+_ENDS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1.0, -1.0, 0.1,
+         1.7e308, -1.7e308, _MAX, -_MAX, math.inf, -math.inf)
+_ENDS_IV = [Interval(a, b) for a in _ENDS for b in _ENDS if a <= b]
+
+
+def test_float_box_steps_keep_every_bit_on_special_ends():
+    # every 1-D box against every 1-D root box, which need not contain it,
+    # then 2-D children of a root box, clamped by it
+    for c, o in itertools.product(_ENDS_IV, repeat=2):
+        _same_as_helpers(Box((c,)), Box((o,)))
+    root = Box.from_bounds([(-1.7e308, 1.7e308), (0.0, 1.0)])
+    for c, d in itertools.product(_ENDS_IV, repeat=2):
+        if Box((c, d)).within(root):
+            _same_as_helpers(Box((c, d)), root)
+
+
+def test_float_box_steps_raise_as_the_helpers_on_a_nan_end():
+    # a NaN end of the box makes a NaN end; one of the root box is passed
+    # over by max and min, and so by the comparisons
+    nan = math.nan
+    ok = Interval(0.0, 1.0)
+    for lo, hi in ((nan, 1.0), (0.0, nan), (nan, nan)):
+        bad = tuple.__new__(Interval, (lo, hi))
+        for box, outer in ((Box((bad,)), Box((ok,))), (Box((ok, bad)), Box((ok, ok))),
+                           (Box((ok,)), Box((bad,)))):
+            got = _outcome(_inflate, box, outer)
+            assert got == _outcome(inflate_by_helpers, box, outer)
+            assert (got[0] is DomainError) == (bad in box)
+
+
+_ends = st.floats(allow_nan=False)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.lists(_ends, min_size=4, max_size=4), min_size=1,
+                max_size=3), st.booleans())
+def test_float_box_steps_keep_every_bit(ends, nested):
+    # nested: each coordinate of the box inside the root box's, as in a
+    # census; otherwise two independent boxes
+    if nested:
+        ends = [sorted(e) for e in ends]
+        box = Box(Interval(b, c) for _, b, c, _ in ends)
+        outer = Box(Interval(a, d) for a, _, _, d in ends)
+    else:
+        box = Box(Interval(*sorted(e[:2])) for e in ends)
+        outer = Box(Interval(*sorted(e[2:])) for e in ends)
+    _same_as_helpers(box, outer)
+
+
 # ---------------------------------------------------------------------------
 # term enclosures
 
@@ -393,6 +495,17 @@ def test_krawczyk_encloses_midpoint_value(abel, w):
 
 
 def test_krawczyk_dimension_mismatch(abel):
+    # the check runs before a tape's pass of each n is cached, so it fires
+    # on a fresh tape and again once the tape's n = 2 pass has run
     sys_ = build_system(["x1*x1 + x2*x2 - 1", "x1 - x2"], abel=abel)
-    with pytest.raises(DomainError):
-        krawczyk_test(sys_, Box.from_bounds([(0.0, 1.0)]))
+
+    def wrong_dimensions_raise():
+        for n in (1, 3):
+            with pytest.raises(DomainError, match=fr"^system has 2 equations, "
+                                                  fr"box dimension {n}$"):
+                krawczyk_test(sys_, Box.cube(1.0, n))
+
+    wrong_dimensions_raise()
+    krawczyk_test(sys_, Box.cube(1.0, 2))
+    assert ("interval", "krawczyk", 2) in sys_.compiled.cache
+    wrong_dimensions_raise()
