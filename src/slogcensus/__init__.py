@@ -12,10 +12,8 @@ from .abel import (AbelFunction, DominationReport, build_abel, exp_n,
 from .census import (CensusReport, DeformationPath, RadiusReport,
                      SquareSystem, SystemParams, TrackReport,
                      build_system, count_nonsingular_zeros, count_over_box,
-                     is_regular_value, load_system_file,
-                     reduce_phi_complexity, sample_generic_tilt,
-                     sample_regular_value, search_radius, system_from_dict,
-                     track_path)
+                     load_system_file, reduce_phi_complexity, search_radius,
+                     system_from_dict, track_path)
 from .errors import (BuildError, CertificationError, DifferentiationError,
                      DomainError, GrowthAnalysisError, PathError,
                      SlogcensusError, TermSyntaxError)
@@ -27,10 +25,9 @@ from .intervals import (Box, Interval, KrawczykResult, interval_eval,
 from .morse import (AffineSubspace, ComponentReport, GammaReport,
                     MilnorSchedule, QFFormula, affine_restrict, atom,
                     certify_schedule, component_bound, critical_system,
-                    default_schedule, formula_from_dict, gamma_estimate,
-                    load_formula_file, milnor_tube, normalize,
-                    oracle_components, prove_empty, schedule_for_ball,
-                    wilkie_reduce)
+                    formula_from_dict, gamma_estimate, load_formula_file,
+                    milnor_tube, normalize, oracle_components, prove_empty,
+                    schedule_for_ball, wilkie_reduce)
 from .terms import (CompiledTerms, RAPrimitive, TermNode,
                     collect_phi_monomials, compile_terms, default_catalog,
                     differentiate, eval_compiled, eval_term, fcpx,
@@ -51,16 +48,14 @@ __all__ = [
     "build_abel", "build_system", "certify_schedule",
     "collect_phi_monomials", "compile_terms", "component_bound",
     "count_nonsingular_zeros", "count_over_box", "critical_system",
-    "default_catalog", "default_schedule", "differentiate", "eval_compiled",
-    "eval_term", "exp_n", "fcpx", "flood_components",
-    "flood_components_sublevel", "formula_from_dict", "free_variables",
-    "gamma_estimate", "get_default_abel", "gradient", "gradient_compiled",
-    "growth_exponent", "interval_eval",
-    "is_regular_value", "krawczyk_test", "load_formula_file",
+    "default_catalog", "differentiate", "eval_compiled", "eval_term",
+    "exp_n", "fcpx", "flood_components", "flood_components_sublevel",
+    "formula_from_dict", "free_variables", "gamma_estimate",
+    "get_default_abel", "gradient", "gradient_compiled", "growth_exponent",
+    "interval_eval", "krawczyk_test", "load_formula_file",
     "load_system_file", "log_n", "membership_mask", "milnor_tube",
     "normalize", "oracle_components", "oracle_zero_count", "parse_term",
-    "prove_empty", "reduce_phi_complexity", "sample_generic_tilt",
-    "sample_regular_value", "schedule_for_ball", "search_radius",
-    "subdivide", "substitute", "system_from_dict", "to_text", "track_path",
-    "wilkie_reduce",
+    "prove_empty", "reduce_phi_complexity", "schedule_for_ball",
+    "search_radius", "subdivide", "substitute", "system_from_dict",
+    "to_text", "track_path", "wilkie_reduce",
 ]

@@ -565,7 +565,11 @@ class AbelFunction:
             coeffs = data["coeffs"]
             order = int(data["order"])
             tol = float(data["tol"])
-        except (ValueError, KeyError, TypeError) as exc:
+            if not (isinstance(coeffs, list) and all(
+                    type(c) in (int, float) and math.isfinite(c)
+                    for c in coeffs)):
+                raise ValueError("coeffs must be a list of finite numbers")
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise BuildError(f"malformed seed file: {exc}") from exc
         if data.get("format_version") != 1:
             raise BuildError("unsupported seed file version")

@@ -31,7 +31,6 @@ DEFAULT_RADIUS = 8.0
 DEFAULT_DEPTH = 40
 
 _INFLATE = 0.05          # relative child-box inflation against face zeros
-_DET_FLOOR = 1e-6
 _tuple_new = tuple.__new__
 
 
@@ -192,16 +191,15 @@ def _chain_cutoff(k: int, s: int, abel) -> float:
     return float(zs[bad[-1] + 1])
 
 
-def search_radius(system: SquareSystem, default_radius: float = DEFAULT_RADIUS
-                  ) -> RadiusReport:
+def search_radius(system: SquareSystem) -> RadiusReport:
     """Ball radius beyond which zeros are ruled out by the growth bound.
 
-    phi-free systems carry no such bound; they get the default radius
+    phi-free systems carry no such bound; they get ``DEFAULT_RADIUS``
     and an explicit heuristic flag.
     """
     args = list(system.phi_args) + list(system.dphi_args)
     if not args:
-        return RadiusReport(default_radius, True)
+        return RadiusReport(DEFAULT_RADIUS, True)
     s = max(growth_exponent(a).s for a in args)
     k = len(system.phi_args)
     u = len(system.dphi_args)
@@ -285,6 +283,8 @@ def _polish(system: SquareSystem, enclosure: Box) -> list[float]:
 
 def _count_over_box(system: SquareSystem, root: Box, max_depth: int,
                     radius_label: float) -> CensusReport:
+    if max_depth < 0:
+        raise DomainError(f"depth must be non-negative, got {max_depth}")
     stack = [(root, 0)]
     certs: list[tuple[Box, Box]] = []   # (tested box, enclosure) of each hit
     zeros: list[list[float]] = []
@@ -335,46 +335,6 @@ def count_over_box(system: SquareSystem, box: Box,
     """Census over an explicit box instead of an origin-centered cube."""
     label = max(max(abs(c.lo), abs(c.hi)) for c in box.coords)
     return _count_over_box(system, box, max_depth, float(label))
-
-
-# ---------------------------------------------------------------------------
-# regular values and generic tilts
-
-def is_regular_value(system: SquareSystem, box: Box, eta: Sequence[float],
-                     max_depth: int = DEFAULT_DEPTH) -> bool:
-    """True when every zero of (system - eta) over the box is certified."""
-    report = count_over_box(system.shifted(eta), box, max_depth)
-    return report.exact
-
-
-def sample_regular_value(system: SquareSystem, box: Box, seed: int,
-                         budget: int = 25, max_depth: int = DEFAULT_DEPTH):
-    """Sample target vectors in [-1,1]^n until one is certified regular.
-
-    Returns (eta, attempts). The zero vector is tried first so systems
-    that are already regular report eta = 0 deterministically.
-    """
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, budget + 1):
-        if attempt == 1:
-            eta = [0.0] * system.n
-        else:
-            eta = [float(v) for v in rng.uniform(-1.0, 1.0, system.n)]
-        if is_regular_value(system, box, eta, max_depth):
-            return eta, attempt
-    raise CertificationError(f"no regular value found in {budget} attempts")
-
-
-def sample_generic_tilt(n: int, scale: float, seed: int, budget: int = 100):
-    """Identity plus a small random matrix, redrawn until well-conditioned."""
-    if not (0.0 < scale < 1.0):
-        raise DomainError("scale must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        a = np.eye(n) + scale * rng.uniform(-1.0, 1.0, (n, n))
-        if abs(float(np.linalg.det(a))) > _DET_FLOOR:
-            return a
-    raise CertificationError(f"no invertible tilt found in {budget} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -257,14 +257,15 @@ def cmd_gamma(args) -> int:
 # argument plumbing
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--radius", type=float, default=None)
-    common.add_argument("--depth", type=int, default=None)
-    common.add_argument("--abel", default=None, metavar="FILE",
-                        help="saved super-logarithm seed to use")
-    common.add_argument("--out", default=None, metavar="FILE",
-                        help="also write the JSON report here")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--abel", default=None, metavar="FILE",
+                       help="saved super-logarithm seed to use")
+    files.add_argument("--out", default=None, metavar="FILE",
+                       help="also write the JSON report here")
+    search = argparse.ArgumentParser(add_help=False, parents=[files])
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--radius", type=float, default=None)
+    search.add_argument("--depth", type=int, default=None)
 
     p = argparse.ArgumentParser(
         prog="slogcensus",
@@ -272,37 +273,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sc = sub.add_parser("slog-check", parents=[common],
+    sc = sub.add_parser("slog-check", parents=[files],
                         help="run the super-logarithm property suite")
     sc.add_argument("--order", type=int, default=3)
     sc.add_argument("--tol", type=float, default=None)
     sc.set_defaults(func=cmd_slog_check)
 
-    ev = sub.add_parser("eval", parents=[common],
+    ev = sub.add_parser("eval", parents=[files],
                         help="evaluate a term at a point")
     ev.add_argument("term")
     ev.add_argument("--at", default="", metavar="X1,X2,...")
     ev.add_argument("--grad", action="store_true")
+    ev.add_argument("--seed", type=int, default=0,
+                    help="accepted and ignored: eval draws nothing at random")
     ev.set_defaults(func=cmd_eval)
 
-    ze = sub.add_parser("zeros", parents=[common],
+    ze = sub.add_parser("zeros", parents=[search],
                         help="certified zero census of a system file")
     ze.add_argument("system_file")
     ze.set_defaults(func=cmd_zeros)
 
-    tr = sub.add_parser("track", parents=[common],
+    tr = sub.add_parser("track", parents=[search],
                         help="zero counts along a deformation path")
     tr.add_argument("system_file")
     tr.add_argument("path_file")
     tr.add_argument("--steps", type=int, default=None)
     tr.set_defaults(func=cmd_track)
 
-    co = sub.add_parser("components", parents=[common],
+    co = sub.add_parser("components", parents=[search],
                         help="certified component bound of a formula file")
     co.add_argument("formula_file")
     co.set_defaults(func=cmd_components)
 
-    ga = sub.add_parser("gamma", parents=[common],
+    ga = sub.add_parser("gamma", parents=[search],
                         help="sampled worst-slice component estimate")
     ga.add_argument("formula_file")
     ga.add_argument("--trials", type=int, default=20)

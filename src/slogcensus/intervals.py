@@ -8,6 +8,13 @@ enclosure, rounded outward by the primitive itself: the catalog widens
 its float formulas by two ulps, and the AbelFunction folds in its own
 seed evaluation error. The interval layer checks the domain and calls it.
 
+IEEE 754 rounds +, -, * and / correctly, so one ulp covers their error.
+It promises nothing for exp and log: ``iexp``, ``ilog``,
+``gridoracle.CellArith`` and the AbelFunction widen the results of
+``math.exp``/``math.log`` and ``np.exp``/``np.log`` by one ulp, which is
+sound only while those functions are within one ulp of the exact value.
+``tests/test_intervals.py`` checks that against 120-bit mpmath.
+
 An Interval is checked (no NaN, lo <= hi) where it is built from outside
 values: the constructor, ``Interval.point``, ``intersect`` and the
 enclosures of exp, log, 1/x and RA primitives. ``iadd``, ``isub``,

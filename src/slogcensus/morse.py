@@ -34,6 +34,7 @@ from .terms import (TermNode, add_all, compile_terms, const, differentiate,
 _ORTHO_TOL = 1e-12
 _ORACLE_RES = {1: 2048, 2: 512, 3: 128}
 CENSUS_DEPTH = 36
+EMPTY_DEPTH = 34          # prove_empty's bisection depth cap
 
 
 def _sq(t: TermNode) -> TermNode:
@@ -230,13 +231,12 @@ def critical_system(f_l: TermNode, eps: float, delta: float, rotation,
 # ---------------------------------------------------------------------------
 # emptiness prover and schedule certification
 
-def prove_empty(equations: Sequence[TermNode], box: Box, abel,
-                max_depth: int = 34) -> bool:
+def prove_empty(equations: Sequence[TermNode], box: Box, abel) -> bool:
     """Certify that no common zero exists in the box, by subdivision.
 
     Possibly overdetermined: a box dies when any equation's enclosure
     misses 0. Returns False at the first undecided box that ``split_step``
-    cannot split (depth cap or zero width).
+    cannot split (depth ``EMPTY_DEPTH`` or zero width).
     """
     ct = compile_terms(list(equations), abel)
     stack = [(box, 0)]
@@ -245,7 +245,7 @@ def prove_empty(equations: Sequence[TermNode], box: Box, abel,
         ranges = interval_eval_compiled(ct, b)
         if any(not r.contains_zero() for r in ranges):
             continue
-        if not split_step(stack, b, depth, max_depth):
+        if not split_step(stack, b, depth, EMPTY_DEPTH):
             return False
     return True
 
@@ -267,23 +267,16 @@ class MilnorSchedule:
             raise BuildError("schedule must strictly decrease")
 
 
-def default_schedule(stages: int = 3, eps0: float = 0.01,
-                     delta0: float = 0.1) -> MilnorSchedule:
-    pairs = tuple((eps0 * 0.25 ** i, delta0 * 0.5 ** i)
-                  for i in range(stages))
-    return MilnorSchedule(pairs)
-
-
-def schedule_for_ball(radius: float, stages: int = 3,
-                      delta0: float | None = None) -> MilnorSchedule:
-    """Schedule whose tube ball delta/sqrt(eps) equals the given radius
+def schedule_for_ball(radius: float) -> MilnorSchedule:
+    """Three stages, delta halving from min(0.1, radius/10) and eps
+    quartering, whose tube ball delta/sqrt(eps) equals the given radius
     at every stage, so the tube can reach the whole search region."""
     if not (radius > 0.0 and math.isfinite(radius)):
         raise DomainError("radius must be finite and positive")
-    if delta0 is None:
-        delta0 = min(0.1, radius / 10.0)
+    delta0 = min(0.1, radius / 10.0)
     eps0 = (delta0 / radius) ** 2
-    return default_schedule(stages, eps0, delta0)
+    return MilnorSchedule(tuple((eps0 * 0.25 ** i, delta0 * 0.5 ** i)
+                                for i in range(3)))
 
 
 def _regular_level(f_l: TermNode, eps: float, delta: float, abel,
@@ -370,8 +363,7 @@ def oracle_components(formula: QFFormula, subspace: AffineSubspace,
 
 
 def component_bound(formula, subspace: AffineSubspace, radius: float,
-                    schedule: MilnorSchedule | None = None, seed: int = 0,
-                    abel=None, n: int | None = None,
+                    seed: int = 0, abel=None, n: int | None = None,
                     include_oracle: bool = True,
                     census_depth: int = CENSUS_DEPTH) -> ComponentReport:
     """Certified critical-count bound on connected components.
@@ -390,8 +382,8 @@ def component_bound(formula, subspace: AffineSubspace, radius: float,
     f, aux = wilkie_reduce(formula)
     nv = formula.n + aux
     f_l = affine_restrict(f, subspace, formula.n)
-    schedule = schedule or schedule_for_ball(radius)
-    schedule = certify_schedule(f_l, schedule, abel, nv, seed=seed)
+    schedule = certify_schedule(f_l, schedule_for_ball(radius), abel, nv,
+                                seed=seed)
     rng = np.random.default_rng(seed)
     stage_counts = []
     used_rotation = None
@@ -453,7 +445,7 @@ def _stable_sublevel_count(term: TermNode, nv: int, radius: float, abel):
 
 
 def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
-                   abel=None, schedule: MilnorSchedule | None = None,
+                   abel=None,
                    census_depth: int = CENSUS_DEPTH) -> GammaReport:
     """Sampled estimate of the worst affine-slice component count.
 
@@ -481,7 +473,7 @@ def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
         rows = tuple(tuple(float(v) for v in rng.uniform(-1, 1, n + 1))
                      for _ in range(k))
         subspace = AffineSubspace(rows)
-        rep = component_bound(formula, subspace, radius, schedule,
+        rep = component_bound(formula, subspace, radius,
                               seed=seed + 1000 + t, abel=abel,
                               include_oracle=False, census_depth=census_depth)
         eps_f, delta_f = rep.schedule[-1]

@@ -297,6 +297,23 @@ def test_from_json_malformed():
         AbelFunction.from_json("{}")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coeffs", ["a", 0, 0, 0, 0, 0, 0]), ("coeffs", 5), ("coeffs", "0123456"),
+    ("coeffs", [None] * 7), ("coeffs", [True] * 7),
+    ("coeffs", [math.nan] * 7), ("coeffs", [10 ** 400] * 7),
+    ("order", math.inf)], ids=[
+    "coeffs-text", "coeffs-number", "coeffs-string", "coeffs-null",
+    "coeffs-bool", "coeffs-nan", "coeffs-huge-int", "order-inf"])
+def test_from_json_rejects_fields_that_are_not_numbers(abel, field, value):
+    # each of these once escaped from_json as a ValueError, TypeError or
+    # OverflowError, or was read as a seed
+    import json
+    doc = json.loads(abel.to_json())
+    doc[field] = value
+    with pytest.raises(BuildError, match="malformed seed file"):
+        AbelFunction.from_json(json.dumps(doc), validate=False)
+
+
 def test_build_rejects_bad_arguments():
     with pytest.raises(BuildError):
         build_abel(order=5)

@@ -11,12 +11,9 @@ import pytest
 from slogcensus.census import (DEFAULT_DEPTH, CensusReport, DeformationPath,
                                SystemParams, _polish,
                                build_system, count_nonsingular_zeros,
-                               count_over_box, is_regular_value,
-                               reduce_phi_complexity,
-                               sample_generic_tilt, sample_regular_value,
+                               count_over_box, reduce_phi_complexity,
                                search_radius, system_from_dict, track_path)
-from slogcensus.errors import (BuildError, CertificationError, DomainError,
-                               PathError)
+from slogcensus.errors import BuildError, DomainError, PathError
 from slogcensus import census, intervals
 from slogcensus.gridoracle import GridSpec, oracle_zero_count
 from slogcensus.intervals import Box
@@ -92,6 +89,16 @@ def test_zero_past_exp_overflow_is_never_exact(abel):
                          max_depth=6)
     assert not rep.exact
     assert rep.certified_count == 0
+
+
+def test_census_rejects_a_negative_depth(abel):
+    # depth -1 once split nothing and reported the root box as unknown
+    sys_ = build_system(["x1*x1 - 1"], abel=abel)
+    with pytest.raises(DomainError, match="depth"):
+        count_nonsingular_zeros(sys_, 2.0, max_depth=-1)
+    with pytest.raises(DomainError, match="depth"):
+        count_over_box(sys_, Box.cube(2.0, 1), max_depth=-1)
+    assert count_nonsingular_zeros(sys_, 2.0, max_depth=0).depth_used == 0
 
 
 def test_census_near_the_end_of_the_double_range(abel):
@@ -177,7 +184,7 @@ def test_search_radius_unbounded_growth(abel):
 
 
 # ---------------------------------------------------------------------------
-# shifts, tilts, regular values
+# shifts and tilts
 
 def test_shifted_moves_zeros(abel):
     sys_ = build_system(["x1*x1 - 1"], abel=abel)
@@ -188,37 +195,9 @@ def test_shifted_moves_zeros(abel):
 
 def test_tilted_preserves_counts(abel):
     sys_ = build_system(["x1*x1 + x2*x2 - 1", "x1 - x2"], abel=abel)
-    a = sample_generic_tilt(2, 0.05, seed=11)
+    a = [[1.03, -0.02], [0.04, 0.98]]
     rep = count_nonsingular_zeros(sys_.tilted(a), 2.0)
     assert rep.certified_count == 2 and rep.exact
-
-
-def test_sample_regular_value_zero_first(abel):
-    sys_ = build_system(["x1*x1 - 1"], abel=abel)
-    eta, attempts = sample_regular_value(sys_, Box.cube(2.0, 1), seed=0)
-    assert eta == [0.0] and attempts == 1
-
-
-def test_sample_regular_value_skips_singular_target(abel):
-    sys_ = build_system(["x1*x1"], abel=abel)
-    eta, attempts = sample_regular_value(sys_, Box.cube(2.0, 1), seed=4)
-    assert attempts > 1
-    assert is_regular_value(sys_, Box.cube(2.0, 1), eta)
-
-
-def test_sample_regular_value_budget_exhausted(abel):
-    sys_ = build_system(["x1*x1"], abel=abel)
-    with pytest.raises(CertificationError):
-        sample_regular_value(sys_, Box.cube(2.0, 1), seed=0, budget=0)
-
-
-def test_sample_generic_tilt_deterministic():
-    a = sample_generic_tilt(3, 0.1, seed=5)
-    b = sample_generic_tilt(3, 0.1, seed=5)
-    assert np.array_equal(a, b)
-    assert np.max(np.abs(a - np.eye(3))) <= 0.1
-    with pytest.raises(DomainError):
-        sample_generic_tilt(3, 1.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

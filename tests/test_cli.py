@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from slogcensus.cli import main
+
 _CLI = [sys.executable, "-m", "slogcensus.cli"]
 
 
@@ -48,6 +50,11 @@ def files(tmp_path_factory):
         "ragged_path.json": {"breakpoints": [0.0, 1.0],
                              "targets": [[0.0], [0.5, 1.0]]},
         "array_formula.json": [],
+        "text_coeffs_seed.json": {"format_version": 1, "order": 3,
+                                  "tol": 1e-8,
+                                  "coeffs": ["a", 0, 0, 0, 0, 0, 0]},
+        "number_coeffs_seed.json": {"format_version": 1, "order": 3,
+                                    "tol": 1e-8, "coeffs": 5},
     }
     for name, doc in docs.items():
         (root / name).write_text(json.dumps(doc))
@@ -153,6 +160,18 @@ def test_threads_flag_removed(files):
     assert "unrecognized arguments: --threads" in r.stderr
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["slog-check", "--depth", "3"], "--depth 3"),
+    (["slog-check", "--seed", "1"], "--seed 1"),
+    (["eval", "x1", "--at", "1", "--radius", "2"], "--radius 2"),
+])
+def test_flags_a_subcommand_does_not_read_are_refused(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_zeros_radius_flag_overrides(files):
     r = _run("zeros", str(files / "circle_line.json"), "--radius", "3.0")
     doc = json.loads(r.stdout)
@@ -223,10 +242,18 @@ def test_track_steps_flag(files):
     ["track", "line.json", "ragged_path.json"],
     ["track", "line.json", "nan_target_path.json"],
     ["components", "array_formula.json", "--radius", "2"],
+    ["slog-check", "--abel", "text_coeffs_seed.json"],
+    ["eval", "x1", "--at", "1", "--abel", "number_coeffs_seed.json"],
+    ["zeros", "circle_line.json", "--depth", "-1"],
+    ["track", "circle_line.json", "const_path.json", "--depth", "-1"],
+    ["components", "circle_formula.json", "--depth", "-1"],
+    ["gamma", "circle_formula.json", "--trials", "1", "--depth", "-1"],
 ], ids=["eval-at-text", "eval-deep", "eval-overflow", "equation-number",
         "radius-text", "param-text", "system-array", "system-deep",
         "equation-overflow", "path-steps-text", "path-ragged",
-        "path-nan-target", "formula-array"])
+        "path-nan-target", "formula-array", "seed-coeffs-text",
+        "seed-coeffs-number", "zeros-depth-negative", "track-depth-negative",
+        "components-depth-negative", "gamma-depth-negative"])
 def test_malformed_input_exits_two(files, argv):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]
     r = _run(*argv)

@@ -7,6 +7,7 @@ import pickle
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -229,6 +230,28 @@ def test_log_inv_soundness(a, b):
     for p in (x.lo, x.mid, x.hi):
         assert _contains(ilog(x), math.log(p))
         assert _contains(iinv_pos(x), 1.0 / p)
+
+
+def test_exp_and_log_of_math_and_numpy_are_within_one_ulp():
+    # iexp, ilog, CellArith and the abel widen these results by one ulp,
+    # which encloses the exact value only while each is within one ulp of
+    # it; a platform whose libm or numpy errs by more must fail here
+    rng = np.random.default_rng(15)
+    exp_xs = np.concatenate([rng.uniform(-700.0, 700.0, 1500),
+                             rng.uniform(-5.0, 5.0, 1500)])
+    log_xs = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 1500),
+                             rng.uniform(0.25, 4.0, 1500)])
+    cases = [("exp", mpmath.exp, exp_xs, math.exp, np.exp),
+             ("log", mpmath.log, log_xs, math.log, np.log)]
+    with mpmath.workprec(120):
+        for name, exact_fn, xs, scalar, array in cases:
+            for x, by_math, by_numpy in zip(xs.tolist(),
+                                            map(scalar, xs.tolist()),
+                                            array(xs).tolist()):
+                exact = exact_fn(mpmath.mpf(x))
+                for lib, y in (("math", by_math), ("numpy", by_numpy)):
+                    assert (math.nextafter(y, -math.inf) <= exact
+                            <= math.nextafter(y, math.inf)), (lib, name, x)
 
 
 def test_log_rejects_nonpositive():

@@ -14,10 +14,9 @@ from slogcensus.intervals import Box
 from slogcensus.morse import (AffineSubspace, ComponentReport, GammaReport,
                               MilnorSchedule, QFFormula, affine_restrict,
                               atom, certify_schedule, component_bound,
-                              critical_system, default_schedule,
-                              formula_from_dict, gamma_estimate,
-                              load_formula_file, milnor_tube, normalize,
-                              oracle_components, prove_empty,
+                              critical_system, formula_from_dict,
+                              gamma_estimate, load_formula_file, milnor_tube,
+                              normalize, oracle_components, prove_empty,
                               schedule_for_ball, wilkie_reduce)
 from slogcensus.terms import (add_all, const, eval_term, fcpx,
                               free_variables, mul, parse_term, substitute,
@@ -241,8 +240,7 @@ def test_critical_system_one_var_is_level_only(abel):
 def test_prove_empty(abel):
     yes = prove_empty([parse_term("x1*x1 + 1")], Box.cube(2.0, 1), abel)
     assert yes
-    no = prove_empty([parse_term("x1*x1 - 1")], Box.cube(2.0, 1), abel,
-                     max_depth=8)
+    no = prove_empty([parse_term("x1*x1 - 1")], Box.cube(2.0, 1), abel)
     assert not no
 
 
@@ -250,20 +248,22 @@ def test_prove_empty(abel):
 # schedules
 
 def test_default_schedule_halving():
-    s = default_schedule()
-    assert s.pairs == ((0.01, 0.1), (0.0025, 0.05), (0.000625, 0.025))
+    # three stages from delta0 = min(0.1, radius/10): delta halves and eps
+    # quarters
+    for radius, delta0 in ((1.0, 0.1), (2.0, 0.1), (0.5, 0.05)):
+        pairs = schedule_for_ball(radius).pairs
+        assert [d for _, d in pairs] == [delta0, delta0 / 2, delta0 / 4]
+        eps0 = (delta0 / radius) ** 2
+        assert [e for e, _ in pairs] == [eps0, eps0 / 4, eps0 / 16]
 
 
 def test_schedule_for_ball_couples_radius():
-    s = schedule_for_ball(2.0)
-    for eps, delta in s.pairs:
-        assert delta / math.sqrt(eps) == pytest.approx(2.0, rel=1e-12)
-    unit = schedule_for_ball(1.0).pairs
-    for (ea, da), (eb, db) in zip(unit, default_schedule().pairs):
-        assert ea == pytest.approx(eb, rel=1e-15)
-        assert da == db
-    with pytest.raises(DomainError):
-        schedule_for_ball(0.0)
+    for radius in (0.5, 2.0, 8.0):
+        for eps, delta in schedule_for_ball(radius).pairs:
+            assert delta / math.sqrt(eps) == pytest.approx(radius, rel=1e-12)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            schedule_for_ball(bad)
 
 
 def test_schedule_invariants():
