@@ -181,6 +181,8 @@ class AbelFunction:
         # powers-of-(y-1) coefficient tuples, descending for _horner
         d1 = [c * m for m, c in enumerate(self.coeffs, 1)]
         d2 = [c * m for m, c in enumerate(d1[1:], 1)]
+        if not all(map(math.isfinite, d1 + d2)):
+            raise BuildError("seed coefficients overflow their derivatives")
         self._p_desc = (*reversed(self.coeffs), 0.0)
         self._dp_desc = tuple(reversed(d1))
         self._d2p_desc = tuple(reversed(d2))
@@ -562,9 +564,11 @@ class AbelFunction:
     def from_json(cls, text: str, validate: bool = True) -> "AbelFunction":
         try:
             data = json.loads(text)
-            coeffs = data["coeffs"]
-            order = int(data["order"])
-            tol = float(data["tol"])
+            coeffs, order, tol = data["coeffs"], data["order"], data["tol"]
+            if type(order) is not int:
+                raise ValueError("order must be an integer")
+            if not (type(tol) in (int, float) and math.isfinite(tol)):
+                raise ValueError("tol must be a finite number")
             if not (isinstance(coeffs, list) and all(
                     type(c) in (int, float) and math.isfinite(c)
                     for c in coeffs)):

@@ -1,8 +1,11 @@
 """Brute-force grid ground truth: zero localization and component counts.
 
 Nothing here is certified; the module exists so certified results can be
-checked against an independent method in tests and reports. Interval
-evaluation over cells is vectorized with numpy and processed in chunks.
+checked against an independent method in tests and reports. The grid is
+walked as an open grid, in slabs of whole rows of axis 0: each variable
+enters as its own axis of cell values, shaped to broadcast against the
+others, so a subterm costs the size of the axes it depends on and only
+operations that mix variables run over every cell of the slab.
 """
 
 from __future__ import annotations
@@ -80,13 +83,8 @@ def _exp_arr(x: np.ndarray) -> np.ndarray:
 
 
 class PointArith(FloatArith):
-    """Arrays of points for run_tape, one array per variable."""
-
-    def __init__(self, like: np.ndarray):
-        self.like = like
-
-    def const(self, c):
-        return np.full_like(self.like, c)
+    """Arrays of points for run_tape, one array per variable, broadcast
+    against each other; constants stay floats."""
 
     def exp(self, x):
         return _exp_arr(x)
@@ -97,31 +95,43 @@ class PointArith(FloatArith):
         return np.log(x)
 
     def ra(self, prim, x):
+        # a constant argument goes in as an array too: it takes the
+        # primitive's array path, whose bits may differ from its float path
         if np.any(x < prim.lo) or np.any(x > prim.hi):
             raise DomainError(f"{prim.name} argument leaves domain on grid")
-        return np.asarray(prim.fn(x), dtype=float)
+        return np.asarray(prim.fn(np.atleast_1d(x)), dtype=float)
 
     def ra_factor(self, prim, x):
         return np.asarray(prim.derivative().fn(x), dtype=float)
 
 
-def _run_quiet(ct: CompiledTerms, inputs, arith, grad: bool = False):
+def _broadcast(out, shape):
+    # every array of a (nested) list or tuple of results, broadcast to shape
+    if isinstance(out, (list, tuple)):
+        return type(out)(_broadcast(v, shape) for v in out)
+    return np.broadcast_to(out, shape)
+
+
+def _run_quiet(ct: CompiledTerms, inputs, arith, coords, grad: bool = False):
     # overflow to inf, the 0*inf corners and inf - inf are handled by the
     # arithmetics themselves, so numpy's warnings about them carry nothing
     with np.errstate(all="ignore"):
-        return run_tape(ct, inputs, arith, grad=grad)
+        out = run_tape(ct, inputs, arith, grad=grad)
+    return _broadcast(out, np.broadcast_shapes(*map(np.shape, coords)))
 
 
 def eval_points(ct: CompiledTerms, coords: Sequence[np.ndarray]) -> list:
-    """Values of every root at an array of points (one array per variable)."""
+    """Values of every root at an array of points (one array per variable,
+    broadcast against each other), each of the points' common shape."""
     check_arity(ct, len(coords), "point")
-    return _run_quiet(ct, coords, PointArith(coords[0]))
+    return _run_quiet(ct, coords, PointArith(), coords)
 
 
 def gradient_points(ct: CompiledTerms, coords: Sequence[np.ndarray]):
-    """Forward-mode values and gradients at an array of points."""
+    """Forward-mode values and gradients at an array of points, each of
+    the points' common shape."""
     check_arity(ct, len(coords), "point")
-    return _run_quiet(ct, coords[:ct.n_vars], PointArith(coords[0]),
+    return _run_quiet(ct, coords[:ct.n_vars], PointArith(), coords,
                       grad=True)
 
 
@@ -145,12 +155,8 @@ class CellArith:
     """(lo, hi) array pairs for run_tape: enclosures over grid cells. No
     caller takes gradients over cells, so there are no derivative factors."""
 
-    def __init__(self, like: np.ndarray):
-        self.like = like
-
     def const(self, c):
-        v = np.full_like(self.like, c)
-        return v, v
+        return c, c
 
     def add(self, x, y):
         lo, hi = x[0] + y[0], x[1] + y[1]
@@ -180,31 +186,33 @@ class CellArith:
     def ra(self, prim, x):
         if np.any(x[0] < prim.lo) or np.any(x[1] > prim.hi):
             raise DomainError(f"{prim.name} argument leaves domain on grid")
-        return prim.range_fn(*x)
+        return prim.range_fn(*np.atleast_1d(*x))  # as in PointArith.ra
 
 
 def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],
                his: Sequence[np.ndarray]) -> list:
-    """Interval enclosures of every root over an array of cells."""
+    """Interval enclosures of every root over an array of cells (one array
+    of ends per variable, broadcast against each other), each end of the
+    cells' common shape."""
     check_arity(ct, min(len(los), len(his)), "cell")
-    return _run_quiet(ct, list(zip(los, his)), CellArith(los[0]))
+    return _run_quiet(ct, list(zip(los, his)), CellArith(), [*los, *his])
 
 
-def _chunks(grid: GridSpec, *tables):
-    """Walk the cells in flat order, _CHUNK at a time: yield the flat
-    slice, then for each table (one array per axis, indexed by a cell's
-    index on that axis, as in GridSpec.cell_axes) its arrays at the
-    chunk's cells."""
-    shape = tuple(grid.resolution)
-    total = grid.cells
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        # named, so it lives until the next chunk: freed at once, it let
-        # the heap of a 1024^2 flood fill grow by about 4 MB
-        flat = np.arange(start, stop)
-        idx = np.unravel_index(flat, shape)
-        yield (slice(start, stop),
-               *[[t[ax][idx[ax]] for ax in range(grid.n)] for t in tables])
+def _slabs(grid: GridSpec, *tables):
+    """Walk the grid as an open grid, in slabs of whole rows of axis 0,
+    each of at most _CHUNK cells and at least one row: yield the slab's
+    slice of axis 0, then for each table (one array per axis, indexed by
+    a cell's index on that axis, as in GridSpec.cell_axes) its arrays,
+    axis i's shaped to its length along dimension i and to 1 along the
+    others, and axis 0's cut to the slab."""
+    rows = max(1, _CHUNK // (grid.cells // grid.resolution[0]))
+    shapes = [[-1 if d == ax else 1 for d in range(grid.n)]
+              for ax in range(grid.n)]
+    opened = [[t[ax].reshape(shapes[ax]) for ax in range(grid.n)]
+              for t in tables]
+    for start in range(0, grid.resolution[0], rows):
+        sl = slice(start, start + rows)
+        yield (sl, *[[t[0][sl], *t[1:]] for t in opened])
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +221,12 @@ def _chunks(grid: GridSpec, *tables):
 def zero_cell_mask(system, grid: GridSpec) -> np.ndarray:
     """Boolean grid: interval evaluation of every equation contains 0."""
     ct = system.compiled
-    flat = np.zeros(grid.cells, dtype=bool)
+    mask = np.ones(tuple(grid.resolution), dtype=bool)
     lows, highs, _ = grid.cell_axes
-    for sl, los, his in _chunks(grid, lows, highs):
-        roots = eval_cells(ct, los, his)
-        ok = np.ones(los[0].shape, dtype=bool)
-        for lo, hi in roots:
-            ok &= (lo <= 0.0) & (hi >= 0.0)
-        flat[sl] = ok
-    return flat.reshape(tuple(grid.resolution))
+    for sl, los, his in _slabs(grid, lows, highs):
+        for lo, hi in eval_cells(ct, los, his):
+            mask[sl] &= (lo <= 0.0) & (hi >= 0.0)
+    return mask
 
 
 def _label(mask: np.ndarray):
@@ -254,25 +259,20 @@ def oracle_zero_count(system, grid: GridSpec):
 # component counting
 
 def _atom_mask(term: TermNode, rel: str, grid: GridSpec, abel) -> np.ndarray:
+    if rel not in ("=", ">", "<="):
+        raise DomainError(f"unsupported relation {rel!r}")
     ct = compile_terms([term], abel)
-    flat_val = np.empty(grid.cells)
-    flat_tau = np.zeros(grid.cells)
-    need_tau = rel == "="
-    for sl, centers in _chunks(grid, grid.cell_axes[2]):
-        if need_tau:
+    mask = np.empty(tuple(grid.resolution), dtype=bool)
+    for sl, centers in _slabs(grid, grid.cell_axes[2]):
+        if rel == "=":
             vals, grads = gradient_points(ct, centers)
             g = np.sqrt(sum(p * p for p in grads[0]))
-            flat_tau[sl] = 4.0 * grid.cell_diag * g
-            flat_val[sl] = vals[0]
+            mask[sl] = np.abs(vals[0]) <= 4.0 * grid.cell_diag * g
+        elif rel == ">":
+            mask[sl] = eval_points(ct, centers)[0] > 0.0
         else:
-            flat_val[sl] = eval_points(ct, centers)[0]
-    if rel == "=":
-        return (np.abs(flat_val) <= flat_tau).reshape(tuple(grid.resolution))
-    if rel == ">":
-        return (flat_val > 0.0).reshape(tuple(grid.resolution))
-    if rel == "<=":
-        return (flat_val <= 0.0).reshape(tuple(grid.resolution))
-    raise DomainError(f"unsupported relation {rel!r}")
+            mask[sl] = eval_points(ct, centers)[0] <= 0.0
+    return mask
 
 
 def membership_mask(dnf, grid: GridSpec, abel,
@@ -290,11 +290,8 @@ def membership_mask(dnf, grid: GridSpec, abel,
             m &= _atom_mask(term, rel, grid, abel)
         mask |= m
     if ball_radius is not None:
-        flat = np.zeros(grid.cells, dtype=bool)
-        for sl, centers in _chunks(grid, grid.cell_axes[2]):
-            r2 = sum(c * c for c in centers)
-            flat[sl] = r2 <= ball_radius * ball_radius
-        mask &= flat.reshape(tuple(grid.resolution))
+        for sl, centers in _slabs(grid, grid.cell_axes[2]):
+            mask[sl] &= sum(c * c for c in centers) <= ball_radius * ball_radius
     return mask
 
 

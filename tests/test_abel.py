@@ -301,17 +301,36 @@ def test_from_json_malformed():
     ("coeffs", ["a", 0, 0, 0, 0, 0, 0]), ("coeffs", 5), ("coeffs", "0123456"),
     ("coeffs", [None] * 7), ("coeffs", [True] * 7),
     ("coeffs", [math.nan] * 7), ("coeffs", [10 ** 400] * 7),
-    ("order", math.inf)], ids=[
+    ("order", math.inf), ("order", 3.7), ("order", 3.0), ("order", "3"),
+    ("order", True), ("tol", "1e-8"), ("tol", True), ("tol", None),
+    ("tol", math.inf), ("tol", math.nan)], ids=[
     "coeffs-text", "coeffs-number", "coeffs-string", "coeffs-null",
-    "coeffs-bool", "coeffs-nan", "coeffs-huge-int", "order-inf"])
+    "coeffs-bool", "coeffs-nan", "coeffs-huge-int", "order-inf",
+    "order-fraction", "order-float", "order-string", "order-bool",
+    "tol-string", "tol-bool", "tol-null", "tol-inf", "tol-nan"])
 def test_from_json_rejects_fields_that_are_not_numbers(abel, field, value):
     # each of these once escaped from_json as a ValueError, TypeError or
-    # OverflowError, or was read as a seed
+    # OverflowError, or was read as a seed (an order of 3.7 as 3, a tol
+    # of "1e-8" as 1e-8)
     import json
     doc = json.loads(abel.to_json())
     doc[field] = value
     with pytest.raises(BuildError, match="malformed seed file"):
         AbelFunction.from_json(json.dumps(doc), validate=False)
+
+
+def test_from_json_accepts_an_integer_tol(abel):
+    import json
+    doc = json.loads(abel.to_json())
+    doc["tol"] = 1
+    assert AbelFunction.from_json(json.dumps(doc), validate=False).tol == 1.0
+
+
+def test_coefficients_that_overflow_their_derivatives_are_rejected(abel):
+    # 7 * 1e308 is inf: the derivative tables would hold it, and np.roots
+    # of them would fail with LinAlgError
+    with pytest.raises(BuildError, match="overflow their derivatives"):
+        AbelFunction([1e308] * 7, 3, 1e-8, validate=False)
 
 
 def test_build_rejects_bad_arguments():

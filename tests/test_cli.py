@@ -55,6 +55,8 @@ def files(tmp_path_factory):
                                   "coeffs": ["a", 0, 0, 0, 0, 0, 0]},
         "number_coeffs_seed.json": {"format_version": 1, "order": 3,
                                     "tol": 1e-8, "coeffs": 5},
+        "huge_coeffs_seed.json": {"format_version": 1, "order": 3,
+                                  "tol": 1e-8, "coeffs": [1e308] * 7},
     }
     for name, doc in docs.items():
         (root / name).write_text(json.dumps(doc))
@@ -244,6 +246,8 @@ def test_track_steps_flag(files):
     ["components", "array_formula.json", "--radius", "2"],
     ["slog-check", "--abel", "text_coeffs_seed.json"],
     ["eval", "x1", "--at", "1", "--abel", "number_coeffs_seed.json"],
+    ["slog-check", "--abel", "huge_coeffs_seed.json"],
+    ["eval", "x1", "--at", "1", "--abel", "huge_coeffs_seed.json"],
     ["zeros", "circle_line.json", "--depth", "-1"],
     ["track", "circle_line.json", "const_path.json", "--depth", "-1"],
     ["components", "circle_formula.json", "--depth", "-1"],
@@ -252,7 +256,8 @@ def test_track_steps_flag(files):
         "radius-text", "param-text", "system-array", "system-deep",
         "equation-overflow", "path-steps-text", "path-ragged",
         "path-nan-target", "formula-array", "seed-coeffs-text",
-        "seed-coeffs-number", "zeros-depth-negative", "track-depth-negative",
+        "seed-coeffs-number", "seed-coeffs-huge-check",
+        "seed-coeffs-huge-eval", "zeros-depth-negative", "track-depth-negative",
         "components-depth-negative", "gamma-depth-negative"])
 def test_malformed_input_exits_two(files, argv):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]

@@ -6,15 +6,21 @@ import warnings
 import numpy as np
 import pytest
 
-from slogcensus.census import build_system
+from conftest import CORPUS, PHI_CORPUS
+from slogcensus import gridoracle
+from slogcensus.census import build_system, reduce_phi_complexity
 from slogcensus.errors import DomainError
 from slogcensus.gridoracle import (GridSpec, eval_cells, eval_points,
                                    flood_components,
                                    flood_components_sublevel,
-                                   membership_mask, oracle_zero_count,
-                                   zero_cell_mask)
+                                   gradient_points, membership_mask,
+                                   oracle_zero_count, zero_cell_mask)
 from slogcensus.intervals import Box, interval_eval_compiled
+from slogcensus.morse import (QFFormula, milnor_tube, schedule_for_ball,
+                              wilkie_reduce)
 from slogcensus.terms import compile_terms, eval_term, parse_term
+
+_CIRCLE = "x1*x1 + x2*x2 - 1"
 
 
 # ---------------------------------------------------------------------------
@@ -167,3 +173,167 @@ def test_phi_membership(abel):
     assert count == 1
     assert centers[0][0] == pytest.approx(1.0, abs=0.01)
     assert flood_components(dnf, GridSpec.square(4.0, 1, 4096), abel) == 1
+
+
+# ---------------------------------------------------------------------------
+# the open grid against the flat walk it replaced
+
+def _flat_cells(grid, table):
+    """Each variable gathered out to one entry per cell, in flat order:
+    the walk the grid oracle made before it walked an open grid."""
+    idx = np.unravel_index(np.arange(grid.cells), tuple(grid.resolution))
+    return [table[ax][idx[ax]] for ax in range(grid.n)]
+
+
+def _flat_zero_cell_mask(system, grid):
+    lows, highs, _ = grid.cell_axes
+    ok = np.ones(grid.cells, dtype=bool)
+    for lo, hi in eval_cells(system.compiled, _flat_cells(grid, lows),
+                             _flat_cells(grid, highs)):
+        ok &= (lo <= 0.0) & (hi >= 0.0)
+    return ok.reshape(tuple(grid.resolution))
+
+
+def _flat_atom_mask(term, rel, grid, abel):
+    ct = compile_terms([term], abel)
+    centers = _flat_cells(grid, grid.cell_axes[2])
+    if rel == "=":
+        vals, grads = gradient_points(ct, centers)
+        tau = 4.0 * grid.cell_diag * np.sqrt(sum(p * p for p in grads[0]))
+        flat = np.abs(vals[0]) <= tau
+    else:
+        val = eval_points(ct, centers)[0]
+        flat = val > 0.0 if rel == ">" else val <= 0.0
+    return flat.reshape(tuple(grid.resolution))
+
+
+def _flat_membership_mask(dnf, grid, abel, ball_radius):
+    mask = np.zeros(tuple(grid.resolution), dtype=bool)
+    for conj in dnf:
+        m = np.ones(tuple(grid.resolution), dtype=bool)
+        for term, rel in conj:
+            m &= _flat_atom_mask(term, rel, grid, abel)
+        mask |= m
+    r2 = sum(c * c for c in _flat_cells(grid, grid.cell_axes[2]))
+    return mask & (r2 <= ball_radius * ball_radius).reshape(mask.shape)
+
+
+# resolutions that no slab of three rows divides
+_OPEN_RES = {1: 1001, 2: 97, 3: 23}
+
+
+@pytest.fixture(params=["three-rows", "one-row"])
+def slab(request, monkeypatch):
+    """Patch the slab size for a grid: three rows and one cell, or one
+    cell less than a row (one cell in 1-D), so that each slab holds three
+    rows or one."""
+    def set_for(grid):
+        row = grid.cells // grid.resolution[0]
+        chunk = 3 * row + 1 if request.param == "three-rows" else row - 1
+        monkeypatch.setattr(gridoracle, "_CHUNK", max(chunk, 1))
+        return grid
+    return set_for
+
+
+def _reduced(eqs, radius, abel):
+    return reduce_phi_complexity(build_system(eqs, abel=abel), radius)
+
+
+@pytest.mark.parametrize("name, eqs, radius, reduced", [
+    *[(name, eqs, radius, False) for name, eqs, radius, _ in CORPUS],
+    *[(name, eqs, radius, True) for name, eqs, radius, _ in PHI_CORPUS]],
+    ids=[row[0] for row in CORPUS]
+    + [f"reduced-{row[0]}" for row in PHI_CORPUS])
+def test_open_grid_zero_cells_equal_the_flat_walk(abel, slab, name, eqs,
+                                                  radius, reduced):
+    system = (_reduced(eqs, radius, abel) if reduced
+              else build_system(eqs, abel=abel))
+    grid = slab(GridSpec.square(radius, system.n, _OPEN_RES[system.n]))
+    mask = zero_cell_mask(system, grid)
+    assert np.array_equal(mask, _flat_zero_cell_mask(system, grid))
+    assert mask.any()
+
+
+def test_open_grid_tube_atoms_equal_the_flat_walk(abel, slab):
+    # the circle's last-stage Milnor tube, as gamma_estimate floods it
+    f_l, _ = wilkie_reduce(QFFormula((((parse_term(_CIRCLE), "="),),), 2))
+    eps, delta = schedule_for_ball(2.0).pairs[-1]
+    tube = milnor_tube(f_l, eps, delta, 2)
+    grid = slab(GridSpec.square(delta / math.sqrt(eps) * 1.01, 2, 131))
+    for rel in ("=", "<=", ">"):
+        mask = gridoracle._atom_mask(tube, rel, grid, abel)
+        assert np.array_equal(mask, _flat_atom_mask(tube, rel, grid, abel))
+        assert mask.any() and not mask.all(), rel
+
+
+@pytest.mark.parametrize("text, n", [
+    (_CIRCLE, 2), ("phi(x1) - x2", 2), ("dphi(x1) - x2*x2", 2),
+    ("x1*x1 + x2*x2 + x3*x3 - 1", 3), ("x1*x1 - 1", 1)])
+def test_open_grid_membership_equals_the_flat_walk(abel, slab, text, n):
+    dnf = _dnf([(text, "=")], [("x1 - 0.3", ">"), (text, "<=")])
+    grid = slab(GridSpec.square(2.0, n, _OPEN_RES[n]))
+    mask = membership_mask(dnf, grid, abel, ball_radius=1.7)
+    assert np.array_equal(mask,
+                          _flat_membership_mask(dnf, grid, abel, 1.7))
+    assert mask.any() and not mask.all()
+
+
+# ---------------------------------------------------------------------------
+# the evaluators' broadcast contract
+
+def test_open_grid_inputs_give_every_result_the_cells_shape(abel):
+    # a constant root, and x1*x1 + x2, whose derivative in x2 is constant
+    ct = compile_terms([parse_term("2.5"), parse_term("x1*x1 + x2")], abel)
+    xs, ys = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 3)
+    grid = [xs.reshape(-1, 1), ys.reshape(1, -1)]
+    flat = [np.repeat(xs, 3), np.tile(ys, 5)]
+    const_root, root = eval_points(ct, grid)
+    assert const_root.shape == root.shape == (5, 3)
+    assert np.all(const_root == 2.5)
+    assert np.array_equal(root.ravel(), eval_points(ct, flat)[1])
+    vals, grads = gradient_points(ct, grid)
+    assert [v.shape for v in vals] == [(5, 3)] * 2
+    assert [g.shape for gs in grads for g in gs] == [(5, 3)] * 4
+    assert np.all(grads[0][0] == 0.0) and np.all(grads[1][1] == 1.0)
+    assert np.array_equal(grads[1][0].ravel(),
+                          gradient_points(ct, flat)[1][1][0])
+    ends = [y + 0.5 for y in grid]
+    (clo, chi), (lo, hi) = eval_cells(ct, grid, ends)
+    assert clo.shape == chi.shape == lo.shape == hi.shape == (5, 3)
+    assert np.all(clo == 2.5) and np.all(chi == 2.5)
+    flat_lo, flat_hi = eval_cells(ct, flat, [f + 0.5 for f in flat])[1]
+    assert np.array_equal(lo.ravel(), flat_lo)
+    assert np.array_equal(hi.ravel(), flat_hi)
+
+
+def test_a_constant_argument_takes_the_array_path_of_its_primitive(abel):
+    # phi's float walk (math.exp) and array walk (np.exp) differ by an ulp
+    # at -2.6 on an AVX-512 numpy 2.4; every cell's value comes from the
+    # array walk, whether or not the argument depends on a variable
+    c = np.array([-2.6])
+    ct = compile_terms([parse_term("phi(-2.6)")], abel)
+    xs = [np.linspace(-1.0, 1.0, 4)]
+    assert np.array_equal(eval_points(ct, xs)[0],
+                          np.repeat(abel.eval_phi_array(c), 4))
+    (lo, hi), = eval_cells(ct, xs, xs)
+    want_lo, want_hi = abel.interval_phi(c, c)
+    assert np.all(lo == want_lo[0]) and np.all(hi == want_hi[0])
+
+
+@pytest.mark.parametrize("source", ["log(1.8 - x1) + x2",
+                                    "sin(50*x1 + 12) + x2"])
+def test_a_fault_in_the_last_slab_still_raises(abel, monkeypatch, source):
+    # on 16 rows of width 0.25, only the last (centres 1.875, cells up to
+    # 2) takes log's argument to 0 or below or sin's past 100
+    monkeypatch.setattr(gridoracle, "_CHUNK", 16)
+    grid = GridSpec.square(2.0, 2, 16)
+    short = GridSpec(Box.from_bounds([(-2.0, 1.75), (-2.0, 2.0)]), (15, 16))
+    system = build_system([source, "x2"], abel=abel)
+    term = parse_term(source)
+    zero_cell_mask(system, short)
+    membership_mask(_dnf([(source, ">")]), short, abel)
+    with pytest.raises(DomainError):
+        zero_cell_mask(system, grid)
+    for rel in ("=", ">"):
+        with pytest.raises(DomainError):
+            gridoracle._atom_mask(term, rel, grid, abel)

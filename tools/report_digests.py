@@ -5,8 +5,10 @@ byte, on every operation of the benchmark, so a refactor can show that
 it changed no output by diffing this script's output against its base's.
 Digested: census and morse reports as ``json.dumps(to_dict(),
 sort_keys=True)`` (with the radius report's fields beside the growth
-census), oracle counts, and each CLI command's (exit code, stdout,
-``--out`` bytes).
+census), oracle counts (with each cluster centre of a zero count, its
+coordinates as ``float.hex``, so that a moved zero cell shows even where
+the count holds), and each CLI command's (exit code, stdout, ``--out``
+bytes).
 
 Beside each census and morse digest it prints the counts that a change of
 report bytes must not move: ``certified_count``, ``exact``, the number of
@@ -74,8 +76,11 @@ def _counts(report, path: str = "") -> list[str]:
 
 def _bytes(workload: str, out) -> bytes:
     if workload == "oracle":
-        count = out[0] if isinstance(out, tuple) else out
-        return str(int(count)).encode()
+        if isinstance(out, tuple):  # a zero count and its cluster centres
+            count, centers = out
+            return json.dumps([int(count), [[float.hex(v) for v in c]
+                                            for c in centers]]).encode()
+        return str(int(out)).encode()
     if workload == "cli":
         return repr(out).encode()
     return json.dumps(_report(out), sort_keys=True).encode()
