@@ -546,20 +546,25 @@ def read_file_fields(doc, what: str, body: str):
         content = doc[body]
     except KeyError as exc:
         raise BuildError(f"{what} file missing field {exc}") from exc
-    if isinstance(vars_field, int):
-        var_names = [f"x{i + 1}" for i in range(vars_field)]
-    elif isinstance(vars_field, list):
+    # bool is an int in Python, but true is not a JSON number
+    if isinstance(vars_field, list):
         var_names = [str(v) for v in vars_field]
+    elif (isinstance(vars_field, int) and not isinstance(vars_field, bool)
+          and vars_field >= 1):
+        var_names = [f"x{i + 1}" for i in range(vars_field)]
     else:
-        raise BuildError("vars must be a count or a list of names")
+        raise BuildError(f"vars must be a count of at least 1 or a list of "
+                         f"names, not {vars_field!r}")
     if not isinstance(content, list):
         raise BuildError(f"{body} must be a list")
     radius = doc.get("radius")
     if radius is not None:
+        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
+            raise BuildError(f"radius must be a number, not {radius!r}")
         try:
             radius = float(radius)
-        except (TypeError, ValueError):
-            raise BuildError(f"radius must be a number, not {radius!r}") from None
+        except OverflowError:
+            raise BuildError("radius overflows a float") from None
     return var_names, content, radius
 
 

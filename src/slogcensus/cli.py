@@ -142,6 +142,8 @@ def cmd_eval(args) -> int:
     except ValueError:
         raise DomainError(
             f"--at takes comma-separated numbers, not {args.at!r}") from None
+    if not all(map(math.isfinite, point)):
+        raise DomainError(f"--at takes finite numbers, not {args.at!r}")
     names = [f"x{i + 1}" for i in range(len(point))]
     term = parse_term(args.term, names if names else None)
     report = {

@@ -1,11 +1,15 @@
-"""Brute-force grid ground truth: zero localization and component counts.
+"""Grid ground truth: zero localization and component counts.
 
 Nothing here is certified; the module exists so certified results can be
-checked against an independent method in tests and reports. The grid is
-walked as an open grid, in slabs of whole rows of axis 0: each variable
-enters as its own axis of cell values, shaped to broadcast against the
-others, so a subterm costs the size of the axes it depends on and only
-operations that mix variables run over every cell of the slab.
+checked against an independent method in tests and reports. Zero cells
+are found coarse to fine: blocks of cells are enclosed first, and single
+cells only inside blocks whose enclosures hold 0 (``zero_cell_mask``).
+Membership tests cell centres against a tolerance, with no enclosure to
+prune by, so it walks every cell: as an open grid, in slabs of whole
+rows of axis 0, each variable entering as its own axis of cell values,
+shaped to broadcast against the others. A subterm then costs the size of
+the axes it depends on, and only operations that mix variables run over
+every cell of the slab.
 """
 
 from __future__ import annotations
@@ -198,19 +202,18 @@ def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],
     return _run_quiet(ct, list(zip(los, his)), CellArith(), [*los, *his])
 
 
-def _slabs(grid: GridSpec, *tables):
-    """Walk the grid as an open grid, in slabs of whole rows of axis 0,
-    each of at most _CHUNK cells and at least one row: yield the slab's
-    slice of axis 0, then for each table (one array per axis, indexed by
-    a cell's index on that axis, as in GridSpec.cell_axes) its arrays,
-    axis i's shaped to its length along dimension i and to 1 along the
-    others, and axis 0's cut to the slab."""
-    rows = max(1, _CHUNK // (grid.cells // grid.resolution[0]))
-    shapes = [[-1 if d == ax else 1 for d in range(grid.n)]
-              for ax in range(grid.n)]
-    opened = [[t[ax].reshape(shapes[ax]) for ax in range(grid.n)]
-              for t in tables]
-    for start in range(0, grid.resolution[0], rows):
+def _slabs(shape: tuple, *tables):
+    """Walk an array of the given shape as an open grid, in slabs of whole
+    rows of axis 0, each of at most _CHUNK entries and at least one row:
+    yield the slab's slice of axis 0, then for each table (one array per
+    axis, indexed by an entry's index on that axis, as in
+    GridSpec.cell_axes) its arrays, axis i's shaped to its length along
+    dimension i and to 1 along the others, and axis 0's cut to the slab."""
+    n = len(shape)
+    rows = max(1, _CHUNK // (math.prod(shape) // shape[0]))
+    shapes = [[-1 if d == ax else 1 for d in range(n)] for ax in range(n)]
+    opened = [[t[ax].reshape(shapes[ax]) for ax in range(n)] for t in tables]
+    for start in range(0, shape[0], rows):
         sl = slice(start, start + rows)
         yield (sl, *[[t[0][sl], *t[1:]] for t in opened])
 
@@ -218,14 +221,109 @@ def _slabs(grid: GridSpec, *tables):
 # ---------------------------------------------------------------------------
 # zero localization
 
+def _block_sides(resolution) -> list:
+    """Block sides, in cells, of the levels of the coarse-to-fine walk,
+    from the first level down to 1. A level splits each block f ways
+    along every axis, f = 2**ceil(6/n), so into about 64 blocks (64 in
+    1-D, 8**2 in 2-D, 4**3 in 3-D); the first level takes the largest
+    power of f that leaves at least f blocks along the shortest axis."""
+    f = 2 ** -(-6 // len(resolution))
+    sides = [1]
+    while sides[-1] * f * f <= min(resolution):
+        sides.append(sides[-1] * f)
+    return sides[::-1]
+
+
+def _may_hold_zero(ct: CompiledTerms, los, his, cells: bool) -> np.ndarray:
+    """For each cell (or, without cells, each block of cells) of an array,
+    whether every equation's enclosure over it contains 0. An array of
+    blocks whose evaluation leaves a domain keeps all its blocks."""
+    try:
+        ends = eval_cells(ct, los, his)
+    except DomainError:
+        if cells:
+            raise
+        return np.ones(np.broadcast_shapes(*map(np.shape, [*los, *his])),
+                       dtype=bool)
+    keep = True
+    for lo, hi in ends:
+        keep = keep & (lo <= 0.0) & (hi >= 0.0)
+    return keep
+
+
+def _sub_blocks(starts, side: int, sub: int, resolution):
+    """First cells of the blocks of side ``sub`` inside the blocks of side
+    ``side`` that start at ``starts`` (one index array per axis), the
+    blocks past the grid's last cell left out."""
+    n = len(starts)
+    offsets = np.arange(0, side, sub)
+    shape = (len(starts[0]),) + (len(offsets),) * n
+    subs = [np.broadcast_to(
+        s.reshape((-1,) + (1,) * n)
+        + offsets.reshape([-1 if d == ax else 1 for d in range(n)]),
+        shape).ravel() for ax, s in enumerate(starts)]
+    inside = np.logical_and.reduce([s < r for s, r in zip(subs, resolution)])
+    return [s[inside] for s in subs]
+
+
+def _block_ends(edges, starts, side: int, resolution):
+    """(lower ends, upper ends) of the blocks of ``side`` cells a side
+    that start at the cells ``starts``, one array per axis, from the
+    grid's edges: a block is the hull of its cells, cut at the grid's
+    end."""
+    return ([e[s] for e, s in zip(edges, starts)],
+            [e[np.minimum(s + side, r)]
+             for e, s, r in zip(edges, starts, resolution)])
+
+
 def zero_cell_mask(system, grid: GridSpec) -> np.ndarray:
-    """Boolean grid: interval evaluation of every equation contains 0."""
+    """Boolean grid: interval evaluation of every equation contains 0.
+
+    Found coarse to fine, by subpaving (SIVIA; Jaulin, Kieffer, Didrit &
+    Walter, *Applied Interval Analysis*, 2001, ch. 3). The first level
+    encloses blocks of ``_block_sides(...)[0]`` cells a side on the open
+    grid of blocks. Each later level splits the blocks on which every
+    equation's enclosure holds 0 and encloses the parts, gathered in
+    pieces of at most ``_CHUNK`` cells or one block's parts. The last
+    level is the cells: each gets the float operations on the same ends
+    as in a walk over every cell. Only that level raises a
+    ``DomainError``; a block may leave a domain that none of its cells
+    leaves (``log(x1 - x1 + 0.01)``), and then all of its piece goes on.
+
+    A cell is left out unenclosed only where the enclosure of a block
+    that holds it, rigorous, excludes 0, so no zero lies in it.
+    ``CellArith``'s operations are isotone in floats, so over them the
+    mask is the one a walk over every cell gives. ``phi``'s and
+    ``phi'``'s enclosures are not isotone at the last ulp: a part's may
+    pass its hull's by a few ulps of max(1, |end|) (their float walks are
+    not monotone at that ulp). A cell whose own enclosure reaches 0 by
+    no more than that may be left out; none does on the corpus.
+    """
     ct = system.compiled
-    mask = np.ones(tuple(grid.resolution), dtype=bool)
-    lows, highs, _ = grid.cell_axes
-    for sl, los, his in _slabs(grid, lows, highs):
-        for lo, hi in eval_cells(ct, los, his):
-            mask[sl] &= (lo <= 0.0) & (hi >= 0.0)
+    res = tuple(grid.resolution)
+    edges = [grid.edges(ax) for ax in range(grid.n)]
+    sides = _block_sides(res)
+    side = sides[0]
+    firsts = [np.arange(0, r, side) for r in res]
+    keep = np.empty(tuple(map(len, firsts)), dtype=bool)
+    for sl, los, his in _slabs(keep.shape,
+                               *_block_ends(edges, firsts, side, res)):
+        keep[sl] = _may_hold_zero(ct, los, his, side == 1)
+    if side == 1:
+        return keep
+    starts = [f * side for f in np.nonzero(keep)]
+    for sub in sides[1:]:
+        per = max(1, _CHUNK // (side // sub) ** grid.n)
+        kept = [[np.empty(0, dtype=np.intp)] * grid.n]
+        for p in range(0, len(starts[0]), per):
+            subs = _sub_blocks([s[p:p + per] for s in starts], side, sub, res)
+            ok = _may_hold_zero(ct, *_block_ends(edges, subs, sub, res),
+                                sub == 1)
+            kept.append([s[ok] for s in subs])
+        starts = [np.concatenate(axis) for axis in zip(*kept)]
+        side = sub
+    mask = np.zeros(res, dtype=bool)
+    mask[tuple(starts)] = True
     return mask
 
 
@@ -246,13 +344,17 @@ def oracle_zero_count(system, grid: GridSpec):
     """
     mask = zero_cell_mask(system, grid)
     labels, count = _label(mask)
-    centers = []
+    if not count:
+        return 0, []
+    # the zero cells in C order, grouped by label in a stable order, so
+    # each centre averages its cells in the order a scan of the grid meets
+    # them
+    cells, labs = np.argwhere(mask), labels[mask]
+    order = np.argsort(labs, kind="stable")
+    clusters = np.split(cells[order], np.flatnonzero(np.diff(labs[order])) + 1)
     mids = grid.cell_axes[2]
-    for lab in range(1, count + 1):
-        idx = np.argwhere(labels == lab)
-        centers.append([float(np.mean(mids[ax][idx[:, ax]]))
-                        for ax in range(grid.n)])
-    return count, centers
+    return count, [[float(np.mean(mids[ax][idx[:, ax]]))
+                    for ax in range(grid.n)] for idx in clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +365,7 @@ def _atom_mask(term: TermNode, rel: str, grid: GridSpec, abel) -> np.ndarray:
         raise DomainError(f"unsupported relation {rel!r}")
     ct = compile_terms([term], abel)
     mask = np.empty(tuple(grid.resolution), dtype=bool)
-    for sl, centers in _slabs(grid, grid.cell_axes[2]):
+    for sl, centers in _slabs(tuple(grid.resolution), grid.cell_axes[2]):
         if rel == "=":
             vals, grads = gradient_points(ct, centers)
             g = np.sqrt(sum(p * p for p in grads[0]))
@@ -290,7 +392,7 @@ def membership_mask(dnf, grid: GridSpec, abel,
             m &= _atom_mask(term, rel, grid, abel)
         mask |= m
     if ball_radius is not None:
-        for sl, centers in _slabs(grid, grid.cell_axes[2]):
+        for sl, centers in _slabs(tuple(grid.resolution), grid.cell_axes[2]):
             mask[sl] &= sum(c * c for c in centers) <= ball_radius * ball_radius
     return mask
 

@@ -37,6 +37,18 @@ def files(tmp_path_factory):
         "broken.json": {"vars": 2, "equations": ["x1 + * x2", "x1"]},
         "number_equation.json": {"vars": 1, "equations": [5]},
         "text_radius.json": {"vars": 1, "equations": ["x1"], "radius": "abc"},
+        "string_radius.json": {"vars": 1, "equations": ["x1"], "radius": "2"},
+        "bool_radius.json": {"vars": 1, "equations": ["x1"], "radius": True},
+        "huge_radius.json": {"vars": 1, "equations": ["x1"],
+                             "radius": 10 ** 400},
+        "bool_vars.json": {"vars": True, "equations": ["x1"], "radius": 2.0},
+        "zero_vars.json": {"vars": 0, "equations": [], "radius": 2.0},
+        "float_vars.json": {"vars": 1.0, "equations": ["x1"], "radius": 2.0},
+        "string_radius_formula.json": {
+            "vars": 1, "dnf": [[{"term": "x1", "rel": "="}]], "radius": "2"},
+        "bool_vars_formula.json": {
+            "vars": True, "dnf": [[{"term": "x1", "rel": "="}]],
+            "radius": 2.0},
         "text_param.json": {"vars": 1, "equations": ["x1 - l0"],
                             "params": {"l": ["q", 0]}},
         "array.json": [{"vars": 1, "equations": ["x1"]}],
@@ -252,13 +264,30 @@ def test_track_steps_flag(files):
     ["track", "circle_line.json", "const_path.json", "--depth", "-1"],
     ["components", "circle_formula.json", "--depth", "-1"],
     ["gamma", "circle_formula.json", "--trials", "1", "--depth", "-1"],
+    ["eval", "x1", "--at", "nan"],
+    ["eval", "x1", "--at", "inf"],
+    ["eval", "x1 + x2", "--at", "1,-inf"],
+    ["eval", "x1", "--at", "1e999"],
+    ["zeros", "string_radius.json"],
+    ["zeros", "bool_radius.json"],
+    ["zeros", "huge_radius.json"],
+    ["zeros", "bool_vars.json"],
+    ["zeros", "zero_vars.json"],
+    ["zeros", "float_vars.json"],
+    ["track", "string_radius.json", "const_path.json"],
+    ["components", "string_radius_formula.json"],
+    ["gamma", "bool_vars_formula.json", "--trials", "1"],
 ], ids=["eval-at-text", "eval-deep", "eval-overflow", "equation-number",
         "radius-text", "param-text", "system-array", "system-deep",
         "equation-overflow", "path-steps-text", "path-ragged",
         "path-nan-target", "formula-array", "seed-coeffs-text",
         "seed-coeffs-number", "seed-coeffs-huge-check",
         "seed-coeffs-huge-eval", "zeros-depth-negative", "track-depth-negative",
-        "components-depth-negative", "gamma-depth-negative"])
+        "components-depth-negative", "gamma-depth-negative",
+        "eval-at-nan", "eval-at-inf", "eval-at-minus-inf", "eval-at-1e999",
+        "radius-string", "radius-bool", "radius-huge-int", "vars-bool",
+        "vars-zero", "vars-float", "track-radius-string",
+        "components-radius-string", "gamma-vars-bool"])
 def test_malformed_input_exits_two(files, argv):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]
     r = _run(*argv)

@@ -5,20 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, PHI_CORPUS
+from conftest import CORPUS, ORACLE_RES, PHI_CORPUS
 from slogcensus import gridoracle
 from slogcensus.census import build_system, reduce_phi_complexity
 from slogcensus.errors import DomainError
-from slogcensus.gridoracle import (GridSpec, eval_cells, eval_points,
-                                   flood_components,
+from slogcensus.gridoracle import (CellArith, GridSpec, eval_cells,
+                                   eval_points, flood_components,
                                    flood_components_sublevel,
                                    gradient_points, membership_mask,
                                    oracle_zero_count, zero_cell_mask)
 from slogcensus.intervals import Box, interval_eval_compiled
 from slogcensus.morse import (QFFormula, milnor_tube, schedule_for_ball,
                               wilkie_reduce)
-from slogcensus.terms import compile_terms, eval_term, parse_term
+from slogcensus.terms import (add, compile_terms, const, eval_term, exp,
+                              log, mul, parse_term, phi, sub, var)
 
 _CIRCLE = "x1*x1 + x2*x2 - 1"
 
@@ -337,3 +339,213 @@ def test_a_fault_in_the_last_slab_still_raises(abel, monkeypatch, source):
     for rel in ("=", ">"):
         with pytest.raises(DomainError):
             gridoracle._atom_mask(term, rel, grid, abel)
+
+
+# ---------------------------------------------------------------------------
+# the coarse-to-fine walk against the flat walk
+
+@pytest.mark.parametrize("resolution, sides", [
+    ((4097,), [64, 1]), ((1001,), [1]), ((769, 769), [64, 8, 1]),
+    ((97, 97), [8, 1]), ((97, 97, 97), [16, 4, 1]), ((23, 23, 23), [4, 1]),
+    ((769, 2), [1])])
+def test_block_sides_follow_the_grid(resolution, sides):
+    assert gridoracle._block_sides(resolution) == sides
+
+
+def test_the_subpaving_encloses_few_cells(abel, monkeypatch):
+    # every enclosure goes through the module's eval_cells, as a tracer
+    # that wraps it sees them
+    sizes = []
+
+    def counted(ct, los, his):
+        ends = eval_cells(ct, los, his)
+        sizes.append(ends[0][0].size)
+        return ends
+
+    monkeypatch.setattr(gridoracle, "eval_cells", counted)
+    system = build_system(["x1*x1 + x2*x2 - 1", "x1 - x2"], abel=abel)
+    grid = GridSpec.square(2.0, 2, 769)
+    assert zero_cell_mask(system, grid).sum() == 6
+    assert 0 < sum(sizes) < grid.cells // 100
+
+
+def _scan_centers(mask, grid):
+    """Cluster centres by one scan of the grid per label: the form that
+    oracle_zero_count took before it grouped the kept cells."""
+    labels, count = gridoracle._label(mask)
+    mids = grid.cell_axes[2]
+    centers = []
+    for lab in range(1, count + 1):
+        idx = np.argwhere(labels == lab)
+        centers.append([float(np.mean(mids[ax][idx[:, ax]]))
+                        for ax in range(grid.n)])
+    return centers
+
+
+@pytest.mark.parametrize("name, eqs, radius, reduced", [
+    *[(name, eqs, radius, False) for name, eqs, radius, _ in CORPUS],
+    *[(name, eqs, radius, True) for name, eqs, radius, _ in PHI_CORPUS]],
+    ids=[row[0] for row in CORPUS]
+    + [f"reduced-{row[0]}" for row in PHI_CORPUS])
+def test_subpaved_zero_cells_and_centres_equal_the_flat_walk(abel, name, eqs,
+                                                            radius, reduced):
+    system = (_reduced(eqs, radius, abel) if reduced
+              else build_system(eqs, abel=abel))
+    grid = GridSpec.square(radius, system.n, ORACLE_RES[system.n])
+    mask = zero_cell_mask(system, grid)
+    assert np.array_equal(mask, _flat_zero_cell_mask(system, grid))
+    count, centers = oracle_zero_count(system, grid)
+    want = _scan_centers(mask, grid)
+    assert count == len(want) > 0
+    assert [[c.hex() for c in p] for p in centers] == \
+        [[c.hex() for c in p] for p in want]
+
+
+@pytest.mark.parametrize("eqs, any_zero", [
+    (["log(x1 - x1 + 0.01) + x2", "x2"], False),
+    (["log(x1 - x1 + 0.01) + 4.6 + x2", "x1 - x2"], True)])
+def test_blocks_may_leave_a_domain_that_no_cell_leaves(abel, eqs, any_zero):
+    # x1 - x1 + 0.01 is at least 0.01 - 0.0053 on a cell of the 769 grid,
+    # but goes below 0 on every block of 8 or 64 cells
+    system = build_system(eqs, abel=abel)
+    grid = GridSpec.square(2.0, 2, 769)
+    assert gridoracle._block_sides(grid.resolution)[0] > 1
+    mask = zero_cell_mask(system, grid)
+    assert np.array_equal(mask, _flat_zero_cell_mask(system, grid))
+    assert mask.any() == any_zero
+
+
+# resolutions that no block side divides; 4 097 gives one-variable grids
+# a level of blocks, which grids of under 4 096 cells do not get
+_DRAWN_RES = (2, 3, 5, 97, 769, 1001, 4097)
+
+
+def _grid_terms(n):
+    leaf = st.one_of(st.integers(0, n - 1).map(var),
+                     st.floats(-2.0, 2.0).map(const))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, inner).map(lambda p: add(*p)),
+            st.tuples(inner, inner).map(lambda p: mul(*p)),
+            inner.map(exp), inner.map(log), inner.map(phi),
+            # a log whose argument stays positive
+            st.tuples(inner, st.floats(0.01, 1.0)).map(
+                lambda p: log(add(mul(p[0], p[0]), const(p[1])))))
+
+    return st.recursive(leaf, extend, max_leaves=5)
+
+
+@st.composite
+def _drawn_grids(draw):
+    """(terms, grid, point): n terms in n variables, an off-centre grid of
+    at most 10**6 cells, often with one resolution on every axis (a grid
+    gets blocks only where its shortest axis is long), and a point of its
+    box."""
+    n = draw(st.integers(1, 3))
+    sizes = st.sampled_from(_DRAWN_RES[:-1] if n > 1 else _DRAWN_RES)
+    res = draw(st.one_of(sizes.map(lambda r: [r] * n),
+                         st.lists(sizes, min_size=n, max_size=n))
+               .filter(lambda r: math.prod(r) <= 10**6))
+    los = draw(st.lists(st.floats(-3.0, 1.0), min_size=n, max_size=n))
+    widths = draw(st.lists(st.floats(0.5, 4.0), min_size=n, max_size=n))
+    grid = GridSpec(Box.from_bounds([(a, a + w) for a, w in zip(los, widths)]),
+                    tuple(res))
+    terms = draw(st.lists(_grid_terms(n), min_size=n, max_size=n))
+    at = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    point = [a + f * w for a, f, w in zip(los, at, widths)]
+    return terms, grid, point
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_grids())
+def test_zero_cells_equal_the_flat_walk_on_drawn_systems(abel, drawn):
+    # each equation is shifted by its value at a point of the box, where
+    # that value is finite, so that most systems have a zero cell
+    terms, grid, point = drawn
+    eqs = []
+    for t in terms:
+        value = _outcome(eval_term, t, point, abel)
+        shift = value if isinstance(value, float) and math.isfinite(value) \
+            else 0.0
+        eqs.append(sub(t, const(shift)))
+    system = build_system(eqs, abel=abel)
+    mask = _outcome(zero_cell_mask, system, grid)
+    flat = _outcome(_flat_zero_cell_mask, system, grid)
+    if flat is DomainError:
+        assert mask is DomainError
+    else:
+        assert mask is not DomainError and np.array_equal(mask, flat)
+
+
+# ---------------------------------------------------------------------------
+# isotonicity: the enclosure of a part of an interval lies in the
+# enclosure of the interval
+
+@st.composite
+def _hull_and_part(draw, ends):
+    """((A, B), (a, b)) with A <= a <= b <= B; a part's ends are often a
+    hull end or the float next to it."""
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2)))
+    inside = st.one_of(
+        st.sampled_from([lo, hi, min(math.nextafter(lo, math.inf), hi),
+                         max(math.nextafter(hi, -math.inf), lo)]),
+        st.floats(lo, hi))
+    a, b = sorted([draw(inside), draw(inside)])
+    return (lo, hi), (a, b)
+
+
+def _arrays(pair):
+    return tuple(np.array([v]) for v in pair)
+
+
+def _assert_inside(part, hull, slack=(0.0, 0.0)):
+    (pl,), (ph,) = part
+    (hl,), (hh,) = hull
+    assert hl - slack[0] <= pl and ph <= hh + slack[1], \
+        (f"[{float(pl).hex()}, {float(ph).hex()}] not inside "
+         f"[{float(hl).hex()}, {float(hh).hex()}]")
+
+
+_WIDE = st.floats(-1e308, 1e308)
+_CELL_OPS = {"add": _WIDE, "mul": _WIDE, "sqr": _WIDE, "neg": _WIDE,
+             "exp": st.floats(-800.0, 800.0),
+             "log": st.floats(5e-324, 1e308)}
+
+
+@pytest.mark.parametrize("op", sorted(_CELL_OPS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cell_enclosures_are_isotone(op, data):
+    ends = _CELL_OPS[op]
+    fn = getattr(CellArith(), op)
+    args = [data.draw(_hull_and_part(ends))
+            for _ in range(2 if op in ("add", "mul") else 1)]
+    with np.errstate(all="ignore"):
+        hull = fn(*[_arrays(h) for h, _ in args])
+        part = fn(*[_arrays(p) for _, p in args])
+    _assert_inside(part, hull)
+
+
+@pytest.mark.parametrize("name", ["phi", "dphi"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_phi_enclosures_are_isotone_up_to_their_walks_rounding(abel, name,
+                                                              data):
+    # phi's float walk, a Horner sum plus an integer shift, is not monotone
+    # at the last ulp, and phi''s band ranges evaluate Horner sums at other
+    # points for a part than for its hull; so a part's enclosure may pass
+    # its hull's by a few ulps of max(1, |end|), far inside the widening by
+    # the seed error (about 1e-13) that each enclosure carries
+    enclose = abel.interval_phi if name == "phi" else abel.interval_dphi
+    hull, part = data.draw(_hull_and_part(st.floats(-20.0, 50.0)))
+    big = enclose(*_arrays(hull))
+    ulps = [8.0 * np.spacing(max(1.0, abs(float(e[0])))) for e in big]
+    _assert_inside(enclose(*_arrays(part)), big, ulps)
