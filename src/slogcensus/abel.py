@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BuildError, DomainError
+from .errors import BuildError, DomainError, count, numbers, parse_json
 
 __all__ = [
     "AbelFunction",
@@ -169,8 +169,8 @@ class AbelFunction:
                  validate: bool = True):
         if order not in (1, 2, 3):
             raise BuildError(f"order must be 1, 2 or 3, got {order}")
-        if not tol > 0.0:
-            raise BuildError("tol must be positive")
+        if not 0.0 < tol < math.inf:
+            raise BuildError(f"tol must be finite and positive, got {tol}")
         self.coeffs = tuple(float(c) for c in coeffs)
         if len(self.coeffs) != 2 * order + 1:
             raise BuildError(
@@ -561,27 +561,20 @@ class AbelFunction:
             fh.write("\n")
 
     @classmethod
-    def from_json(cls, text: str, validate: bool = True) -> "AbelFunction":
-        try:
-            data = json.loads(text)
-            coeffs, order, tol = data["coeffs"], data["order"], data["tol"]
-            if type(order) is not int:
-                raise ValueError("order must be an integer")
-            if not (type(tol) in (int, float) and math.isfinite(tol)):
-                raise ValueError("tol must be a finite number")
-            if not (isinstance(coeffs, list) and all(
-                    type(c) in (int, float) and math.isfinite(c)
-                    for c in coeffs)):
-                raise ValueError("coeffs must be a list of finite numbers")
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise BuildError(f"malformed seed file: {exc}") from exc
-        if data.get("format_version") != 1:
+    def from_json(cls, text, validate: bool = True) -> "AbelFunction":
+        data = parse_json(text, "seed file")
+        if not isinstance(data, dict):
+            raise BuildError("seed file must hold a JSON object")
+        if count(data.get("format_version"), "seed file version", 1) != 1:
             raise BuildError("unsupported seed file version")
-        return cls(coeffs, order, tol, validate=validate)
+        return cls(numbers(data.get("coeffs"), "seed file coeffs", 1),
+                   count(data.get("order"), "seed file order", 0),
+                   numbers(data.get("tol"), "seed file tol"),
+                   validate=validate)
 
     @classmethod
     def load(cls, path: str, validate: bool = True) -> "AbelFunction":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return cls.from_json(fh.read(), validate=validate)
 
 
@@ -595,8 +588,6 @@ def build_abel(order: int = DEFAULT_ORDER, tol: float = DEFAULT_TOL) -> AbelFunc
     """
     if order not in (1, 2, 3):
         raise BuildError(f"order must be 1, 2 or 3, got {order}")
-    if not tol > 0.0:
-        raise BuildError("tol must be positive")
     k = order
     deg = 2 * k + 1
     B, P = _jet_matrices(deg)

@@ -10,7 +10,6 @@ enclosure lies inside the other's tested box.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -18,7 +17,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .abel import exp_n, get_default_abel
-from .errors import BuildError, CertificationError, DomainError, PathError
+from .errors import (BuildError, CertificationError, DomainError, PathError,
+                     count, numbers, parse_json)
 from .intervals import (Box, Interval, float_inverse, interval_eval_compiled,
                         krawczyk_test, split_step)
 from .terms import (RAPrimitive, TermNode, abel_primitives, add_all,
@@ -55,12 +55,9 @@ class SystemParams:
     def from_dict(cls, d: Mapping, n: int) -> "SystemParams":
         if not isinstance(d, Mapping):
             raise BuildError("params must be an object")
-        try:
-            l = tuple(float(v) for v in d.get("l", [0.0] * (n + 1)))
-            eps = tuple(float(v) for v in d.get("eps", [0.0] * n))
-            delta = float(d.get("delta", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise BuildError(f"params must hold numbers: {exc}") from None
+        l = numbers(d.get("l", [0.0] * (n + 1)), "params l", 1)
+        eps = numbers(d.get("eps", [0.0] * n), "params eps", 1)
+        delta = numbers(d.get("delta", 0.0), "params delta")
         if len(l) != n + 1 or len(eps) != n:
             raise BuildError(f"expected {n + 1} l-entries and {n} eps-entries")
         return cls(l, eps, delta)
@@ -360,8 +357,8 @@ class DeformationPath:
         if self.params is not None and len(self.params) != len(ts):
             raise PathError("one param block per breakpoint when given")
         n = len(self.targets[0])
-        if (any(np.shape(m) != (n, n) for m in self.matrices)
-                or any(len(e) != n for e in self.targets)):
+        if any(len(e) != n or len(m) != n or any(len(r) != n for r in m)
+               for m, e in zip(self.matrices, self.targets)):
             raise PathError(f"path matrices must be {n} x {n} and targets "
                             f"of length {n}")
         for m in self.matrices:
@@ -531,9 +528,8 @@ def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:
 
 def load_system_file(path: str, abel=None):
     """Read a JSON system description; returns (system, radius or None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return system_from_dict(doc, abel)
+    with open(path, "rb") as fh:
+        return system_from_dict(parse_json(fh.read(), "system file"), abel)
 
 
 def read_file_fields(doc, what: str, body: str):
@@ -546,26 +542,17 @@ def read_file_fields(doc, what: str, body: str):
         content = doc[body]
     except KeyError as exc:
         raise BuildError(f"{what} file missing field {exc}") from exc
-    # bool is an int in Python, but true is not a JSON number
-    if isinstance(vars_field, list):
-        var_names = [str(v) for v in vars_field]
-    elif (isinstance(vars_field, int) and not isinstance(vars_field, bool)
-          and vars_field >= 1):
-        var_names = [f"x{i + 1}" for i in range(vars_field)]
+    if (isinstance(vars_field, list)
+            and all(isinstance(v, str) for v in vars_field)):
+        var_names = vars_field
     else:
-        raise BuildError(f"vars must be a count of at least 1 or a list of "
-                         f"names, not {vars_field!r}")
+        var_names = [f"x{i + 1}" for i in
+                     range(count(vars_field, f"{what} file vars", 1))]
     if not isinstance(content, list):
         raise BuildError(f"{body} must be a list")
     radius = doc.get("radius")
-    if radius is not None:
-        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
-            raise BuildError(f"radius must be a number, not {radius!r}")
-        try:
-            radius = float(radius)
-        except OverflowError:
-            raise BuildError("radius overflows a float") from None
-    return var_names, content, radius
+    return var_names, content, None if radius is None else numbers(
+        radius, f"{what} file radius")
 
 
 def system_from_dict(doc: dict, abel=None):

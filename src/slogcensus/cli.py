@@ -17,7 +17,8 @@ from .abel import AbelFunction, build_abel, get_default_abel
 from .census import (DEFAULT_DEPTH, DeformationPath, SystemParams,
                      count_nonsingular_zeros, load_system_file,
                      search_radius, track_path)
-from .errors import CertificationError, DomainError, PathError, SlogcensusError
+from .errors import (CertificationError, DomainError, PathError,
+                     SlogcensusError, count, numbers, parse_json)
 from .morse import (CENSUS_DEPTH, AffineSubspace, component_bound,
                     gamma_estimate, load_formula_file)
 from .terms import eval_term, gradient, parse_term
@@ -103,13 +104,13 @@ def _check_rows(abel, tol: float):
 
 
 def cmd_slog_check(args) -> int:
-    if args.abel is not None:
-        abel = _load_abel(args.abel, validate=False)
-        tol = args.tol if args.tol is not None else abel.tol
+    if args.abel is None:
+        abel = build_abel(args.order, 1e-8 if args.tol is None else args.tol)
     else:
-        abel = build_abel(order=args.order,
-                          tol=args.tol if args.tol is not None else 1e-8)
-        tol = abel.tol
+        abel = _load_abel(args.abel, validate=False)
+        if args.tol is not None:  # the thresholds scale with a checked tol
+            abel = AbelFunction(abel.coeffs, abel.order, args.tol, validate=False)
+    tol = abel.tol
     checks = []
     all_pass = True
     for name, residual, threshold in _check_rows(abel, tol):
@@ -164,9 +165,9 @@ def cmd_eval(args) -> int:
 
 def _pick_radius(args, file_radius, system=None):
     if args.radius is not None:
-        return float(args.radius), "flag"
+        return args.radius, "flag"
     if file_radius is not None:
-        return float(file_radius), "file"
+        return file_radius, "file"
     if system is not None:
         rep = search_radius(system)
         label = "growth-heuristic" if rep.heuristic else "growth"
@@ -192,33 +193,28 @@ def cmd_zeros(args) -> int:
 # track
 
 def _path_from_dict(doc: dict, n: int):
-    """(path, steps) of a path file; PathError when it is malformed."""
+    """(path, steps) of a path file; a SlogcensusError when malformed."""
     if not isinstance(doc, dict):
         raise PathError("path file must hold a JSON object")
-    try:
-        bps = tuple(float(t) for t in doc["breakpoints"])
-        matrices = doc.get("matrices")
-        mats = tuple(np.asarray(m, dtype=float) for m in matrices) \
-            if matrices is not None else tuple([np.eye(n)] * len(bps))
-        targets = doc.get("targets")
-        tgts = tuple(tuple(float(v) for v in t) for t in targets) \
-            if targets is not None else tuple([tuple([0.0] * n)] * len(bps))
-        params = doc.get("params")
-        ps = tuple(SystemParams.from_dict(p, n) for p in params) \
-            if params is not None else None
-        steps = int(doc.get("steps", 50))
-    except KeyError as exc:
-        raise PathError(f"path file missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise PathError(f"malformed path file: {exc}") from None
+    bps = numbers(doc.get("breakpoints"), "path file breakpoints", 1)
+    mats = numbers(doc.get("matrices", [np.eye(n).tolist()] * len(bps)),
+                   "path file matrices", 3)
+    tgts = numbers(doc.get("targets", [[0.0] * n] * len(bps)),
+                   "path file targets", 2)
+    params = doc.get("params")
+    if not (params is None or isinstance(params, list)):
+        raise PathError("path file params must be an array of objects")
+    ps = None if params is None else tuple(
+        SystemParams.from_dict(p, n) for p in params)
+    steps = count(doc.get("steps", 50), "path file steps", 0)
     return DeformationPath(bps, mats, tgts, ps), steps
 
 
 def cmd_track(args) -> int:
     abel = _load_abel(args.abel)
     system, file_radius = load_system_file(args.system_file, abel)
-    with open(args.path_file, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(args.path_file, "rb") as fh:
+        doc = parse_json(fh.read(), "path file")
     path, file_steps = _path_from_dict(doc, system.n)
     steps = args.steps if args.steps is not None else file_steps
     radius, source = _pick_radius(args, file_radius, system)
@@ -323,7 +319,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification incomplete: {exc}", file=sys.stderr)
         return _EXIT_UNCERTIFIED
-    except (SlogcensusError, OSError, json.JSONDecodeError) as exc:
+    except (SlogcensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
 

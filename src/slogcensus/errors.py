@@ -1,6 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types, and the one reader of every input document."""
 
 from __future__ import annotations
+
+import json
+import sys
 
 
 class SlogcensusError(Exception):
@@ -32,15 +35,48 @@ class DifferentiationError(SlogcensusError, ValueError):
 
 
 class BuildError(SlogcensusError, RuntimeError):
-    """Seed construction failed to meet its tolerance or monotonicity
-    requirements within the iteration budget."""
+    """A malformed input document, a seed that misses its tolerance or
+    monotonicity, or a system or formula that breaks its own rules."""
 
 
 class CertificationError(SlogcensusError, RuntimeError):
-    """A certification step (regular value sampling, tilt sampling, Morse
-    usability) exhausted its retry budget."""
+    """A certification step (a regular tube level, a Morse rotation, the
+    growth radius) ran out of tries, or an oracle count passed its bound."""
 
 
 class PathError(SlogcensusError, ValueError):
     """A deformation path violated an invariant (singular matrix at a
     breakpoint or evaluated step)."""
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+def parse_json(text: str | bytes, what: str):
+    """The standard JSON document (no NaN or Infinity) in ``text``;
+    BuildError "malformed <what>" for any other text."""
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except (ValueError, RecursionError) as exc:
+        raise BuildError(f"malformed {what}: {exc}") from None
+
+
+def numbers(v, what: str, depth: int = 0):
+    """``v`` as a float if it is a JSON number (not a boolean) that a float
+    holds; with ``depth`` d > 0, arrays d deep of those, as tuples."""
+    if depth:
+        if isinstance(v, list):
+            return tuple(numbers(e, what, depth - 1) for e in v)
+    elif (isinstance(v, (int, float)) and not isinstance(v, bool)
+          and abs(v) <= sys.float_info.max):
+        return float(v)
+    raise BuildError(f"malformed {what}: expected "
+                     f"{'an array' if depth else 'a finite number'}")
+
+
+def count(v, what: str, least: int) -> int:
+    """``v`` if it is a JSON integer (not a boolean) of at least ``least``."""
+    if isinstance(v, int) and not isinstance(v, bool) and v >= least:
+        return v
+    raise BuildError(f"malformed {what}: expected an integer >= {least}")

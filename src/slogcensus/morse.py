@@ -15,7 +15,6 @@ report carries that flag.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from .abel import get_default_abel
 from .census import SquareSystem, count_nonsingular_zeros, read_file_fields
-from .errors import BuildError, CertificationError, DomainError
+from .errors import BuildError, CertificationError, DomainError, parse_json
 from .gridoracle import GridSpec, flood_components, flood_components_sublevel
 from .intervals import Box, interval_eval_compiled, split_step
 from .terms import (TermNode, add_all, compile_terms, const, differentiate,
@@ -497,9 +496,8 @@ def gamma_estimate(formula, n: int, trials: int, radius: float, seed: int,
 
 def load_formula_file(path: str):
     """Read a JSON formula description; returns (QFFormula, radius or None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return formula_from_dict(doc)
+    with open(path, "rb") as fh:
+        return formula_from_dict(parse_json(fh.read(), "formula file"))
 
 
 def formula_from_dict(doc: dict):

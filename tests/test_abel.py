@@ -293,7 +293,7 @@ def test_load_rejects_corrupt_seed(abel, tmp_path):
 
 
 def test_from_json_malformed():
-    with pytest.raises((BuildError, KeyError, ValueError)):
+    with pytest.raises(BuildError):
         AbelFunction.from_json("{}")
 
 
@@ -303,11 +303,13 @@ def test_from_json_malformed():
     ("coeffs", [math.nan] * 7), ("coeffs", [10 ** 400] * 7),
     ("order", math.inf), ("order", 3.7), ("order", 3.0), ("order", "3"),
     ("order", True), ("tol", "1e-8"), ("tol", True), ("tol", None),
-    ("tol", math.inf), ("tol", math.nan)], ids=[
+    ("tol", math.inf), ("tol", math.nan), ("format_version", True),
+    ("format_version", 1.0), ("format_version", "1")], ids=[
     "coeffs-text", "coeffs-number", "coeffs-string", "coeffs-null",
     "coeffs-bool", "coeffs-nan", "coeffs-huge-int", "order-inf",
     "order-fraction", "order-float", "order-string", "order-bool",
-    "tol-string", "tol-bool", "tol-null", "tol-inf", "tol-nan"])
+    "tol-string", "tol-bool", "tol-null", "tol-inf", "tol-nan",
+    "version-bool", "version-float", "version-string"])
 def test_from_json_rejects_fields_that_are_not_numbers(abel, field, value):
     # each of these once escaped from_json as a ValueError, TypeError or
     # OverflowError, or was read as a seed (an order of 3.7 as 3, a tol
@@ -338,6 +340,16 @@ def test_build_rejects_bad_arguments():
         build_abel(order=5)
     with pytest.raises(BuildError):
         build_abel(tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+def test_a_seed_takes_only_a_finite_positive_tol(abel, tol):
+    # every thresholds of slog-check scales with tol: an infinite one
+    # would pass each check
+    with pytest.raises(BuildError, match="tol must be finite and positive"):
+        build_abel(tol=tol)
+    with pytest.raises(BuildError, match="tol must be finite and positive"):
+        AbelFunction(abel.coeffs, abel.order, tol, validate=False)
 
 
 def test_lower_order_build():

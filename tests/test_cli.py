@@ -17,7 +17,7 @@ def _run(*args):
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory):
+def files(tmp_path_factory, abel):
     root = tmp_path_factory.mktemp("cli")
     docs = {
         "circle_line.json": {
@@ -69,9 +69,33 @@ def files(tmp_path_factory):
                                     "tol": 1e-8, "coeffs": 5},
         "huge_coeffs_seed.json": {"format_version": 1, "order": 3,
                                   "tol": 1e-8, "coeffs": [1e308] * 7},
+        "inf_coeffs_seed.json": {"format_version": 1, "order": 3,
+                                 "tol": 1e-8, "coeffs": [math.inf] * 7},
+        "seed.json": json.loads(abel.to_json()),
+        "nan_radius.json": {"vars": 1, "equations": ["x1"],
+                            "radius": math.nan},
+        "text_params.json": {"vars": 1, "equations": ["x1 - l0"],
+                             "params": {"l": ["0.5", True], "eps": [False],
+                                        "delta": "0.1"}},
+        "numeric_text_param.json": {"vars": 1, "equations": ["x1 - l0"],
+                                    "params": {"l": ["0.5", 0]}},
+        "text_numbers_path.json": {"breakpoints": ["0", "1"],
+                                   "targets": [["0"], [True]], "steps": 2.9},
+        "fraction_steps_path.json": {"breakpoints": [0, 1], "steps": 2.9},
+        "numeric_text_steps_path.json": {"breakpoints": [0, 1],
+                                         "steps": "3"},
+        "nan_breakpoint_path.json": {"breakpoints": [0, math.nan, 1]},
+        "number_params_path.json": {"breakpoints": [0, 1], "params": 5},
     }
     for name, doc in docs.items():
         (root / name).write_text(json.dumps(doc))
+    # texts that json.dumps does not write: a radius of 5 000 digits, an
+    # array nested 100 000 deep, bytes that are not UTF-8
+    (root / "long_radius.json").write_text(
+        '{"vars": 1, "equations": ["x1"], "radius": ' + "1" * 5000 + "}")
+    (root / "deep_array.json").write_text("[" * 100_000 + "]" * 100_000)
+    (root / "latin1.json").write_bytes(
+        b'{"vars": 1, "equations": ["x1 - \xe9"]}')
     return root
 
 
@@ -277,6 +301,23 @@ def test_track_steps_flag(files):
     ["track", "string_radius.json", "const_path.json"],
     ["components", "string_radius_formula.json"],
     ["gamma", "bool_vars_formula.json", "--trials", "1"],
+    ["zeros", "long_radius.json"],
+    ["zeros", "deep_array.json"],
+    ["components", "deep_array.json", "--radius", "2"],
+    ["eval", "x1", "--at", "1", "--abel", "deep_array.json"],
+    ["track", "line.json", "deep_array.json"],
+    ["track", "line.json", "text_numbers_path.json"],
+    ["track", "line.json", "fraction_steps_path.json"],
+    ["track", "line.json", "numeric_text_steps_path.json"],
+    ["zeros", "text_params.json"],
+    ["zeros", "numeric_text_param.json"],
+    ["track", "line.json", "nan_breakpoint_path.json"],
+    ["track", "line.json", "number_params_path.json"],
+    ["zeros", "nan_radius.json"],
+    ["slog-check", "--abel", "inf_coeffs_seed.json"],
+    ["zeros", "latin1.json"],
+    ["slog-check", "--tol", "inf"],
+    ["slog-check", "--abel", "seed.json", "--tol", "inf"],
 ], ids=["eval-at-text", "eval-deep", "eval-overflow", "equation-number",
         "radius-text", "param-text", "system-array", "system-deep",
         "equation-overflow", "path-steps-text", "path-ragged",
@@ -287,7 +328,13 @@ def test_track_steps_flag(files):
         "eval-at-nan", "eval-at-inf", "eval-at-minus-inf", "eval-at-1e999",
         "radius-string", "radius-bool", "radius-huge-int", "vars-bool",
         "vars-zero", "vars-float", "track-radius-string",
-        "components-radius-string", "gamma-vars-bool"])
+        "components-radius-string", "gamma-vars-bool", "radius-5000-digits",
+        "system-deep-array", "formula-deep-array", "seed-deep-array",
+        "path-deep-array", "path-text-numbers", "path-steps-fraction",
+        "path-steps-numeric-text", "params-text", "params-numeric-text",
+        "path-nan-breakpoint", "path-params-number", "radius-nan-literal",
+        "seed-coeffs-infinity-literal", "system-not-utf8", "check-tol-inf",
+        "check-seed-tol-inf"])
 def test_malformed_input_exits_two(files, argv):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]
     r = _run(*argv)

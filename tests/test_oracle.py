@@ -492,8 +492,10 @@ def test_zero_cells_equal_the_flat_walk_on_drawn_systems(abel, drawn):
 @st.composite
 def _hull_and_part(draw, ends):
     """((A, B), (a, b)) with A <= a <= b <= B; a part's ends are often a
-    hull end or the float next to it."""
-    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2)))
+    hull end or the float next to it. Ends sort with -0.0 below 0.0, so
+    that a drawn (0.0, -0.0) gives st.floats a valid range."""
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2)),
+                    key=lambda v: (v, math.copysign(1.0, v)))
     inside = st.one_of(
         st.sampled_from([lo, hi, min(math.nextafter(lo, math.inf), hi),
                          max(math.nextafter(hi, -math.inf), lo)]),
