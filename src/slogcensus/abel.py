@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "AbelFunction",
     "DominationReport",
     "build_abel",
-    "entrywise",
     "get_default_abel",
     "exp_n",
     "log_n",
@@ -138,24 +137,6 @@ def _band_range(desc, crits, lo: float, hi: float) -> tuple[float, float]:
     vals = [_horner(desc, y - 1.0)
             for y in (lo, hi, *(r for r in crits if lo <= r <= hi))]
     return min(vals), max(vals)
-
-
-def entrywise(range_fn):
-    """A range function ``range_fn(..., lo, hi) -> (lo', hi')`` of float
-    ends, extended to numpy arrays of ends entry by entry: it then returns
-    two arrays of the ends' shape."""
-
-    @wraps(range_fn)
-    def enclose(*args):
-        if not isinstance(args[-2], np.ndarray):
-            return range_fn(*args)
-        *head, lo, hi = args
-        ends = np.array([range_fn(*head, p, q) for p, q in
-                         zip(np.ravel(lo).tolist(), np.ravel(hi).tolist())],
-                        dtype=float).reshape(lo.shape + (2,))
-        return ends[..., 0], ends[..., 1]
-
-    return enclose
 
 
 class AbelFunction:
@@ -332,29 +313,19 @@ class AbelFunction:
     # -- interval enclosures -------------------------------------------------
 
     def interval_phi(self, lo: float, hi: float) -> tuple[float, float]:
-        """Enclosure of {phi(x) : x in [lo, hi]}; phi is increasing. lo
-        and hi may also be arrays, one interval per entry."""
+        """Enclosure of {phi(x) : x in [lo, hi]}; phi is increasing."""
         w = self.seed_error
-        if isinstance(lo, np.ndarray):
-            if np.any(lo > hi):
-                raise DomainError("empty interval")
-            return (np.nextafter(self.eval_phi_array(lo) - w, -np.inf),
-                    np.nextafter(self.eval_phi_array(hi) + w, np.inf))
         if lo > hi:
             raise DomainError("empty interval")
         return (math.nextafter(self.eval_phi(lo) - w, -math.inf),
                 math.nextafter(self.eval_phi(hi) + w, math.inf))
 
-    @entrywise
     def interval_dphi(self, lo: float, hi: float) -> tuple[float, float]:
-        """Enclosure of {phi'(x) : x in [lo, hi]} by band splitting;
-        entry by entry over arrays of ends."""
+        """Enclosure of {phi'(x) : x in [lo, hi]} by band splitting."""
         return self._jet_enclosure(lo, hi, 1, _DPHI_SLACK)
 
-    @entrywise
     def interval_d2phi(self, lo: float, hi: float) -> tuple[float, float]:
-        """Enclosure of {phi''(x) : x in [lo, hi]} by band splitting;
-        entry by entry over arrays of ends."""
+        """Enclosure of {phi''(x) : x in [lo, hi]} by band splitting."""
         return self._jet_enclosure(lo, hi, 2, _D2PHI_SLACK)
 
     def _jet_enclosure(self, lo, hi, order: int, slack: float):

@@ -471,9 +471,9 @@ def track_path(system: SquareSystem, path: DeformationPath, steps: int,
 def _restrict(prim: RAPrimitive, lo: float, hi: float,
               label: str) -> RAPrimitive:
     # prim and its derivative chain on a padded interval, level k named
-    # label_dk. The pad absorbs the arithmetics' different rounding of
-    # argument ranges (cell arrays round a square's lower end to -5e-324,
-    # not 0).
+    # label_dk. The pad absorbs an argument range over a part of the box
+    # that passes its range over the box: phi's and phi''s enclosures
+    # are not isotone at the last ulp.
     pad = 0.5 + 0.05 * (hi - lo)
     a, b = lo - pad, hi + pad
     chain = [prim]

@@ -13,12 +13,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .abel import AbelFunction, build_abel, get_default_abel
+from .abel import (DEFAULT_ORDER, DEFAULT_TOL, AbelFunction, build_abel,
+                   get_default_abel)
 from .census import (DEFAULT_DEPTH, DeformationPath, SystemParams,
                      count_nonsingular_zeros, load_system_file,
                      search_radius, track_path)
-from .errors import (CertificationError, DomainError, PathError,
-                     SlogcensusError, count, numbers, parse_json)
+from .errors import (BuildError, CertificationError, DomainError,
+                     PathError, SlogcensusError, count, numbers, parse_json)
 from .morse import (CENSUS_DEPTH, AffineSubspace, component_bound,
                     gamma_estimate, load_formula_file)
 from .terms import eval_term, gradient, parse_term
@@ -105,7 +106,11 @@ def _check_rows(abel, tol: float):
 
 def cmd_slog_check(args) -> int:
     if args.abel is None:
-        abel = build_abel(args.order, 1e-8 if args.tol is None else args.tol)
+        abel = build_abel(DEFAULT_ORDER if args.order is None else args.order,
+                          DEFAULT_TOL if args.tol is None else args.tol)
+    elif args.order is not None:
+        raise BuildError("--order sets the order of a built seed; a seed "
+                         "file (--abel) has its own")
     else:
         abel = _load_abel(args.abel, validate=False)
         if args.tol is not None:  # the thresholds scale with a checked tol
@@ -273,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("slog-check", parents=[files],
                         help="run the super-logarithm property suite")
-    sc.add_argument("--order", type=int, default=3)
+    sc.add_argument("--order", type=int, default=None)
     sc.add_argument("--tol", type=float, default=None)
     sc.set_defaults(func=cmd_slog_check)
 

@@ -15,6 +15,7 @@ every cell of the slab.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from .abel import EXP_MAX
 from .errors import DomainError
-from .intervals import Box
+from .intervals import Box, IntervalArith, iexp, ilog
 from .terms import (CompiledTerms, FloatArith, TermNode, check_arity,
                     compile_terms, run_tape)
 
@@ -139,58 +140,66 @@ def gradient_points(ct: CompiledTerms, coords: Sequence[np.ndarray]):
                       grad=True)
 
 
-def _mul_corners(al, ah, bl, bh):
-    # 0 * inf must clamp to 0 for containment
-    def m(p, q):
-        out = p * q
-        return np.where((p == 0.0) | (q == 0.0), 0.0, out)
-
-    c1, c2, c3, c4 = m(al, bl), m(al, bh), m(ah, bl), m(ah, bh)
-    lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
-    hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
-    return lo, hi
+def _pin(p):
+    # a corner product is NaN only as 0 * inf, pinned to 0 as in imul
+    return np.where(p != p, 0.0, p)
 
 
-def _out(lo: np.ndarray, hi: np.ndarray):
-    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+def _per_cell(enclose, x):
+    """The box enclosure ``enclose`` over each cell of x, a pair of arrays
+    of ends, each cell passed as its pair (lo, hi): two arrays of the
+    cells' shape."""
+    lo, hi = np.broadcast_arrays(*x)
+    cells = zip(lo.ravel().tolist(), hi.ravel().tolist())
+    ends = np.fromiter(itertools.chain.from_iterable(map(enclose, cells)),
+                       float, 2 * lo.size).reshape(lo.shape + (2,))
+    return ends[..., 0], ends[..., 1]
 
 
 class CellArith:
-    """(lo, hi) array pairs for run_tape: enclosures over grid cells. No
-    caller takes gradients over cells, so there are no derivative factors."""
+    """(lo, hi) array pairs for run_tape: enclosures over grid cells, each
+    the enclosure of the box with the cell's ends, bit for bit. add, mul,
+    sqr and neg run the float operations of iadd, imul, isqr and ineg over
+    whole arrays; exp, log and ra run the box's own (iexp, ilog and the
+    primitive's range function) one cell at a time. No caller takes
+    gradients over cells, so there are no derivative factors."""
 
     def const(self, c):
         return c, c
 
     def add(self, x, y):
+        # a NaN end is -inf + inf, widened to that side's infinity
         lo, hi = x[0] + y[0], x[1] + y[1]
-        return _out(np.nan_to_num(lo, nan=-np.inf), np.nan_to_num(hi, nan=np.inf))
+        return (np.nextafter(np.where(lo != lo, -np.inf, lo), -np.inf),
+                np.nextafter(np.where(hi != hi, np.inf, hi), np.inf))
 
     def mul(self, x, y):
-        return _out(*_mul_corners(*x, *y))
+        (al, ah), (bl, bh) = x, y
+        c1, c2 = _pin(al * bl), _pin(al * bh)
+        c3, c4 = _pin(ah * bl), _pin(ah * bh)
+        lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
+        hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
+        return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
 
     def sqr(self, x):
         al, ah = x
         a, b = al * al, ah * ah
-        lo = np.where((al <= 0.0) & (ah >= 0.0), 0.0, np.minimum(a, b))
-        return _out(lo, np.maximum(a, b))
+        # a square is never below 0, also where its float underflows to 0
+        low = np.maximum(np.nextafter(np.minimum(a, b), -np.inf), 0.0)
+        return (np.where((al <= 0.0) & (0.0 <= ah), 0.0, low),
+                np.nextafter(np.maximum(a, b), np.inf))
 
     def neg(self, x):
         return -x[1], -x[0]
 
     def exp(self, x):
-        return (np.maximum(np.nextafter(_exp_arr(x[0]), -np.inf), 0.0),
-                np.nextafter(_exp_arr(x[1]), np.inf))
+        return _per_cell(iexp, x)
 
     def log(self, x):
-        if np.any(x[0] <= 0.0):
-            raise DomainError("log reaches non-positive values on grid")
-        return _out(np.log(x[0]), np.log(x[1]))
+        return _per_cell(ilog, x)
 
     def ra(self, prim, x):
-        if np.any(x[0] < prim.lo) or np.any(x[1] > prim.hi):
-            raise DomainError(f"{prim.name} argument leaves domain on grid")
-        return prim.range_fn(*np.atleast_1d(*x))  # as in PointArith.ra
+        return _per_cell(functools.partial(IntervalArith.ra, prim), x)
 
 
 def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],
@@ -285,15 +294,15 @@ def zero_cell_mask(system, grid: GridSpec) -> np.ndarray:
     grid of blocks. Each later level splits the blocks on which every
     equation's enclosure holds 0 and encloses the parts, gathered in
     pieces of at most ``_CHUNK`` cells or one block's parts. The last
-    level is the cells: each gets the float operations on the same ends
-    as in a walk over every cell. Only that level raises a
+    level is the cells: each, like each block, is enclosed as the box
+    with its ends (``CellArith``), bit for bit. Only that level raises a
     ``DomainError``; a block may leave a domain that none of its cells
     leaves (``log(x1 - x1 + 0.01)``), and then all of its piece goes on.
 
     A cell is left out unenclosed only where the enclosure of a block
-    that holds it, rigorous, excludes 0, so no zero lies in it.
-    ``CellArith``'s operations are isotone in floats, so over them the
-    mask is the one a walk over every cell gives. ``phi``'s and
+    that holds it, rigorous, excludes 0, so no zero lies in it. The box
+    operations, exp and log included, are isotone in floats, so over
+    them the mask is the one a walk over every cell gives. ``phi``'s and
     ``phi'``'s enclosures are not isotone at the last ulp: a part's may
     pass its hull's by a few ulps of max(1, |end|) (their float walks are
     not monotone at that ulp). A cell whose own enclosure reaches 0 by

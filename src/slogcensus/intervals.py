@@ -9,11 +9,12 @@ its float formulas by two ulps, and the AbelFunction folds in its own
 seed evaluation error. The interval layer checks the domain and calls it.
 
 IEEE 754 rounds +, -, * and / correctly, so one ulp covers their error.
-It promises nothing for exp and log: ``iexp``, ``ilog``,
-``gridoracle.CellArith`` and the AbelFunction widen the results of
-``math.exp``/``math.log`` and ``np.exp``/``np.log`` by one ulp, which is
-sound only while those functions are within one ulp of the exact value.
-``tests/test_intervals.py`` checks that against 120-bit mpmath.
+It promises nothing for exp and log: ``iexp``, ``ilog`` and the
+AbelFunction widen the results of ``math.exp``/``math.log`` by one ulp,
+which is sound only while those functions are within one ulp of the
+exact value. Every enclosure, a grid cell's included, takes exp and log
+from them; ``np.exp``/``np.log`` enter only point values and scans.
+``tests/test_intervals.py`` checks both libraries against 120-bit mpmath.
 
 An Interval is checked (no NaN, lo <= hi) where it is built from outside
 values: the constructor, ``Interval.point``, ``intersect`` and the
@@ -43,14 +44,6 @@ _INF = math.inf
 _NINF = -math.inf
 _nextafter = math.nextafter
 _tuple_new = tuple.__new__
-
-
-def _dn(x: float) -> float:
-    return math.nextafter(x, -_INF)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
 
 
 def _mid(lo: float, hi: float) -> float:
@@ -160,10 +153,9 @@ def imul(x: Interval, y: Interval) -> Interval:
 def isqr(x: Interval) -> Interval:
     lo, hi = x
     a, b = lo * lo, hi * hi
-    if lo <= 0.0 <= hi:
-        return _tuple_new(Interval, (0.0, _nextafter(max(a, b), _INF)))
-    return _tuple_new(Interval, (_nextafter(min(a, b), _NINF),
-                                 _nextafter(max(a, b), _INF)))
+    # a square is never below 0, also where its float underflows to 0
+    low = 0.0 if lo <= 0.0 <= hi else max(_nextafter(min(a, b), _NINF), 0.0)
+    return _tuple_new(Interval, (low, _nextafter(max(a, b), _INF)))
 
 
 def iscale(x: Interval, c: float) -> Interval:
@@ -174,24 +166,26 @@ def iscale(x: Interval, c: float) -> Interval:
 
 
 def iexp(x: Interval) -> Interval:
-    # above EXP_MAX, exp_sat gives inf and _dn(inf) the largest double,
-    # a sound lower bound since exp overflows there
-    return Interval(max(_dn(exp_sat(x[0])), 0.0), _up(exp_sat(x[1])))
+    # above EXP_MAX, exp_sat gives inf, one ulp below which is the largest
+    # double, a sound lower bound since exp overflows there
+    return Interval(max(_nextafter(exp_sat(x[0]), _NINF), 0.0),
+                    _nextafter(exp_sat(x[1]), _INF))
 
 
 def ilog(x: Interval) -> Interval:
-    if x.lo <= 0.0:
-        raise DomainError(f"log over interval reaching {x.lo} <= 0")
-    hi = _up(math.log(x.hi)) if x.hi < _INF else _INF
-    return Interval(_dn(math.log(x.lo)), hi)
+    lo, hi = x
+    if lo <= 0.0:
+        raise DomainError(f"log over interval reaching {lo} <= 0")
+    return Interval(_nextafter(math.log(lo), _NINF),
+                    _nextafter(math.log(hi), _INF))
 
 
 def iinv_pos(x: Interval) -> Interval:
     # reciprocal of an interval bounded away from 0 on the positive side
     if x.lo <= 0.0:
         raise DomainError("reciprocal of interval reaching 0")
-    hi_part = 0.0 if x.lo == _INF else _up(1.0 / x.lo)
-    lo_part = 0.0 if x.hi == _INF else _dn(1.0 / x.hi)
+    hi_part = 0.0 if x.lo == _INF else _nextafter(1.0 / x.lo, _INF)
+    lo_part = 0.0 if x.hi == _INF else _nextafter(1.0 / x.hi, _NINF)
     return Interval(lo_part, hi_part)
 
 
@@ -313,14 +307,15 @@ class IntervalArith:
 
     @staticmethod
     def ra(prim, x):
-        if x.lo < prim.lo or x.hi > prim.hi:
-            raise DomainError(
-                f"{prim.name} argument range {x} leaves [{prim.lo}, {prim.hi}]")
-        return Interval(*prim.range_fn(x.lo, x.hi))
+        lo, hi = x
+        if lo < prim.lo or hi > prim.hi:
+            raise DomainError(f"{prim.name} argument range [{lo}, {hi}] "
+                              f"leaves [{prim.lo}, {prim.hi}]")
+        return Interval(*prim.range_fn(lo, hi))
 
     @staticmethod
     def ra_factor(prim, x):
-        return Interval(*prim.derivative().range_fn(x.lo, x.hi))
+        return Interval(*prim.derivative().range_fn(*x))
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +549,18 @@ class _TapeWriter:
     def _sqr(self, x):
         xl, xh = x
         lo, hi = self.out()
+        # a lower end whose square is 0 (the float underflows) stays 0.0,
+        # as max(nx(0.0, ninf), 0.0) does in isqr
         if xl == xh:    # a point: one square
             self.lines.append(f"m0 = {xl} * {xl}; {hi} = nx(m0, inf); "
-                              f"{lo} = 0.0 if {xl} == 0.0 else nx(m0, ninf)")
+                              f"{lo} = 0.0 if m0 == 0.0 else nx(m0, ninf)")
             return lo, hi
         # comparisons in place of max and min, which they equal bit for bit
         self.lines.append(
             f"m0 = {xl} * {xl}; m1 = {xh} * {xh}; "
             f"{hi} = nx(m1 if m1 > m0 else m0, inf); "
-            f"{lo} = 0.0 if {xl} <= 0.0 <= {xh} else nx(m1 if m1 < m0 else m0, ninf)")
+            f"{lo} = 0.0 if {xl} <= 0.0 <= {xh} or "
+            f"(t := m1 if m1 < m0 else m0) == 0.0 else nx(t, ninf)")
         return lo, hi
 
     def mul(self, x, y):

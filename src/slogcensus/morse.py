@@ -76,6 +76,9 @@ _MEANS = {
 }
 _COMPLEMENT = {"=": "!=", "!=": "=", ">": "<=", "<=": ">", "<": ">=",
                ">=": "<"}
+_KINDS = {str: "another string", list: "an array",
+          dict: "an object", bool: "a boolean", int: "a number",
+          float: "a number", type(None): "null"}
 
 
 def _dnf(node, negated: bool) -> list:
@@ -86,7 +89,10 @@ def _dnf(node, negated: bool) -> list:
     if kind == "atom":
         _, term, rel = node
         if not (isinstance(rel, str) and rel in _MEANS):
-            raise BuildError(f"unknown relation {rel!r}")
+            # named by its JSON kind, never echoed: it may be any document
+            got = _KINDS.get(type(rel), type(rel).__name__)
+            raise BuildError(f"relation must be one of {', '.join(_MEANS)}; "
+                             f"got {got}")
         if negated:
             rel = _COMPLEMENT[rel]
         return [[(neg(term) if flip else term, r)] for r, flip in _MEANS[rel]]

@@ -25,7 +25,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .abel import entrywise, exp_sat, get_default_abel
+from .abel import exp_sat, get_default_abel
 from .errors import (
     DifferentiationError,
     DomainError,
@@ -81,9 +81,9 @@ class RAPrimitive:
     """A smooth function restricted to an interval [lo, hi].
 
     ``fn`` evaluates pointwise (scalars or numpy arrays). ``range_fn(a, b)``
-    is the whole enclosure of the range over [a, b], its ends rounded
-    outward by the primitive itself; over numpy arrays of ends it gives
-    two arrays, one enclosure per entry. ``deriv`` is the derivative as
+    is the whole enclosure of the range over [a, b], of float ends a <= b,
+    its ends rounded outward by the primitive itself; a box and each grid
+    cell call it alike. ``deriv`` is the derivative as
     another primitive (``derivative_chain``), and ``sup_abs`` bounds |fn|
     over the domain. The catalog's primitives live on compact intervals;
     phi, phi' and phi'' of an AbelFunction are primitives over the whole
@@ -137,8 +137,7 @@ def _contains_phase(a: float, b: float, offset: float) -> bool:
 
 def _rounded(range_fn):
     # the range of a float formula, two ulps outward at each end so that
-    # it encloses the exact range, and entry by entry over arrays of ends
-    @entrywise
+    # it encloses the exact range
     def rng(a: float, b: float):
         lo, hi = range_fn(a, b)
         dn, up = -math.inf, math.inf

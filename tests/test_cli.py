@@ -89,11 +89,14 @@ def files(tmp_path_factory, abel):
     }
     for name, doc in docs.items():
         (root / name).write_text(json.dumps(doc))
-    # texts that json.dumps does not write: a radius of 5 000 digits, an
-    # array nested 100 000 deep, bytes that are not UTF-8
+    # texts that json.dumps does not write: a radius of 5 000 digits,
+    # arrays nested 100 000 and 900 deep, bytes that are not UTF-8
     (root / "long_radius.json").write_text(
         '{"vars": 1, "equations": ["x1"], "radius": ' + "1" * 5000 + "}")
     (root / "deep_array.json").write_text("[" * 100_000 + "]" * 100_000)
+    (root / "deep_rel_formula.json").write_text(
+        '{"vars": 1, "radius": 2, "dnf": [[{"term": "x1", "rel": '
+        + "[" * 900 + "]" * 900 + "}]]}")
     (root / "latin1.json").write_bytes(
         b'{"vars": 1, "equations": ["x1 - \xe9"]}')
     return root
@@ -210,6 +213,14 @@ def test_flags_a_subcommand_does_not_read_are_refused(capsys, argv, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+def test_order_beside_a_seed_file_is_refused(files, capsys):
+    # a seed file has its own order, so --order would go unread
+    argv = ["slog-check", "--abel", str(files / "seed.json"), "--order", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --order") and len(err.splitlines()) == 1
+
+
 def test_zeros_radius_flag_overrides(files):
     r = _run("zeros", str(files / "circle_line.json"), "--radius", "3.0")
     doc = json.loads(r.stdout)
@@ -318,6 +329,7 @@ def test_track_steps_flag(files):
     ["zeros", "latin1.json"],
     ["slog-check", "--tol", "inf"],
     ["slog-check", "--abel", "seed.json", "--tol", "inf"],
+    ["components", "deep_rel_formula.json"],
 ], ids=["eval-at-text", "eval-deep", "eval-overflow", "equation-number",
         "radius-text", "param-text", "system-array", "system-deep",
         "equation-overflow", "path-steps-text", "path-ragged",
@@ -334,13 +346,15 @@ def test_track_steps_flag(files):
         "path-steps-numeric-text", "params-text", "params-numeric-text",
         "path-nan-breakpoint", "path-params-number", "radius-nan-literal",
         "seed-coeffs-infinity-literal", "system-not-utf8", "check-tol-inf",
-        "check-seed-tol-inf"])
+        "check-seed-tol-inf", "formula-deep-relation"])
 def test_malformed_input_exits_two(files, argv):
     argv = [str(files / a) if a.endswith(".json") else a for a in argv]
     r = _run(*argv)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ")
     assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+    # the error names what is wrong; it does not echo the input back
+    assert len(r.stderr) <= 200, r.stderr[:300]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import operator
 import pickle
 import sys
 
@@ -15,12 +16,15 @@ from krawczyk_reference import inflate_by_helpers, subdivide_by_helpers
 from slogcensus.abel import EXP_MAX, exp_sat
 from slogcensus.census import _inflate, build_system
 from slogcensus.errors import DomainError
-from slogcensus.intervals import (Box, Interval, iadd, iexp, ilog, imul,
-                                  iinv_pos, ineg, interval_eval, iscale,
-                                  isqr, isub, krawczyk_test, split_step,
-                                  subdivide)
-from slogcensus.terms import (add, const, dphi, eval_term, exp, mul, neg,
-                              parse_term, phi, sub, var)
+from slogcensus.gridoracle import CellArith, eval_cells
+from slogcensus.intervals import (Box, Interval, _TapeWriter, iadd, iexp,
+                                  ilog, imul, iinv_pos, ineg, interval_eval,
+                                  interval_eval_compiled,
+                                  interval_jacobian_compiled, iscale, isqr,
+                                  isub, krawczyk_test, split_step, subdivide)
+from slogcensus.terms import (add, compile_terms, const, default_catalog,
+                              dphi, eval_term, exp, log, mul, neg, parse_term,
+                              phi, ra, run_tape, sub, var)
 
 _fin = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -136,7 +140,7 @@ def _ref_imul(x, y):
 
 def _ref_isqr(x):
     a, b = _ref_mul0(x[0], x[0]), _ref_mul0(x[1], x[1])
-    if x[0] <= 0.0 <= x[1]:
+    if x[0] <= 0.0 <= x[1] or min(a, b) == 0.0:    # 0, or a square underflowed
         return 0.0, math.nextafter(max(a, b), math.inf)
     return math.nextafter(min(a, b), -math.inf), math.nextafter(max(a, b), math.inf)
 
@@ -166,8 +170,9 @@ def _check_helpers(x, y, c):
 
 
 _MAX = sys.float_info.max
-_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.1, _MAX, -_MAX,
-            math.inf, -math.inf)
+# 1e-200 squares to 0 in floats, as 5e-324 does
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1.0, -1.0, 0.1,
+            _MAX, -_MAX, math.inf, -math.inf)
 _SPECIAL_IV = [Interval(a, b) for a in _SPECIAL for b in _SPECIAL if a <= b]
 
 
@@ -263,6 +268,25 @@ def test_sqr_no_dependency_loss():
     z = isqr(Interval(-2.0, 3.0))
     assert z.lo == 0.0
     assert z.hi >= 9.0
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-200, 1e-199), (-1e-199, -1e-200),
+                                    (1e-200, 1e-200), (5e-324, 1e-160)])
+def test_an_underflowing_square_keeps_lower_end_zero(lo, hi):
+    # the float square is 0, so nx(0.0, -inf) = -5e-324 would put a
+    # square below the 0.0 that isqr gives an interval holding 0
+    want = (0.0, isqr(Interval(lo, hi)).hi)
+    assert isqr(Interval(lo, hi)) == want
+    ct = compile_terms([parse_term("x1*x1")])
+    assert interval_eval_compiled(ct, Box.from_bounds([(lo, hi)]))[0] == want
+    (clo, chi), = eval_cells(ct, [np.array([lo])], [np.array([hi])])
+    assert (clo[0], chi[0]) == want
+    assert tuple(map(float, CellArith().sqr((lo, hi)))) == want
+    # generated code squares a point (the Krawczyk midpoint) in one product
+    w = _TapeWriter()
+    ends = w.sqr(("x", "x"))
+    point = w.function("x", "({}, {})".format(*ends))
+    assert point(lo) == (0.0, isqr(Interval(lo, lo)).hi)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +491,94 @@ def test_enclosure_isotone(abel):
     ro = interval_eval(t, outer, abel)
     ri = interval_eval(t, inner, abel)
     assert ro.lo <= ri.lo and ri.hi <= ro.hi
+
+
+class _Huge(Exception):
+    """An exact value past exp(690), whose exp mpmath could not hold."""
+
+
+def _mp_exp(x):
+    if x > 690:
+        raise _Huge
+    return mpmath.exp(x)
+
+
+# the catalog primitives as exact functions: value and derivative
+_MP_PRIMS = {"sin": (mpmath.sin, mpmath.cos),
+             "cos": (mpmath.cos, lambda x: -mpmath.sin(x)),
+             "atan": (mpmath.atan, lambda x: 1 / (1 + x * x))}
+
+
+class _MpArith:
+    """mpmath numbers for run_tape: a tape's value and gradient at a
+    point, to far below a float's ulp at 50 digits."""
+
+    const = staticmethod(mpmath.mpf)
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    sqr = staticmethod(lambda x: x * x)
+    neg = staticmethod(operator.neg)
+    exp = staticmethod(_mp_exp)
+    log = staticmethod(mpmath.log)
+    log_factor = staticmethod(lambda x: 1 / x)
+    ra = staticmethod(lambda prim, x: _MP_PRIMS[prim.name][0](x))
+    ra_factor = staticmethod(lambda prim, x: _MP_PRIMS[prim.name][1](x))
+
+
+def _exact_terms():
+    cat = default_catalog()
+
+    def extend(inner):
+        pair = st.tuples(inner, inner)
+        return st.one_of(
+            pair.map(lambda p: add(*p)), pair.map(lambda p: mul(*p)),
+            inner.map(lambda t: mul(t, t)), inner.map(neg),
+            inner.map(exp), inner.map(lambda t: exp(exp(t))), inner.map(log),
+            # a log whose argument stays positive
+            inner.map(lambda t: log(add(mul(t, t), const(0.5)))),
+            *(inner.map(lambda t, p=cat[name]: ra(p, t))
+              for name in _MP_PRIMS))
+
+    return st.recursive(_leaf, extend, max_leaves=5)
+
+
+_side = st.tuples(st.floats(-3.0, 3.0), st.floats(-12.0, 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exact_terms(), min_size=1, max_size=2), _side, _side,
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                min_size=3, max_size=3))
+def test_generated_passes_enclose_the_exact_values(terms, s0, s1, drawn):
+    """The value and Jacobian passes over a box of widths 1e-12 to 1, and
+    the value pass over a point box [p, p] (as f(m) is enclosed), hold
+    the exact values and gradients at the box's corners, its midpoint and
+    drawn points of it."""
+    ct = compile_terms(terms)
+    box = Box.from_bounds([(c, c + 10.0 ** e) for c, e in (s0, s1)])
+    try:
+        vals, jac = interval_jacobian_compiled(ct, box)
+    except DomainError:
+        return
+    assert interval_eval_compiled(ct, box) == vals
+    (x0, x1), (y0, y1) = box
+    points = [[x, y] for x in (x0, x1) for y in (y0, y1)] + [box.midpoint()]
+    points += [[min(x0 + u * (x1 - x0), x1), min(y0 + v * (y1 - y0), y1)]
+               for u, v in drawn]
+    with mpmath.workdps(50):
+        for p in points:
+            try:
+                exact, grads = run_tape(ct, [mpmath.mpf(v) for v in p],
+                                        _MpArith, grad=True)
+            except _Huge:
+                continue
+            at_p = interval_eval_compiled(ct, Box.from_bounds(
+                [(v, v) for v in p]))
+            for r, v in enumerate(exact):
+                assert vals[r].lo <= v <= vals[r].hi, (r, box, p)
+                assert at_p[r].lo <= v <= at_p[r].hi, (r, p)
+                for j, g in enumerate(grads[r]):
+                    assert jac[r][j].lo <= g <= jac[r][j].hi, (r, j, box, p)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slogcensus import intervals
-from slogcensus.abel import AbelFunction, build_abel
+from slogcensus.abel import build_abel
 from slogcensus.census import (build_system, count_nonsingular_zeros,
                               reduce_phi_complexity)
 from slogcensus.errors import DifferentiationError, DomainError
@@ -28,9 +28,9 @@ from slogcensus.morse import (_haar_rotation, critical_system, prove_empty,
                               schedule_for_ball)
 from slogcensus.terms import (RA, RAPrimitive, abel_primitives, add,
                               add_all, compile_terms, const, default_catalog,
-                              eval_compiled, eval_term, exp, gradient,
+                              dphi, eval_compiled, eval_term, exp, gradient,
                               gradient_compiled, log, mul, mul_all, neg,
-                              parse_term, ra, run_tape, var)
+                              parse_term, phi, ra, run_tape, var)
 
 from conftest import CORPUS
 from krawczyk_reference import (gauss_jordan, krawczyk_by_helpers,
@@ -565,12 +565,12 @@ def test_enclosures_come_from_the_bound_abel(abel2):
     got = interval_eval(parse_term("phi(x1)"), Box.from_bounds([(0.3, 0.4)]),
                         abel2)
     assert got == abel2.interval_phi(0.3, 0.4)
-    # cells: phi encloses the whole array at once
-    los, his = np.array([0.3, 1.5, 7.0]), np.array([0.4, 1.75, 9.0])
+    # cells: each cell is enclosed on its own float ends
+    los, his = [0.3, 1.5, 7.0], [0.4, 1.75, 9.0]
     ct = compile_terms([parse_term("phi(x1)")], abel2)
-    (clo, chi), = eval_cells(ct, [los], [his])
-    want = abel2.interval_phi(los, his)
-    assert np.array_equal(clo, want[0]) and np.array_equal(chi, want[1])
+    (clo, chi), = eval_cells(ct, [np.array(los)], [np.array(his)])
+    assert list(zip(clo.tolist(), chi.tolist())) == \
+        [abel2.interval_phi(a, b) for a, b in zip(los, his)]
 
 
 def test_searches_use_the_bound_abel(abel, abel2):
@@ -595,8 +595,8 @@ def test_searches_use_the_bound_abel(abel, abel2):
 
 
 # ---------------------------------------------------------------------------
-# a primitive's range function is its whole enclosure, for float ends and,
-# entry by entry, for arrays of ends
+# a primitive's range function is its whole enclosure over float ends; a
+# box and each grid cell call it alike
 
 
 def _chain(prim):
@@ -635,37 +635,30 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def _vectorised(prim):
-    # phi and its restrictions enclose arrays with numpy's exp and log
-    return getattr(prim.range_fn, "__func__", None) is AbelFunction.interval_phi
-
-
-def _same_ends(prim, got, want):
-    """Array ends equal per-entry ends by float.hex, or for phi within
-    1e-14: numpy's exp and log differ from math's by an ulp on some
-    platforms, far inside the 1e-13 seed error both ends add."""
-    if _vectorised(prim):
-        assert np.all(np.abs(np.ravel(got) - np.array(list(want))) <= 1e-14), \
-            prim.name
-    else:
-        assert _hex(np.ravel(got)) == _hex(want), prim.name
-
-
 _unit = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
                   st.floats(-1.0, 1.0))
 
 
+def _box_ends(ct, lo, hi):
+    # the float.hex of the lower ends, then of the upper ends, of the
+    # tape's first root over each box [lo[k], hi[k]]
+    boxes = [interval_eval_compiled(ct, Box.from_bounds([(a, b)]))[0]
+             for a, b in zip(lo.tolist(), hi.tolist())]
+    return _hex(b.lo for b in boxes) + _hex(b.hi for b in boxes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(_unit, _unit), min_size=6, max_size=6))
-def test_range_functions_take_arrays_entry_by_entry(every_primitive, pairs):
+def test_cells_enclose_every_primitive_as_their_boxes(every_primitive, pairs):
     for prim in every_primitive:
+        ct = compile_terms([ra(prim, var(0))])
         lo, hi = _ends_in(prim, pairs)
-        want = [prim.range_fn(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        want = _box_ends(ct, lo, hi)
         for shape in ((6,), (2, 3)):
-            got = prim.range_fn(lo.reshape(shape), hi.reshape(shape))
-            assert got[0].shape == got[1].shape == shape, prim.name
-            _same_ends(prim, got[0], (w[0] for w in want))
-            _same_ends(prim, got[1], (w[1] for w in want))
+            (clo, chi), = eval_cells(ct, [lo.reshape(shape)],
+                                     [hi.reshape(shape)])
+            assert clo.shape == chi.shape == shape, prim.name
+            assert _hex(clo.ravel()) + _hex(chi.ravel()) == want, prim.name
 
 
 def _ulps(x, k):
@@ -720,21 +713,90 @@ def test_atan_derivative_ends_enclose_the_exact_values():
 
 
 def test_cells_and_boxes_enclose_primitives_alike(every_primitive):
-    # both are one call of the range function, which rounds its own ends
+    # both are one call of the range function per cell or box, which
+    # rounds its own ends
     pairs = [(u, v) for u in np.linspace(-1.0, 0.6, 9)
              for v in (u, u + 0.01, u + 0.3)]
     for prim in every_primitive:
         ct = compile_terms([ra(prim, var(0))])
         lo, hi = _ends_in(prim, pairs)
+        want = [prim.range_fn(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        want = _hex(w[0] for w in want) + _hex(w[1] for w in want)
         (clo, chi), = eval_cells(ct, [lo], [hi])
-        assert _hex(clo) + _hex(chi) == _hex(np.concatenate(
-            prim.range_fn(lo, hi))), prim.name
-        boxes = [interval_eval_compiled(ct, Box.from_bounds([(a, b)]))[0]
-                 for a, b in zip(lo.tolist(), hi.tolist())]
-        for box, a, b in zip(boxes, lo.tolist(), hi.tolist()):
-            assert _hex(box) == _hex(prim.range_fn(a, b)), prim.name
-        _same_ends(prim, clo, (box.lo for box in boxes))
-        _same_ends(prim, chi, (box.hi for box in boxes))
+        assert _hex(clo) + _hex(chi) == want, prim.name
+        assert _box_ends(ct, lo, hi) == want, prim.name
+
+
+# ends at which float operations round, underflow, overflow or meet 0 * inf
+_CELL_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e308,
+                     -1e308, math.inf, -math.inf]),
+    st.floats(-3.0, 3.0))
+
+
+def _cell_terms():
+    cat = default_catalog()
+    leaf = st.one_of(st.sampled_from([var(0), var(1)]),
+                     st.floats(-2.0, 2.0).map(const))
+
+    def extend(inner):
+        pair = st.tuples(inner, inner)
+        return st.one_of(
+            pair.map(lambda p: add(*p)), pair.map(lambda p: mul(*p)),
+            inner.map(lambda t: mul(t, t)), inner.map(neg),
+            inner.map(exp), inner.map(log), inner.map(phi), inner.map(dphi),
+            inner.map(lambda t: ra(cat["sin"], t)),
+            inner.map(lambda t: ra(cat["atan"], t)))
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+def _cell_outcome(fn):
+    try:
+        return fn()
+    except DomainError:
+        return DomainError
+
+
+def _cell_bits(ends, at):
+    # the float.hex of each root's ends at one cell of eval_cells' arrays
+    return [(float(lo[at]).hex(), float(hi[at]).hex()) for lo, hi in ends]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_cell_terms(), min_size=1, max_size=2),
+       st.lists(st.tuples(_CELL_ENDS, _CELL_ENDS), min_size=2, max_size=4),
+       st.lists(st.tuples(_CELL_ENDS, _CELL_ENDS), min_size=2, max_size=4))
+def test_cells_are_enclosed_as_the_boxes_of_their_ends(abel, terms, xs, ys):
+    """Every cell of an open grid gets, bit for bit, the enclosure of the
+    box with its ends, or both raise DomainError; a grid that holds a
+    cell that raises raises."""
+    ct = compile_terms(terms, abel)
+    # ends in order, -0.0 below 0.0
+    xs, ys = ([sorted(p, key=lambda v: (v, math.copysign(1.0, v)))
+               for p in ends] for ends in (xs, ys))
+    boxes = {}
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            box = Box.from_bounds([x, y])
+            want = _cell_outcome(
+                lambda: _bits(interval_eval_compiled(ct, box)))
+            los, his = ([np.array([x[k]]), np.array([y[k]])] for k in (0, 1))
+            got = _cell_outcome(
+                lambda: _cell_bits(eval_cells(ct, los, his), 0))
+            assert got == want, (box, got, want)
+            boxes[i, j] = want
+    grid = [np.array([x[0] for x in xs]).reshape(-1, 1),
+            np.array([y[0] for y in ys]).reshape(1, -1)]
+    ends = [np.array([x[1] for x in xs]).reshape(-1, 1),
+            np.array([y[1] for y in ys]).reshape(1, -1)]
+    got = _cell_outcome(lambda: eval_cells(ct, grid, ends))
+    if DomainError in boxes.values():
+        assert got is DomainError
+    else:
+        assert got is not DomainError
+        for at, want in boxes.items():
+            assert _cell_bits(got, at) == want, at
 
 
 def test_log_of_a_negative_slot_raises_on_every_call(fresh_shapes):

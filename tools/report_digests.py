@@ -18,7 +18,10 @@ So where a change moves digests on purpose (a new rounding of the
 polished zeros, say), a diff of this script's output shows whether any
 count moved with them.
 
-    python3 tools/report_digests.py [--seed N]
+``--workload NAME`` (repeatable) prints only the named workloads' lines,
+the same lines a full run prints for them; by default every workload's.
+
+    python3 tools/report_digests.py [--seed N] [--workload NAME ...]
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ def _bytes(workload: str, out) -> bytes:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workload", action="append", metavar="NAME",
+                    choices=list(workloads.WORKLOADS),
+                    help="print only this workload's lines (repeatable)")
     args = ap.parse_args(argv)
     abel = get_default_abel()
     env = dict(os.environ, PYTHONHASHSEED="0")
@@ -98,6 +104,8 @@ def main(argv=None) -> int:
         ctx = {"workdir": os.path.join(tmp, "cli"), "seed": args.seed,
                "env": env}
         for workload, build in workloads.WORKLOADS.items():
+            if args.workload and workload not in args.workload:
+                continue
             for op in build(abel, ctx):
                 out = op.run()
                 digest = hashlib.sha256(_bytes(workload, out)).hexdigest()
