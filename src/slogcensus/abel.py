@@ -28,15 +28,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BuildError, DomainError, count, numbers, parse_json
+from .errors import (BuildError, CertificationError, DomainError, count,
+                     numbers, parse_json)
+from .terms import EXP_MAX, exp_n
 
 __all__ = [
     "AbelFunction",
     "DominationReport",
     "build_abel",
     "get_default_abel",
-    "exp_n",
-    "log_n",
 ]
 
 _E = math.e
@@ -52,31 +52,6 @@ DEFAULT_TOL = 1e-8
 _PHI_SLACK_FLOOR = 1e-13
 _DPHI_SLACK = 1e-11
 _D2PHI_SLACK = 1e-10
-
-
-# the largest double whose exp is finite; exp of the next double overflows
-EXP_MAX = math.log(sys.float_info.max)
-
-
-def exp_sat(x: float) -> float:
-    """exp(x), saturated to +inf where it overflows (and for NaN)."""
-    return math.exp(x) if x <= EXP_MAX else math.inf
-
-
-def exp_n(x: float, n: int) -> float:
-    """n-fold exponential; saturates to +inf on overflow."""
-    for _ in range(n):
-        x = exp_sat(x)
-    return x
-
-
-def log_n(x: float, n: int) -> float:
-    """n-fold logarithm; requires every intermediate value positive."""
-    for _ in range(n):
-        if x <= 0.0:
-            raise DomainError(f"iterated log needs positive intermediate, got {x}")
-        x = math.log(x)
-    return x
 
 
 def _log_series_coeffs(deg: int) -> np.ndarray:
@@ -221,37 +196,43 @@ class AbelFunction:
 
     # -- the band walk: x to y in [1, e] by log/exp steps --------------------
 
-    def _walk(self, x: float) -> tuple[float, int, float, float, float]:
+    def _walk(self, x: float, order: int):
         """(y, shift, d1, c2, c1) with y in [1, e] and
         phi(x) = p(y) + shift, phi'(x) = d1 p'(y) and
-        phi''(x) = c2 p''(y) + c1 p'(y)."""
+        phi''(x) = c2 p''(y) + c1 p'(y), updating only what derivative
+        ``order`` reads: shift for 0, d1 for 1, c2 and c1 for 2."""
         x = float(x)
         if not math.isfinite(x):
             raise DomainError(f"phi argument must be finite, got {x}")
         shift, d1, c2, c1 = 0, 1.0, 1.0, 0.0
         while x > _E:
             # phi'(x) = phi'(y)/x, phi''(x) = (phi''(y) - phi'(y))/x^2
-            d1 /= x
-            inv = 1.0 / x
-            c1 = (c1 - c2 * inv) * inv
-            c2 = c2 * inv * inv
+            if order == 0:
+                shift += 1
+            elif order == 1:
+                d1 /= x
+            else:
+                inv = 1.0 / x
+                c1 = (c1 - c2 * inv) * inv
+                c2 = c2 * inv * inv
             x = math.log(x)
-            shift += 1
         while x < 1.0:
             # phi'(x) = phi'(y) y, phi''(x) = phi''(y) y^2 + phi'(y) y
             x = math.exp(x)
-            d1 *= x
-            c1 = c2 * x + c1 * x
-            c2 = c2 * x * x
-            shift -= 1
+            if order == 0:
+                shift -= 1
+            elif order == 1:
+                d1 *= x
+            else:
+                c1 = c2 * x + c1 * x
+                c2 = c2 * x * x
         return x, shift, d1, c2, c1
 
     def _walk_array(self, x, order: int):
-        """_walk over an array, updating only what derivative ``order``
-        reads: shift for 0, d1 for 1, c2 and c1 for 2."""
+        """_walk over an array."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
-            return self._walk(x)
+            return self._walk(x, order)
         if not np.all(np.isfinite(x)):
             raise DomainError("phi argument must be finite")
         y = x.copy()
@@ -285,15 +266,15 @@ class AbelFunction:
     # -- point evaluation: scalar, and array (oracle/scan hot path) ----------
 
     def eval_phi(self, x: float) -> float:
-        y, shift, _, _, _ = self._walk(x)
+        y, shift, _, _, _ = self._walk(x, 0)
         return _horner(self._p_desc, y - 1.0) + shift
 
     def eval_dphi(self, x: float) -> float:
-        y, _, d1, _, _ = self._walk(x)
+        y, _, d1, _, _ = self._walk(x, 1)
         return d1 * _horner(self._dp_desc, y - 1.0)
 
     def eval_d2phi(self, x: float) -> float:
-        y, _, _, c2, c1 = self._walk(x)
+        y, _, _, c2, c1 = self._walk(x, 2)
         u = y - 1.0
         return c2 * _horner(self._d2p_desc, u) + c1 * _horner(self._dp_desc, u)
 
@@ -480,6 +461,28 @@ class AbelFunction:
             threshold = float(xs[idx])
         return DominationReport(n=n, x_lo=float(x_lo), x_hi=float(x_hi),
                                 samples=samples, threshold=threshold)
+
+    def chain_cutoff(self, k: int, s: int) -> float:
+        """Least sampled d with k*|phi(z) + 2s| < z/2 for all z >= d.
+
+        phi(exp_2s(z)) = phi(z) + 2s by the functional equation, and phi is
+        bounded by its value at the largest float, so the condition is
+        automatic past 2*k*(phi_top + 2s). The scan certifies gaps between
+        samples: phi + 2s is increasing, so |phi + 2s| on a gap is maximized
+        at one of its endpoints, while z/2 is minimized at the left one.
+        """
+        bound = 2.0 * k * (self.phi_top + 2.0 * s) + 1.0
+        zs = np.linspace(1e-6, bound, 20001)
+        lhs = k * np.abs(self.eval_phi_array(zs) + 2.0 * s)
+        ok = np.empty(len(zs), dtype=bool)
+        ok[:-1] = np.maximum(lhs[:-1], lhs[1:]) < zs[:-1] / 2.0
+        ok[-1] = lhs[-1] < zs[-1] / 2.0
+        bad = np.nonzero(~ok)[0]
+        if bad.size == 0:
+            return float(zs[0])
+        if bad[-1] == len(zs) - 1:
+            raise CertificationError("chain inequality did not settle in range")
+        return float(zs[bad[-1] + 1])
 
     # -- validation ------------------------------------------------------------
 

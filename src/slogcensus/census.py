@@ -10,22 +10,19 @@ enclosure lies inside the other's tested box.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from .abel import exp_n, get_default_abel
-from .errors import (BuildError, CertificationError, DomainError, PathError,
-                     count, numbers, parse_json)
+from .errors import BuildError, DomainError, PathError, count, numbers, parse_json
 from .intervals import (Box, Interval, float_inverse, interval_eval_compiled,
                         krawczyk_test, split_step)
-from .terms import (RAPrimitive, TermNode, abel_primitives, add_all,
-                    collect_phi_monomials, compile_terms, const,
-                    derivative_chain, gradient_compiled, growth_exponent,
-                    mul_all, parse_term, ra, rebuild, substitute, to_text,
-                    var)
+from .terms import (RAPrimitive, TermNode, abel_or_default, abel_primitives,
+                    add_all, collect_phi_monomials, compile_terms, const,
+                    derivative_chain, exp_n, gradient_compiled,
+                    growth_exponent, mul_all, parse_term, ra, rebuild,
+                    substitute, to_text, var)
 
 DEFAULT_RADIUS = 8.0
 DEFAULT_DEPTH = 40
@@ -64,7 +61,8 @@ class SystemParams:
 
 
 class SquareSystem:
-    """n equations in n unknowns with numeric parameters substituted."""
+    """n equations in n unknowns with numeric parameters substituted; an
+    ``abel`` of None stands for the default super-logarithm."""
 
     def __init__(self, equations: Sequence[TermNode], abel,
                  sources: Sequence[str] | None = None,
@@ -89,14 +87,14 @@ class SquareSystem:
 
     def tilted(self, matrix) -> "SquareSystem":
         """System composed with a linear map: equations evaluated at A x."""
-        a = np.asarray(matrix, dtype=float)
-        if a.shape != (self.n, self.n):
-            raise BuildError(f"matrix shape {a.shape} does not match n={self.n}")
+        if len(matrix) != self.n or any(len(r) != self.n for r in matrix):
+            raise BuildError(f"matrix of {len(matrix)} rows does not match "
+                             f"n={self.n}")
         mapping = {}
         for i in range(self.n):
             parts = []
             for j in range(self.n):
-                c = float(a[i, j])
+                c = float(matrix[i][j])
                 if c == 0.0:
                     continue
                 parts.append(var(j) if c == 1.0 else mul_all([const(c), var(j)]))
@@ -125,8 +123,6 @@ def build_system(equations: Sequence, params=None, abel=None,
     Source strings may reference the parameter names l0..ln, eps1..epsn
     and delta; these are substituted as constants from ``params``.
     """
-    if abel is None:
-        abel = get_default_abel()
     n = len(equations)
     if n == 0:
         raise BuildError("empty system")
@@ -165,29 +161,6 @@ class RadiusReport:
     dphi_count: int = 0
 
 
-def _chain_cutoff(k: int, s: int, abel) -> float:
-    """Least sampled d with k*|phi(z) + 2s| < z/2 for all z >= d.
-
-    phi(exp_2s(z)) = phi(z) + 2s by the functional equation, and phi is
-    bounded by its value at the largest float, so the condition is
-    automatic past 2*k*(phi_top + 2s). The scan certifies gaps between
-    samples: phi + 2s is increasing, so |phi + 2s| on a gap is maximized
-    at one of its endpoints, while z/2 is minimized at the left one.
-    """
-    bound = 2.0 * k * (abel.phi_top + 2.0 * s) + 1.0
-    zs = np.linspace(1e-6, bound, 20001)
-    lhs = k * np.abs(abel.eval_phi_array(zs) + 2.0 * s)
-    ok = np.empty(len(zs), dtype=bool)
-    ok[:-1] = np.maximum(lhs[:-1], lhs[1:]) < zs[:-1] / 2.0
-    ok[-1] = lhs[-1] < zs[-1] / 2.0
-    bad = np.nonzero(~ok)[0]
-    if bad.size == 0:
-        return float(zs[0])
-    if bad[-1] == len(zs) - 1:
-        raise CertificationError("chain inequality did not settle in range")
-    return float(zs[bad[-1] + 1])
-
-
 def search_radius(system: SquareSystem) -> RadiusReport:
     """Ball radius beyond which zeros are ruled out by the growth bound.
 
@@ -200,8 +173,9 @@ def search_radius(system: SquareSystem) -> RadiusReport:
     s = max(growth_exponent(a).s for a in args)
     k = len(system.phi_args)
     u = len(system.dphi_args)
-    d_chain = _chain_cutoff(max(k, 1), s, system.abel)
-    d_norm = 2.0 * (2.0 * system.n + 2.0 + u * system.abel.sup_dphi_global)
+    abel = abel_or_default(system.abel)
+    d_chain = abel.chain_cutoff(max(k, 1), s)
+    d_norm = 2.0 * (2.0 * system.n + 2.0 + u * abel.sup_dphi_global)
     d = max(d_chain, d_norm * (1.0 + 1e-12))
     r = exp_n(d, s)
     return RadiusReport(float(r), False, s, float(d), k, u)
@@ -337,6 +311,27 @@ def count_over_box(system: SquareSystem, box: Box,
 # ---------------------------------------------------------------------------
 # deformation paths
 
+def _determinant(matrix) -> float:
+    """Determinant of a square matrix of floats (a sequence of rows) by
+    Gaussian elimination with partial pivoting, in plain float code."""
+    rows = [[float(c) for c in r] for r in matrix]
+    det = 1.0
+    for k in range(len(rows)):
+        p = max(range(k, len(rows)), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        pivot = rows[k]
+        det *= pivot[k]
+        for r in rows[k + 1:]:
+            f = r[k] / pivot[k]
+            for c in range(k + 1, len(rows)):
+                r[c] -= f * pivot[c]
+    return det
+
+
 @dataclass(frozen=True)
 class DeformationPath:
     """Piecewise-linear path of (matrix, target, params) over t in [0, 1]."""
@@ -362,33 +357,25 @@ class DeformationPath:
             raise PathError(f"path matrices must be {n} x {n} and targets "
                             f"of length {n}")
         for m in self.matrices:
-            if abs(float(np.linalg.det(np.asarray(m, dtype=float)))) < 1e-9:
+            if abs(_determinant(m)) < 1e-9:
                 raise PathError("singular matrix at a breakpoint")
 
-    @classmethod
-    def constant(cls, n: int) -> "DeformationPath":
-        eye = np.eye(n)
-        z = tuple([0.0] * n)
-        return cls((0.0, 1.0), (eye, eye), (z, z))
-
-    @classmethod
-    def target_ramp(cls, n: int, eta_final: Sequence[float]) -> "DeformationPath":
-        eye = np.eye(n)
-        return cls((0.0, 1.0), (eye, eye),
-                   (tuple([0.0] * n), tuple(float(v) for v in eta_final)))
-
     def at(self, t: float):
+        """(matrix, target, params) at t: each entry (1 - w) * left + w * right
+        between the breakpoints around t, left and right as floats."""
         ts = self.breakpoints
         if not (0.0 <= t <= 1.0):
             raise PathError(f"t={t} outside [0, 1]")
-        j = max(0, min(len(ts) - 2, int(np.searchsorted(ts, t, "right")) - 1))
+        j = max(0, min(len(ts) - 2, bisect.bisect_right(ts, t) - 1))
         w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        a0 = np.asarray(self.matrices[j], dtype=float)
-        a1 = np.asarray(self.matrices[j + 1], dtype=float)
-        e0 = np.asarray(self.targets[j], dtype=float)
-        e1 = np.asarray(self.targets[j + 1], dtype=float)
-        a = (1.0 - w) * a0 + w * a1
-        eta = (1.0 - w) * e0 + w * e1
+        v = 1.0 - w
+
+        def mix(xs, ys):
+            return [v * float(x) + w * float(y) for x, y in zip(xs, ys)]
+
+        a = [mix(r0, r1) for r0, r1 in
+             zip(self.matrices[j], self.matrices[j + 1])]
+        eta = mix(self.targets[j], self.targets[j + 1])
         params = None
         if self.params is not None:
             p0, p1 = self.params[j], self.params[j + 1]
@@ -445,7 +432,7 @@ def track_path(system: SquareSystem, path: DeformationPath, steps: int,
     for j in range(steps + 1):
         t = j / steps
         a, eta, params = path.at(t)
-        if abs(float(np.linalg.det(a))) < 1e-9:
+        if abs(_determinant(a)) < 1e-9:
             raise PathError(f"singular matrix at step {j} (t={t})")
         inst = _instantiate(system, a, eta, params)
         rep = count_nonsingular_zeros(inst, radius, max_depth)
@@ -498,7 +485,7 @@ def reduce_phi_complexity(system: SquareSystem, radius: float) -> SquareSystem:
     if not system.phi_args and not system.dphi_args:
         return system
     box = Box.cube(float(radius), system.n)
-    abel = system.abel
+    abel = abel_or_default(system.abel)
     prims = abel_primitives(abel)
     made: list = []
 

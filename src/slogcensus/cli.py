@@ -10,19 +10,16 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .abel import (DEFAULT_ORDER, DEFAULT_TOL, AbelFunction, build_abel,
-                   get_default_abel)
 from .census import (DEFAULT_DEPTH, DeformationPath, SystemParams,
                      count_nonsingular_zeros, load_system_file,
                      search_radius, track_path)
 from .errors import (BuildError, CertificationError, DomainError,
                      PathError, SlogcensusError, count, numbers, parse_json)
-from .morse import (CENSUS_DEPTH, AffineSubspace, component_bound,
-                    gamma_estimate, load_formula_file)
 from .terms import eval_term, gradient, parse_term
+
+# numpy, the default seed, morse and the grid oracle are imported where a
+# command needs them: zeros, track and eval of phi-free terms load none
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -41,8 +38,10 @@ def _emit(report: dict, out_path: str | None, quiet: bool = False) -> None:
 
 
 def _load_abel(path: str | None, validate: bool = True):
+    # None stands for the default seed, built where something reads it
     if path is None:
-        return get_default_abel()
+        return None
+    from .abel import AbelFunction
     return AbelFunction.load(path, validate=validate)
 
 
@@ -64,6 +63,8 @@ def _envelope(args, radius: float, source: str, report: dict,
 def _check_rows(abel, tol: float):
     """Property checks as (name, residual, threshold) rows; a residual at
     or under its threshold passes. Thresholds scale with the build tol."""
+    import numpy as np
+
     rows = []
 
     jumps = abel.junction_jumps()
@@ -105,6 +106,8 @@ def _check_rows(abel, tol: float):
 
 
 def cmd_slog_check(args) -> int:
+    from .abel import DEFAULT_ORDER, DEFAULT_TOL, AbelFunction, build_abel
+
     if args.abel is None:
         abel = build_abel(DEFAULT_ORDER if args.order is None else args.order,
                           DEFAULT_TOL if args.tol is None else args.tol)
@@ -202,7 +205,8 @@ def _path_from_dict(doc: dict, n: int):
     if not isinstance(doc, dict):
         raise PathError("path file must hold a JSON object")
     bps = numbers(doc.get("breakpoints"), "path file breakpoints", 1)
-    mats = numbers(doc.get("matrices", [np.eye(n).tolist()] * len(bps)),
+    eye = [[float(i == j) for j in range(n)] for i in range(n)]
+    mats = numbers(doc.get("matrices", [eye] * len(bps)),
                    "path file matrices", 3)
     tgts = numbers(doc.get("targets", [[0.0] * n] * len(bps)),
                    "path file targets", 2)
@@ -234,6 +238,9 @@ def cmd_track(args) -> int:
 # components and gamma
 
 def cmd_components(args) -> int:
+    from .morse import (CENSUS_DEPTH, AffineSubspace, component_bound,
+                        load_formula_file)
+
     abel = _load_abel(args.abel)
     formula, file_radius = load_formula_file(args.formula_file)
     radius, source = _pick_radius(args, file_radius)
@@ -245,6 +252,8 @@ def cmd_components(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    from .morse import CENSUS_DEPTH, gamma_estimate, load_formula_file
+
     abel = _load_abel(args.abel)
     formula, file_radius = load_formula_file(args.formula_file)
     radius, source = _pick_radius(args, file_radius)

@@ -22,10 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .abel import EXP_MAX
 from .errors import DomainError
 from .intervals import Box, IntervalArith, iexp, ilog
-from .terms import (CompiledTerms, FloatArith, TermNode, check_arity,
+from .terms import (EXP_MAX, CompiledTerms, FloatArith, TermNode, check_arity,
                     compile_terms, run_tape)
 
 _CHUNK = 32768

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .abel import exp_sat
 from .errors import DomainError
 from .terms import (CONST, RA, CompiledTerms, TermNode, check_arity,
-                    compile_terms, tape_gradients, tape_values)
+                    compile_terms, exp_sat, tape_gradients, tape_values)
 
 _INF = math.inf
 _NINF = -math.inf

@@ -21,11 +21,11 @@ import functools
 import math
 import operator
 import re
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .abel import exp_sat, get_default_abel
 from .errors import (
     DifferentiationError,
     DomainError,
@@ -38,6 +38,9 @@ __all__ = [
     "TermNode",
     "GrowthExponent",
     "default_catalog",
+    "exp_sat",
+    "exp_n",
+    "log_n",
     "var",
     "const",
     "add",
@@ -56,6 +59,7 @@ __all__ = [
     "parse_term",
     "to_text",
     "derivative_chain",
+    "abel_or_default",
     "abel_primitives",
     "compile_terms",
     "run_tape",
@@ -70,6 +74,34 @@ __all__ = [
     "collect_phi_monomials",
     "free_variables",
 ]
+
+
+# ---------------------------------------------------------------------------
+# saturating and iterated exp and log
+
+# the largest double whose exp is finite; exp of the next double overflows
+EXP_MAX = math.log(sys.float_info.max)
+
+
+def exp_sat(x: float) -> float:
+    """exp(x), saturated to +inf where it overflows (and for NaN)."""
+    return math.exp(x) if x <= EXP_MAX else math.inf
+
+
+def exp_n(x: float, n: int) -> float:
+    """n-fold exponential; saturates to +inf on overflow."""
+    for _ in range(n):
+        x = exp_sat(x)
+    return x
+
+
+def log_n(x: float, n: int) -> float:
+    """n-fold logarithm; requires every intermediate value positive."""
+    for _ in range(n):
+        if x <= 0.0:
+            raise DomainError(f"iterated log needs positive intermediate, got {x}")
+        x = math.log(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +251,27 @@ def derivative_chain(names: Sequence[str], lo: float, hi: float,
     return chain
 
 
+def _numpy_fn(name: str, negate: bool = False):
+    # numpy's function ``name``, or its negation, for scalars and arrays;
+    # numpy is imported at the first call, so a catalog builds without it
+    fn = None
+
+    def call(x):
+        nonlocal fn
+        if fn is None:
+            import numpy
+            fn = getattr(numpy, name)
+        return -fn(x) if negate else fn(x)
+
+    return call
+
+
 def default_catalog(restriction: float = 100.0) -> dict[str, RAPrimitive]:
     """Catalog of restricted-analytic primitives on [-restriction, restriction].
 
     Contains sin, cos, atan and enough derivative levels for symbolic
     differentiation followed by interval Jacobians.
     """
-    import numpy as np
-
     c = float(restriction)
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError("restriction must be positive and finite")
@@ -234,14 +279,14 @@ def default_catalog(restriction: float = 100.0) -> dict[str, RAPrimitive]:
     # sin/cos family closes under differentiation, so each chain is a cycle
     pi, half = math.pi, 0.5 * math.pi
     sin_links = [
-        (np.sin, _trig_range(math.sin, half, -half), 1.0),
-        (np.cos, _trig_range(math.cos, 0.0, pi), 1.0),
-        (lambda x: -np.sin(x), _trig_range(lambda x: -math.sin(x), -half, half), 1.0),
-        (lambda x: -np.cos(x), _trig_range(lambda x: -math.cos(x), pi, 0.0), 1.0)]
+        (_numpy_fn("sin"), _trig_range(math.sin, half, -half), 1.0),
+        (_numpy_fn("cos"), _trig_range(math.cos, 0.0, pi), 1.0),
+        (_numpy_fn("sin", True), _trig_range(lambda x: -math.sin(x), -half, half), 1.0),
+        (_numpy_fn("cos", True), _trig_range(lambda x: -math.cos(x), pi, 0.0), 1.0)]
     cos_links = sin_links[1:] + sin_links[:1]
     inv_sqrt3 = 1.0 / math.sqrt(3.0)
     atan_links = [
-        (np.arctan, _critical_point_range(math.atan, ()), math.atan(c)),
+        (_numpy_fn("arctan"), _critical_point_range(math.atan, ()), math.atan(c)),
         (_datan, _critical_point_range(_datan, (0.0,)), 1.0),
         (_d2atan, _critical_point_range(_d2atan, (-inv_sqrt3, inv_sqrt3),
                                         _d2atan_err), _d2atan(-inv_sqrt3)),
@@ -264,6 +309,15 @@ def _catalog() -> dict[str, RAPrimitive]:
     if _DEFAULT_CATALOG is None:
         _DEFAULT_CATALOG = default_catalog()
     return _DEFAULT_CATALOG
+
+
+def abel_or_default(abel):
+    """``abel``, or the default super-logarithm, built at its first use,
+    when ``abel`` is None."""
+    if abel is not None:
+        return abel
+    from .abel import get_default_abel
+    return get_default_abel()
 
 
 # a process holds one abel, or a few; one evicted from the cache gets new
@@ -692,8 +746,7 @@ def compile_terms(roots: Sequence[TermNode], abel=None) -> CompiledTerms:
                 payload = node.prim
             elif code == RA:    # phi or dphi
                 if lowered is None:
-                    lowered = abel_primitives(
-                        abel if abel is not None else get_default_abel())
+                    lowered = abel_primitives(abel_or_default(abel))
                 payload = lowered[k]
             elif len(kids) == 2:
                 b = slot[kids[1]]

@@ -5,11 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
-from slogcensus.abel import (AbelFunction, build_abel, exp_n,
-                             get_default_abel, log_n)
+from slogcensus.abel import (AbelFunction, _horner, build_abel,
+                             get_default_abel)
 from slogcensus.errors import BuildError, DomainError
+from slogcensus.terms import exp_n, log_n
 
 _E = math.e
 
@@ -102,6 +104,46 @@ def test_array_evaluators_on_a_float_equal_the_scalar_ones(abel):
         x = float(x)
         for array_fn, scalar_fn in pairs:
             assert array_fn(x) == scalar_fn(x), (array_fn.__name__, x)
+
+
+def _full_walk(x):
+    # the band walk that updates every factor at every step
+    shift, d1, c2, c1 = 0, 1.0, 1.0, 0.0
+    while x > _E:
+        d1 /= x
+        inv = 1.0 / x
+        c1 = (c1 - c2 * inv) * inv
+        c2 = c2 * inv * inv
+        x = math.log(x)
+        shift += 1
+    while x < 1.0:
+        x = math.exp(x)
+        d1 *= x
+        c1 = c2 * x + c1 * x
+        c2 = c2 * x * x
+        shift -= 1
+    return x, shift, d1, c2, c1
+
+
+_SPECIAL_X = [v for x in (0.0, 1.0, _E, 1e300)
+              for y in (math.nextafter(x, -math.inf), x,
+                        math.nextafter(x, math.inf))
+              for v in (y, -y)]
+
+
+@given(st.one_of(st.sampled_from(_SPECIAL_X),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+def test_each_derivative_walks_only_what_it_reads(x):
+    # phi, phi' and phi'' each update only their own factors on the walk
+    # to [1, e]; the floats are those of the walk that updates them all
+    abel = get_default_abel()
+    y, shift, d1, c2, c1 = _full_walk(x)
+    u = y - 1.0
+    want = [_horner(abel._p_desc, u) + shift,
+            d1 * _horner(abel._dp_desc, u),
+            c2 * _horner(abel._d2p_desc, u) + c1 * _horner(abel._dp_desc, u)]
+    got = [abel.eval_phi(x), abel.eval_dphi(x), abel.eval_d2phi(x)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("lo_end,hi_end,log_scale", [

@@ -171,8 +171,9 @@ def test_gate_4_census_corpus(abel, capsys):
 
 def test_gate_5_path_tracking(abel, capsys):
     circle = build_system(["x1*x1 + x2*x2 - 1", "x1 - x2"], abel=abel)
-    rep = track_path(circle, DeformationPath.constant(2), steps=100,
-                     radius=2.0)
+    eye2, z2 = np.eye(2), (0.0, 0.0)
+    rep = track_path(circle, DeformationPath((0.0, 1.0), (eye2, eye2), (z2, z2)),
+                     steps=100, radius=2.0)
     const_ok = (rep.verdict == "constant" and rep.counts == [2] * 101
                 and all(rep.certified))
 

@@ -7,9 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from slogcensus.census import (DEFAULT_DEPTH, CensusReport, DeformationPath,
-                               SystemParams, _polish,
+                               SystemParams, _determinant, _polish,
                                build_system, count_nonsingular_zeros,
                                count_over_box, reduce_phi_complexity,
                                search_radius, system_from_dict, track_path)
@@ -220,13 +221,15 @@ def test_path_rejects_ragged_shapes(abel):
         DeformationPath((0.0, 1.0), (eye, eye), ((0.0,), (0.5, 1.0)))
     with pytest.raises(PathError, match="1 x 1"):
         DeformationPath((0.0, 1.0), (eye, np.eye(2)), ((0.0,), (0.0,)))
+    eye2, z2 = np.eye(2), (0.0, 0.0)
     with pytest.raises(BuildError, match="does not match n=1"):
         track_path(build_system(["x1 - 0.5"], abel=abel),
-                   DeformationPath.constant(2), 2, 2.0)
+                   DeformationPath((0.0, 1.0), (eye2, eye2), (z2, z2)), 2, 2.0)
 
 
 def test_path_interpolation():
-    p = DeformationPath.target_ramp(2, [1.0, -1.0])
+    eye = np.eye(2)
+    p = DeformationPath((0.0, 1.0), (eye, eye), ((0.0, 0.0), (1.0, -1.0)))
     a, eta, params = p.at(0.5)
     assert np.allclose(a, np.eye(2))
     assert eta == pytest.approx([0.5, -0.5])
@@ -235,9 +238,64 @@ def test_path_interpolation():
         p.at(1.5)
 
 
+_entry = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _paths(draw):
+    # 1- to 3-dimensional paths; diagonals past the other entries' row sums
+    # keep each breakpoint's matrix regular
+    n = draw(st.integers(1, 3))
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                    exclude_max=True),
+                          max_size=3, unique=True))
+    ts = (0.0, *sorted(inner), 1.0)
+    mats, tgts = [], []
+    for _ in ts:
+        m = [[draw(_entry) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            m[i][i] = math.copysign(21.0 + abs(m[i][i]), m[i][i])
+        mats.append(m)
+        tgts.append([draw(_entry) for _ in range(n)])
+    return DeformationPath(ts, tuple(mats), tuple(tgts))
+
+
+@given(_paths(), st.floats(0.0, 1.0))
+def test_path_entries_equal_numpys_interpolation(path, t):
+    a, eta, _ = path.at(t)
+    ts = path.breakpoints
+    j = max(0, min(len(ts) - 2, int(np.searchsorted(ts, t, "right")) - 1))
+    w = (t - ts[j]) / (ts[j + 1] - ts[j])
+    want_a = ((1.0 - w) * np.asarray(path.matrices[j])
+              + w * np.asarray(path.matrices[j + 1]))
+    want_eta = ((1.0 - w) * np.asarray(path.targets[j])
+                + w * np.asarray(path.targets[j + 1]))
+    assert [[v.hex() for v in r] for r in a] == \
+        [[float(v).hex() for v in r] for r in want_a]
+    assert [v.hex() for v in eta] == [float(v).hex() for v in want_eta]
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_entry, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_determinant_agrees_with_numpy(m):
+    # to 1e-12 relatively where the rows are far from dependent, and on
+    # the singularity guard's side of 1e-9 away from that boundary
+    with np.errstate(divide="ignore", invalid="ignore"):  # at zero pivots
+        want = float(np.linalg.det(np.asarray(m)))
+    d = _determinant(m)
+    rows = math.prod(math.hypot(*r) for r in m)
+    if abs(want) >= 1e-2 * rows:
+        assert abs(d - want) <= 1e-12 * abs(want)
+    if not 0.5e-9 <= abs(want) <= 2e-9:
+        assert (abs(d) < 1e-9) == (abs(want) < 1e-9)
+
+
 def test_track_constant_circle_line(abel):
     sys_ = build_system(["x1*x1 + x2*x2 - 1", "x1 - x2"], abel=abel)
-    rep = track_path(sys_, DeformationPath.constant(2), steps=10, radius=2.0)
+    eye, z = np.eye(2), (0.0, 0.0)
+    rep = track_path(sys_, DeformationPath((0.0, 1.0), (eye, eye), (z, z)),
+                     steps=10, radius=2.0)
     assert rep.verdict == "constant"
     assert rep.counts == [2] * 11
     assert all(rep.certified)
@@ -276,7 +334,9 @@ def test_track_params_need_sources(abel):
 def test_track_rejects_too_few_steps(abel):
     sys_ = build_system(["x1"], abel=abel)
     with pytest.raises(PathError):
-        track_path(sys_, DeformationPath.constant(1), steps=1, radius=1.0)
+        track_path(sys_, DeformationPath((0.0, 1.0), ([[1.0]], [[1.0]]),
+                                         ((0.0,), (0.0,))),
+                   steps=1, radius=1.0)
 
 
 def test_reports_are_byte_identical_cold_and_hot(abel, fresh_shapes):

@@ -29,6 +29,7 @@ def files(tmp_path_factory, abel):
                                "radius": 1.0},
         "phi_level.json": {"vars": 1, "equations": ["phi(x1) - 0.5"]},
         "const_path.json": {"breakpoints": [0.0, 1.0], "steps": 6},
+        "gate_9_path.json": {"breakpoints": [0.0, 1.0], "steps": 4},
         "circle_formula.json": {
             "vars": 2,
             "dnf": [[{"term": "x1*x1 + x2*x2 - 1", "rel": "="}]],
@@ -117,23 +118,49 @@ def test_slog_check_passes(files):
     assert len(doc["checks"]) == 9
 
 
-def _scipy_modules(code):
-    # the scipy modules loaded in a fresh interpreter after running code
+def _modules(code, package="scipy", blocked=False):
+    # (what a fresh interpreter prints running code, the modules of
+    # package it has loaded after); a blocked package raises on import
+    block = f"import sys\nsys.modules[{package!r}] = None\n" if blocked else ""
     out = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", block + code + "\nimport sys\nprint(sorted("
+         f"m for m, v in sys.modules.items() if v is not None and "
+         f"m.split('.')[0] == {package!r}))"],
         capture_output=True, text=True, check=True)
-    return out.stdout.splitlines()[-1]
+    printed, _, loaded = out.stdout.rstrip("\n").rpartition("\n")
+    return printed, loaded
 
 
 def test_slog_check_and_the_inverse_load_no_scipy(files):
     out = files / "check-no-scipy.json"
-    assert _scipy_modules(
+    assert _modules(
         "from slogcensus.cli import main\n"
-        f"assert main(['slog-check', '--out', {str(out)!r}]) == 0") == "[]"
-    assert _scipy_modules(
+        f"assert main(['slog-check', '--out', {str(out)!r}]) == 0")[1] == "[]"
+    assert _modules(
         "from slogcensus.abel import get_default_abel\n"
-        "get_default_abel().trans_exp(0.5)") == "[]"
+        "get_default_abel().trans_exp(0.5)")[1] == "[]"
+
+
+def test_zeros_track_and_phi_free_eval_run_without_numpy(files):
+    # gate 9's zeros and track and a phi-free eval print the same bytes
+    # with numpy unimportable; a phi system still loads it and runs
+    system = str(files / "circle_line.json")
+    commands = [
+        ["zeros", system, "--seed", "5"],
+        ["track", system, str(files / "gate_9_path.json"), "--seed", "5"],
+        ["eval", "exp(x1)*x2 + x1", "--at", "1,2", "--grad"]]
+    for argv in commands:
+        code = f"from slogcensus.cli import main\nassert main({argv!r}) == 0"
+        printed, loaded = _modules("import slogcensus\n" + code, "numpy",
+                                   blocked=True)
+        assert loaded == "[]"
+        assert printed == _modules(code, "numpy")[0]
+    printed, loaded = _modules(
+        "from slogcensus.cli import main\n"
+        f"assert main(['zeros', {str(files / 'phi_level.json')!r}]) == 0",
+        "numpy")
+    assert json.loads(printed)["report"]["certified_count"] == 1
+    assert "numpy" in loaded
 
 
 def test_slog_check_rejects_corrupt_seed(files, abel):

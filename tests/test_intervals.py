@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from krawczyk_reference import inflate_by_helpers, subdivide_by_helpers
-from slogcensus.abel import EXP_MAX, exp_sat
 from slogcensus.census import _inflate, build_system
 from slogcensus.errors import DomainError
 from slogcensus.gridoracle import CellArith, eval_cells
@@ -22,9 +21,10 @@ from slogcensus.intervals import (Box, Interval, _TapeWriter, iadd, iexp,
                                   interval_eval_compiled,
                                   interval_jacobian_compiled, iscale, isqr,
                                   isub, krawczyk_test, split_step, subdivide)
-from slogcensus.terms import (add, compile_terms, const, default_catalog,
-                              dphi, eval_term, exp, log, mul, neg, parse_term,
-                              phi, ra, run_tape, sub, var)
+from slogcensus.terms import (EXP_MAX, add, compile_terms, const,
+                              default_catalog, dphi, eval_term, exp, exp_sat,
+                              log, mul, neg, parse_term, phi, ra, run_tape,
+                              sub, var)
 
 _fin = st.floats(-1e6, 1e6, allow_nan=False)
 
