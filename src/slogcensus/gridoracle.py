@@ -1,15 +1,19 @@
-"""Grid ground truth: zero localization and component counts.
+"""Grid ground truth: zero localization and component counting.
 
 Nothing here is certified; the module exists so certified results can be
 checked against an independent method in tests and reports. Zero cells
-are found coarse to fine: blocks of cells are enclosed first, and single
-cells only inside blocks whose enclosures hold 0 (``zero_cell_mask``).
-Membership tests cell centres against a tolerance, with no enclosure to
-prune by, so it walks every cell: as an open grid, in slabs of whole
+and the cells of a sign atom (``term <= 0`` or ``term > 0``) are found
+coarse to fine, by one subpaving walk (``_subpave``): blocks of cells
+are enclosed first, a block whose enclosure decides it is filled or
+dropped whole, and only the cells of the blocks that stay open are
+enclosed (zero cells) or evaluated at their centres (sign atoms).
+Equality atoms test cell centres against a tolerance, with no enclosure
+to prune by, so they walk every cell: as an open grid, in slabs of whole
 rows of axis 0, each variable entering as its own axis of cell values,
 shaped to broadcast against the others. A subterm then costs the size of
 the axes it depends on, and only operations that mix variables run over
-every cell of the slab.
+every cell of the slab. Counts label only the box that bounds a mask's
+cells, and nothing where no cell is in.
 """
 
 from __future__ import annotations
@@ -201,13 +205,43 @@ class CellArith:
         return _per_cell(functools.partial(IntervalArith.ra, prim), x)
 
 
+def _unbounded(x):
+    return np.isinf(x[0]) | np.isinf(x[1])
+
+
+def _holds_zero(x):
+    return (x[0] <= 0.0) & (x[1] >= 0.0)
+
+
+class _NaNMarkingArith(CellArith):
+    """CellArith that also marks, in ``nan``, the cells over which a
+    point's float walk may meet NaN: a sum of two unbounded enclosures
+    (inf - inf) and a product of an unbounded one with one that holds 0
+    (0 * inf, which mul pins to 0). A point's NaN starts in no other
+    operation, and a point's values lie in its cell's enclosures."""
+
+    def __init__(self):
+        self.nan = np.False_
+
+    def add(self, x, y):
+        self.nan = self.nan | (_unbounded(x) & _unbounded(y))
+        return super().add(x, y)
+
+    def mul(self, x, y):
+        self.nan = (self.nan | (_unbounded(x) & _holds_zero(y))
+                    | (_unbounded(y) & _holds_zero(x)))
+        return super().mul(x, y)
+
+
 def eval_cells(ct: CompiledTerms, los: Sequence[np.ndarray],
-               his: Sequence[np.ndarray]) -> list:
+               his: Sequence[np.ndarray],
+               arith: CellArith | None = None) -> list:
     """Interval enclosures of every root over an array of cells (one array
     of ends per variable, broadcast against each other), each end of the
-    cells' common shape."""
+    cells' common shape, in ``arith`` (a new CellArith by default)."""
     check_arity(ct, min(len(los), len(his)), "cell")
-    return _run_quiet(ct, list(zip(los, his)), CellArith(), [*los, *his])
+    return _run_quiet(ct, list(zip(los, his)), arith or CellArith(),
+                      [*los, *his])
 
 
 def _slabs(shape: tuple, *tables):
@@ -227,7 +261,7 @@ def _slabs(shape: tuple, *tables):
 
 
 # ---------------------------------------------------------------------------
-# zero localization
+# coarse-to-fine subpaving
 
 def _block_sides(resolution) -> list:
     """Block sides, in cells, of the levels of the coarse-to-fine walk,
@@ -240,23 +274,6 @@ def _block_sides(resolution) -> list:
     while sides[-1] * f * f <= min(resolution):
         sides.append(sides[-1] * f)
     return sides[::-1]
-
-
-def _may_hold_zero(ct: CompiledTerms, los, his, cells: bool) -> np.ndarray:
-    """For each cell (or, without cells, each block of cells) of an array,
-    whether every equation's enclosure over it contains 0. An array of
-    blocks whose evaluation leaves a domain keeps all its blocks."""
-    try:
-        ends = eval_cells(ct, los, his)
-    except DomainError:
-        if cells:
-            raise
-        return np.ones(np.broadcast_shapes(*map(np.shape, [*los, *his])),
-                       dtype=bool)
-    keep = True
-    for lo, hi in ends:
-        keep = keep & (lo <= 0.0) & (hi >= 0.0)
-    return keep
 
 
 def _sub_blocks(starts, side: int, sub: int, resolution):
@@ -284,19 +301,150 @@ def _block_ends(edges, starts, side: int, resolution):
              for e, s, r in zip(edges, starts, resolution)])
 
 
+def _fill(mask: np.ndarray, starts, side: int):
+    """Set the cells of the blocks of ``side`` cells a side that start at
+    the cells ``starts`` (one index array per axis): the blocks that the
+    grid's end cuts cell by cell, the others through a view of the mask
+    with one axis per block index and one per cell offset."""
+    whole = np.logical_and.reduce(
+        [s + side <= r for s, r in zip(starts, mask.shape)])
+    blocks = mask[tuple(slice(0, r - r % side) for r in mask.shape)].reshape(
+        [d for r in mask.shape for d in (r // side, side)], copy=False)
+    blocks[tuple(i for s in starts
+                 for i in (s[whole] // side, slice(None)))] = True
+    mask[tuple(_sub_blocks([s[~whole] for s in starts], side, 1,
+                           mask.shape))] = True
+
+
+def _subpave(grid: GridSpec, split, leaf) -> np.ndarray:
+    """Boolean grid of the cells that a rule puts in, found coarse to
+    fine, by subpaving (SIVIA; Jaulin, Kieffer, Didrit & Walter, *Applied
+    Interval Analysis*, 2001, ch. 3).
+
+    The rule is two functions. ``split(los, his)`` takes an array of
+    blocks of cells by their lower and upper ends, one array per axis,
+    broadcast against each other, and returns two boolean arrays (or
+    scalars) of their shape: the blocks wholly in, which are filled with
+    no further work, and the blocks that stay open; the others are out.
+    ``leaf(idx)`` takes an array of cells by their indices, one index
+    array per axis, broadcast against each other, and returns the cells
+    in.
+
+    The first level splits blocks of ``_block_sides(...)[0]`` cells a side
+    on the open grid of blocks, in slabs; where that side is 1, ``leaf``
+    takes every cell there. Each later level splits the open blocks into
+    parts, gathered in pieces of at most ``_CHUNK`` cells or one block's
+    parts, and the last takes ``leaf`` over their cells.
+    """
+    res = tuple(grid.resolution)
+    edges = [grid.edges(ax) for ax in range(grid.n)]
+    sides = _block_sides(res)
+    side = sides[0]
+    mask = np.zeros(res, dtype=bool)
+    if side == 1:
+        for sl, idx in _slabs(res, [np.arange(r) for r in res]):
+            mask[sl] = leaf(idx)
+        return mask
+    firsts = [np.arange(0, r, side) for r in res]
+    inside = np.empty(tuple(map(len, firsts)), dtype=bool)
+    opened = np.empty_like(inside)
+    for sl, los, his in _slabs(inside.shape,
+                               *_block_ends(edges, firsts, side, res)):
+        inside[sl], opened[sl] = split(los, his)
+    if inside.any():
+        _fill(mask, [f * side for f in np.nonzero(inside)], side)
+    starts = [f * side for f in np.nonzero(opened)]
+    for sub in sides[1:]:
+        per = max(1, _CHUNK // (side // sub) ** grid.n)
+        kept = [[np.empty(0, dtype=np.intp)] * grid.n]
+        for p in range(0, len(starts[0]), per):
+            subs = _sub_blocks([s[p:p + per] for s in starts], side, sub, res)
+            if sub == 1:
+                ins = leaf(subs)
+                mask[tuple(s[ins] for s in subs)] = True
+                continue
+            ins, ok = (np.broadcast_to(v, subs[0].shape)
+                       for v in split(*_block_ends(edges, subs, sub, res)))
+            if ins.any():
+                _fill(mask, [s[ins] for s in subs], sub)
+            kept.append([s[ok] for s in subs])
+        starts = [np.concatenate(axis) for axis in zip(*kept)]
+        side = sub
+    return mask
+
+
+def _zero_rule(ct: CompiledTerms, grid: GridSpec):
+    """The rule of zero cells: a block stays open, and a cell is in,
+    where every equation's enclosure over it contains 0. An array of
+    blocks whose evaluation leaves a domain stays open; one of cells
+    raises."""
+    lows, highs, _ = grid.cell_axes
+
+    def all_hold_zero(los, his):
+        keep = True
+        for end in eval_cells(ct, los, his):
+            keep = keep & _holds_zero(end)
+        return keep
+
+    def split(los, his):
+        try:
+            return False, all_hold_zero(los, his)
+        except DomainError:
+            return False, True
+
+    def leaf(idx):
+        return all_hold_zero([lo[i] for lo, i in zip(lows, idx)],
+                             [hi[i] for hi, i in zip(highs, idx)])
+
+    return split, leaf
+
+
+def _sign_rule(ct: CompiledTerms, rel: str, grid: GridSpec):
+    """The rule of a sign atom, the one root of ``ct`` ``<=`` 0 or ``>``
+    0. For ``<=`` a block is in where its enclosure has ``hi <= 0`` and
+    out where it has ``lo > 0``; ``>`` is the mirror. A block stays open
+    where its enclosure straddles 0, where a centre's float walk may meet
+    NaN in it (which is in neither), and, with all its array, where the
+    evaluation leaves a domain. A cell is in where the root's value at
+    its centre (``eval_points``) satisfies the relation.
+
+    A block decided by its enclosure decides its centres as their own
+    values would, since a centre's float walk stays inside the block's
+    enclosures: the box operations round outward from the same float
+    operations; numpy's exp and log lie within the ulp by which iexp and
+    ilog widen math's (the one-ulp assumption the tests check against
+    mpmath); and phi's array walk lies within the seed error that its
+    enclosure carries. So the mask is the one a walk over every centre
+    gives."""
+    mids = grid.cell_axes[2]
+
+    def split(los, his):
+        arith = _NaNMarkingArith()
+        try:
+            ((lo, hi),) = eval_cells(ct, los, his, arith)
+        except DomainError:
+            return False, True
+        below, above = hi <= 0.0, lo > 0.0
+        inside, out = (below, above) if rel == "<=" else (above, below)
+        return inside & ~arith.nan, ~(inside | out) | arith.nan
+
+    def leaf(idx):
+        value = eval_points(ct, [m[i] for m, i in zip(mids, idx)])[0]
+        return value <= 0.0 if rel == "<=" else value > 0.0
+
+    return split, leaf
+
+
 def zero_cell_mask(system, grid: GridSpec) -> np.ndarray:
     """Boolean grid: interval evaluation of every equation contains 0.
 
-    Found coarse to fine, by subpaving (SIVIA; Jaulin, Kieffer, Didrit &
-    Walter, *Applied Interval Analysis*, 2001, ch. 3). The first level
-    encloses blocks of ``_block_sides(...)[0]`` cells a side on the open
-    grid of blocks. Each later level splits the blocks on which every
-    equation's enclosure holds 0 and encloses the parts, gathered in
-    pieces of at most ``_CHUNK`` cells or one block's parts. The last
-    level is the cells: each, like each block, is enclosed as the box
-    with its ends (``CellArith``), bit for bit. Only that level raises a
-    ``DomainError``; a block may leave a domain that none of its cells
-    leaves (``log(x1 - x1 + 0.01)``), and then all of its piece goes on.
+    Found by ``_subpave`` with ``_zero_rule``: each later level splits the
+    blocks on which every equation's enclosure holds 0, and the last
+    level encloses the cells of those blocks. Each cell, like each block,
+    is enclosed as the box with its ends (``CellArith``), bit for bit.
+    Only the cell level raises a ``DomainError``; a block may leave a
+    domain that none of its cells leaves (``log(x1 - x1 + 0.01)``), and
+    then all of its piece goes on.
 
     A cell is left out unenclosed only where the enclosure of a block
     that holds it, rigorous, excludes 0, so no zero lies in it. The box
@@ -307,32 +455,7 @@ def zero_cell_mask(system, grid: GridSpec) -> np.ndarray:
     not monotone at that ulp). A cell whose own enclosure reaches 0 by
     no more than that may be left out; none does on the corpus.
     """
-    ct = system.compiled
-    res = tuple(grid.resolution)
-    edges = [grid.edges(ax) for ax in range(grid.n)]
-    sides = _block_sides(res)
-    side = sides[0]
-    firsts = [np.arange(0, r, side) for r in res]
-    keep = np.empty(tuple(map(len, firsts)), dtype=bool)
-    for sl, los, his in _slabs(keep.shape,
-                               *_block_ends(edges, firsts, side, res)):
-        keep[sl] = _may_hold_zero(ct, los, his, side == 1)
-    if side == 1:
-        return keep
-    starts = [f * side for f in np.nonzero(keep)]
-    for sub in sides[1:]:
-        per = max(1, _CHUNK // (side // sub) ** grid.n)
-        kept = [[np.empty(0, dtype=np.intp)] * grid.n]
-        for p in range(0, len(starts[0]), per):
-            subs = _sub_blocks([s[p:p + per] for s in starts], side, sub, res)
-            ok = _may_hold_zero(ct, *_block_ends(edges, subs, sub, res),
-                                sub == 1)
-            kept.append([s[ok] for s in subs])
-        starts = [np.concatenate(axis) for axis in zip(*kept)]
-        side = sub
-    mask = np.zeros(res, dtype=bool)
-    mask[tuple(starts)] = True
-    return mask
+    return _subpave(grid, *_zero_rule(system.compiled, grid))
 
 
 def _label(mask: np.ndarray):
@@ -372,16 +495,13 @@ def _atom_mask(term: TermNode, rel: str, grid: GridSpec, abel) -> np.ndarray:
     if rel not in ("=", ">", "<="):
         raise DomainError(f"unsupported relation {rel!r}")
     ct = compile_terms([term], abel)
+    if rel != "=":
+        return _subpave(grid, *_sign_rule(ct, rel, grid))
     mask = np.empty(tuple(grid.resolution), dtype=bool)
     for sl, centers in _slabs(tuple(grid.resolution), grid.cell_axes[2]):
-        if rel == "=":
-            vals, grads = gradient_points(ct, centers)
-            g = np.sqrt(sum(p * p for p in grads[0]))
-            mask[sl] = np.abs(vals[0]) <= 4.0 * grid.cell_diag * g
-        elif rel == ">":
-            mask[sl] = eval_points(ct, centers)[0] > 0.0
-        else:
-            mask[sl] = eval_points(ct, centers)[0] <= 0.0
+        vals, grads = gradient_points(ct, centers)
+        g = np.sqrt(sum(p * p for p in grads[0]))
+        mask[sl] = np.abs(vals[0]) <= 4.0 * grid.cell_diag * g
     return mask
 
 
@@ -391,7 +511,11 @@ def membership_mask(dnf, grid: GridSpec, abel,
 
     Equality atoms are thickened by a per-cell tolerance of four cell
     diagonals times the local gradient norm, so measure-zero sets stay
-    grid-visible without bleeding across true gaps.
+    grid-visible without bleeding across true gaps; they walk every
+    cell. Sign atoms (``<=``, ``>``) are found by subpaving
+    (``_sign_rule``): a cell's membership is its centre's value, as over
+    every cell, but only the cells of blocks whose enclosure straddles 0
+    are evaluated.
     """
     mask = np.zeros(tuple(grid.resolution), dtype=bool)
     for conj in dnf:
@@ -405,17 +529,29 @@ def membership_mask(dnf, grid: GridSpec, abel,
     return mask
 
 
+def _count(mask: np.ndarray) -> int:
+    """Components (2n-connectivity) of a mask's cells: 0, with no label,
+    where no cell is in, and otherwise the label count of the box that
+    bounds the cells in, which holds every component whole and joins
+    none."""
+    spans = [np.flatnonzero(mask.any(axis=tuple(
+        d for d in range(mask.ndim) if d != ax))) for ax in range(mask.ndim)]
+    if not spans[0].size:
+        return 0
+    _, count = _label(mask[tuple(slice(s[0], s[-1] + 1) for s in spans)])
+    return int(count)
+
+
 def flood_components(dnf, grid: GridSpec, abel,
                      ball_radius: float | None = None) -> int:
-    """Connected components (2n-connectivity) of a DNF set on the grid."""
-    mask = membership_mask(dnf, grid, abel, ball_radius)
-    _, count = _label(mask)
-    return int(count)
+    """Connected components (2n-connectivity) of a DNF set on the grid,
+    counted by ``_count``."""
+    return _count(membership_mask(dnf, grid, abel, ball_radius))
 
 
 def flood_components_sublevel(term: TermNode, grid: GridSpec, abel) -> int:
-    """Components of the region term <= 0 at cell centers."""
-    mask = _atom_mask(term, "<=", grid, abel)
-    _, count = _label(mask)
-    return int(count)
-
+    """Components (2n-connectivity) of the region term <= 0 at cell
+    centres: the subpaved mask of the one atom (``_sign_rule``), counted
+    by ``_count`` (no label where no centre is in, else one of the box
+    that bounds the centres in)."""
+    return _count(_atom_mask(term, "<=", grid, abel))

@@ -1,11 +1,13 @@
 """Grid oracle: vectorised evaluation, zero cells, component counting."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import CORPUS, ORACLE_RES, PHI_CORPUS
 from slogcensus import gridoracle
@@ -16,9 +18,11 @@ from slogcensus.gridoracle import (CellArith, GridSpec, eval_cells,
                                    flood_components_sublevel,
                                    gradient_points, membership_mask,
                                    oracle_zero_count, zero_cell_mask)
-from slogcensus.intervals import Box, interval_eval_compiled
-from slogcensus.morse import (QFFormula, milnor_tube, schedule_for_ball,
-                              wilkie_reduce)
+from slogcensus.intervals import (Box, IntervalArith, iexp, ilog,
+                                  interval_eval_compiled)
+from slogcensus.morse import (AffineSubspace, QFFormula, affine_restrict,
+                              certify_schedule, milnor_tube,
+                              schedule_for_ball, wilkie_reduce)
 from slogcensus.terms import (add, compile_terms, const, eval_term, exp,
                               log, mul, parse_term, phi, sub, var)
 
@@ -187,11 +191,37 @@ def _flat_cells(grid, table):
     return [table[ax][idx[ax]] for ax in range(grid.n)]
 
 
+class _OnceCellArith(CellArith):
+    """CellArith that encloses each distinct argument of exp, log and ra
+    once, told apart by its bits, and hands every cell the enclosure of
+    its own argument: a gather repeats each axis value once per cell of
+    the other axes."""
+
+    def _once(self, enclose, x):
+        lo, hi = np.broadcast_arrays(*x)
+        pairs = np.stack([lo.ravel(), hi.ravel()], axis=1)
+        _, first, back = np.unique(
+            pairs.view(np.dtype((np.void, 16))).ravel(),
+            return_index=True, return_inverse=True)
+        ends = gridoracle._per_cell(enclose,
+                                     (pairs[first, 0], pairs[first, 1]))
+        return tuple(e[back.ravel()].reshape(lo.shape) for e in ends)
+
+    def exp(self, x):
+        return self._once(iexp, x)
+
+    def log(self, x):
+        return self._once(ilog, x)
+
+    def ra(self, prim, x):
+        return self._once(functools.partial(IntervalArith.ra, prim), x)
+
+
 def _flat_zero_cell_mask(system, grid):
     lows, highs, _ = grid.cell_axes
     ok = np.ones(grid.cells, dtype=bool)
     for lo, hi in eval_cells(system.compiled, _flat_cells(grid, lows),
-                             _flat_cells(grid, highs)):
+                             _flat_cells(grid, highs), _OnceCellArith()):
         ok &= (lo <= 0.0) & (hi >= 0.0)
     return ok.reshape(tuple(grid.resolution))
 
@@ -484,6 +514,169 @@ def test_zero_cells_equal_the_flat_walk_on_drawn_systems(abel, drawn):
         assert mask is DomainError
     else:
         assert mask is not DomainError and np.array_equal(mask, flat)
+
+
+# ---------------------------------------------------------------------------
+# the subpaved sign atoms against the flat walk
+
+def _assert_sign_masks_equal_the_flat_walk(term, grid, abel):
+    masks = []
+    for rel in ("<=", ">"):
+        mask = gridoracle._atom_mask(term, rel, grid, abel)
+        assert np.array_equal(mask, _flat_atom_mask(term, rel, grid, abel)), \
+            rel
+        masks.append(mask)
+    return masks
+
+
+_CIRCLE_FORMULA = QFFormula((((parse_term(_CIRCLE), "="),),), 2)
+
+
+def _gamma_tube(seed, abel):
+    """(k, last-stage tube, ball radius) of gamma_estimate's one trial on
+    the circle at radius 2 with ``seed``: its draws, its certified
+    schedule, and the ball it floods the tube in."""
+    f, aux = wilkie_reduce(_CIRCLE_FORMULA)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 3))
+    rows = tuple(tuple(float(v) for v in rng.uniform(-1, 1, 3))
+                 for _ in range(k))
+    f_l = affine_restrict(f, AffineSubspace(rows), 2)
+    eps, delta = certify_schedule(f_l, schedule_for_ball(2.0), abel, 2 + aux,
+                                  seed=seed + 1000).pairs[-1]
+    return k, milnor_tube(f_l, eps, delta, 2 + aux), \
+        delta / math.sqrt(eps) * 1.01
+
+
+@pytest.mark.parametrize("res", [512, 1024])
+@pytest.mark.parametrize("seed", [14, 9, 22, 15, 18])
+def test_subpaved_gamma_tubes_equal_the_flat_walk(abel, seed, res):
+    # the benchmark's gamma seeds: k = 2 slices of the circle miss its
+    # tube, so seeds 22, 15 and 18 flood empty sets
+    k, tube, ball = _gamma_tube(seed, abel)
+    inside, outside = _assert_sign_masks_equal_the_flat_walk(
+        tube, GridSpec.square(ball, 2, res), abel)
+    assert inside.any() == (k < 2) and outside.any()
+
+
+@pytest.mark.parametrize("res", [512, 769, 1024])
+def test_subpaved_circle_tube_equals_the_flat_walk(abel, res):
+    # the same tube as test_open_grid_tube_atoms_equal_the_flat_walk at
+    # 131 cells a side, and as the benchmark's tube:512 and tube:1024
+    f_l, _ = wilkie_reduce(_CIRCLE_FORMULA)
+    eps, delta = schedule_for_ball(2.0).pairs[-1]
+    grid = GridSpec.square(delta / math.sqrt(eps) * 1.01, 2, res)
+    inside, _ = _assert_sign_masks_equal_the_flat_walk(
+        milnor_tube(f_l, eps, delta, 2), grid, abel)
+    assert inside.any() and not inside.all()
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_subpaved_slog_graph_tubes_equal_the_flat_walk(abel, stage):
+    # phi's enclosures and its array walk decide the blocks and the cells
+    f_l, aux = wilkie_reduce(
+        QFFormula((((parse_term("phi(x1) - x2"), "="),),), 2))
+    eps, delta = schedule_for_ball(2.0).pairs[stage]
+    grid = GridSpec.square(delta / math.sqrt(eps) * 1.01, 2 + aux, 512)
+    inside, _ = _assert_sign_masks_equal_the_flat_walk(
+        milnor_tube(f_l, eps, delta, 2 + aux), grid, abel)
+    assert inside.any() and not inside.all()
+
+
+@pytest.mark.parametrize("text, res", [
+    ("exp(x1) - 2*x2 - 1", (769, 769)),
+    # x1 - x1 + 0.01 leaves log's domain on every block of 8 or 64 cells
+    # of the 769 grid, and on no cell
+    ("log(x1 - x1 + 0.01) + 4.6 + x2", (769, 769)),
+    ("phi(x1) - x2 + 0.3", (769, 131)),
+    ("(x1*x1 - 1)*(x1*x1 - 4)", (4097,)), ("x1*x1*x1 - x1", (1001,)),
+    ("x1*x1 + x2*x2 + x3*x3 - 1", (97, 97, 97)),
+    ("x1*x2 - x3 + 0.1", (23, 40, 97))])
+def test_subpaved_sign_atoms_equal_the_flat_walk(abel, text, res):
+    grid = GridSpec(Box.cube(2.0, len(res)), res)
+    inside, outside = _assert_sign_masks_equal_the_flat_walk(
+        parse_term(text), grid, abel)
+    assert inside.any() and outside.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_grids())
+def test_subpaved_sign_atoms_equal_the_flat_walk_on_drawn_terms(abel, drawn):
+    # the term is shifted by its value at a point of the box, where that
+    # value is finite, so that most masks are neither empty nor full
+    terms, grid, point = drawn
+    value = _outcome(eval_term, terms[0], point, abel)
+    shift = value if isinstance(value, float) and math.isfinite(value) \
+        else 0.0
+    term = sub(terms[0], const(shift))
+    for rel in ("<=", ">"):
+        mask = _outcome(gridoracle._atom_mask, term, rel, grid, abel)
+        flat = _outcome(_flat_atom_mask, term, rel, grid, abel)
+        if flat is DomainError:
+            assert mask is DomainError
+        else:
+            assert mask is not DomainError and np.array_equal(mask, flat)
+
+
+@pytest.mark.parametrize("text", [
+    # 0 * inf: the square of x1 - x1 holds 0, exp(exp(x2)) is inf at
+    # every centre
+    "-((x1 - x1)*(x1 - x1)*exp(exp(x2))) - 1",
+    # inf - inf, then squared
+    "(exp(exp(x2)) - exp(exp(x2)))*(exp(exp(x2)) - exp(exp(x2))) + 1"])
+def test_blocks_where_a_centre_may_be_nan_stay_open(abel, text):
+    # every centre's float walk is NaN, which the flat walk puts in
+    # neither mask; each block's enclosure lies on one side of 0 (0 * inf
+    # is pinned to 0, and inf - inf widened to both infinities), so only
+    # the NaN marking keeps the blocks open down to their centres
+    term = parse_term(text)
+    grid = GridSpec(Box.from_bounds([(-1.0, 1.0), (7.0, 8.0)]), (512, 512))
+    ct = compile_terms([term], abel)
+    (box,) = interval_eval_compiled(ct, grid.box)
+    assert box.hi <= 0.0 or box.lo > 0.0
+    centres = [grid.cell_axes[2][0].reshape(-1, 1), grid.cell_axes[2][1]]
+    assert np.all(np.isnan(eval_points(ct, centres)[0]))
+    for mask in _assert_sign_masks_equal_the_flat_walk(term, grid, abel):
+        assert not mask.any()
+
+
+def test_subpaved_sign_atoms_evaluate_few_centres(abel, monkeypatch):
+    sizes = []
+
+    def counted(ct, coords):
+        values = eval_points(ct, coords)
+        sizes.append(values[0].size)
+        return values
+
+    monkeypatch.setattr(gridoracle, "eval_points", counted)
+    k, tube, ball = _gamma_tube(9, abel)
+    grid = GridSpec.square(ball, 2, 1024)
+    assert k == 1 and flood_components_sublevel(tube, grid, abel) == 1
+    assert 0 < sum(sizes) < grid.cells // 20
+
+
+# ---------------------------------------------------------------------------
+# counting on the bounding box
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(bool, array_shapes(min_dims=1, max_dims=3, max_side=9)))
+def test_the_cropped_count_is_the_full_grids(mask):
+    assert gridoracle._count(mask) == gridoracle._label(mask)[1]
+
+
+def test_empty_sets_count_without_a_label(abel, monkeypatch):
+    # scipy.ndimage is imported only inside _label
+    def unused(mask):
+        raise AssertionError("labelled an empty mask")
+
+    monkeypatch.setattr(gridoracle, "_label", unused)
+    grid = GridSpec.square(2.0, 2, 512)
+    assert flood_components_sublevel(parse_term("x1*x1 + 1"), grid, abel) == 0
+    assert flood_components(_dnf([("x1*x1 + x2*x2 + 1", "=")],
+                                 [("x1 - 3", ">")]), grid, abel) == 0
+    _, tube, ball = _gamma_tube(22, abel)
+    assert flood_components_sublevel(
+        tube, GridSpec.square(ball, 2, 1024), abel) == 0
 
 
 # ---------------------------------------------------------------------------
