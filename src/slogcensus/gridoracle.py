@@ -305,11 +305,12 @@ def _fill(mask: np.ndarray, starts, side: int):
     """Set the cells of the blocks of ``side`` cells a side that start at
     the cells ``starts`` (one index array per axis): the blocks that the
     grid's end cuts cell by cell, the others through a view of the mask
-    with one axis per block index and one per cell offset."""
+    with one axis per block index and one per cell offset (splitting each
+    axis of a strided view needs no copy, so the reshape is a view)."""
     whole = np.logical_and.reduce(
         [s + side <= r for s, r in zip(starts, mask.shape)])
     blocks = mask[tuple(slice(0, r - r % side) for r in mask.shape)].reshape(
-        [d for r in mask.shape for d in (r // side, side)], copy=False)
+        [d for r in mask.shape for d in (r // side, side)])
     blocks[tuple(i for s in starts
                  for i in (s[whole] // side, slice(None)))] = True
     mask[tuple(_sub_blocks([s[~whole] for s in starts], side, 1,

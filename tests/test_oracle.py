@@ -655,6 +655,25 @@ def test_subpaved_sign_atoms_evaluate_few_centres(abel, monkeypatch):
     assert 0 < sum(sizes) < grid.cells // 20
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fill_sets_exactly_the_cells_of_its_blocks(data):
+    # whole blocks are set through a reshaped view of the mask, so a copy
+    # there would leave them unset; blocks the grid's end cuts go cell by
+    # cell
+    shape = data.draw(array_shapes(min_dims=1, max_dims=3, max_side=19))
+    side = data.draw(st.sampled_from([1, 2, 4, 8]))
+    grid = np.indices([-(-r // side) for r in shape]).reshape(len(shape), -1)
+    chosen = data.draw(arrays(bool, grid.shape[1]))
+    starts = [g[chosen] * side for g in grid]
+    mask = np.zeros(shape, dtype=bool)
+    gridoracle._fill(mask, starts, side)
+    expected = np.zeros(shape, dtype=bool)
+    for start in zip(*starts):
+        expected[tuple(slice(s, s + side) for s in start)] = True
+    assert np.array_equal(mask, expected)
+
+
 # ---------------------------------------------------------------------------
 # counting on the bounding box
 
