@@ -114,6 +114,15 @@ def _band_range(desc, crits, lo: float, hi: float) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
+def distinct_sorted(*parts) -> np.ndarray:
+    """The values of ``parts`` in ascending order, each once: the first of
+    each run of equal values in a sort of their concatenation."""
+    v = np.sort(np.concatenate(parts))
+    first = np.ones(v.shape, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    return v[first]
+
+
 class AbelFunction:
     """Immutable super-logarithm with seed polynomial on [1, e].
 
@@ -367,44 +376,49 @@ class AbelFunction:
             self._phi_top = self.eval_phi(sys.float_info.max)
         return self._phi_top
 
-    def trans_exp(self, y: float) -> float:
-        """Monotone inverse of phi; defined on (-2, phi_top]."""
-        y = float(y)
-        if not math.isfinite(y):
-            raise DomainError(f"inverse argument must be finite, got {y}")
-        if y <= -2.0:
-            raise DomainError("phi never reaches values <= -2")
-        if y > self.phi_top:
-            raise DomainError("inverse exceeds double range")
-        m = math.floor(y)
-        f = y - m
-        x = self._seed_inverse(f)
-        if m >= 0:
-            for _ in range(m):
+    def trans_exp(self, y):
+        """Monotone inverse of phi, defined on (-2, phi_top]: of a float, or
+        entry by entry of an array, returned in its shape. An array raises
+        the DomainError of its first entry, in C order, on which a float
+        call raises."""
+        ys = np.asarray(y, dtype=float)
+        flat = ys.ravel()
+        ok = np.isfinite(flat) & (flat > -2.0) & (flat <= self.phi_top)
+        m = np.floor(np.where(ok, flat, 0.0))
+        f = np.where(ok, flat, 0.0) - m
+        # solve p(x) = f on [1, e], p increasing with p(1)=0 and p(e)=1: all
+        # entries bisect in lockstep until each bracket holds two adjacent
+        # doubles, then take the nearer end; f <= 0 starts at [1, 1] and
+        # f >= 1 at [e, e]
+        lo = np.where(f < 1.0, 1.0, _E)
+        hi = np.where(f > 0.0, _E, 1.0)
+        while (go := (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
+            below = _horner(self._p_desc, mid - 1.0) < f
+            lo = np.where(go & below, mid, lo)
+            hi = np.where(go & ~below, mid, hi)
+        near = np.abs(self.seed(lo) - f) <= np.abs(self.seed(hi) - f)
+        xs = np.where(near, lo, hi).tolist()
+        # the integer tower steps take math.exp and math.log, one entry at a
+        # time: numpy's exp and log may differ from them in the last bit
+        for i in np.flatnonzero(~ok | (m != 0)).tolist():
+            if not ok[i]:
+                v = float(flat[i])
+                if not math.isfinite(v):
+                    raise DomainError(f"inverse argument must be finite, got {v}")
+                if v <= -2.0:
+                    raise DomainError("phi never reaches values <= -2")
+                raise DomainError("inverse exceeds double range")
+            x, k = xs[i], int(m[i])
+            for _ in range(k):
                 if x > EXP_MAX:
                     raise DomainError("inverse exceeds double range")
                 x = math.exp(x)
-        else:
-            for _ in range(-m):
+            for _ in range(-k):
                 if x <= 0.0:
                     raise DomainError("inverse undefined: log of non-positive")
                 x = math.log(x)
-        return x
-
-    def _seed_inverse(self, f: float) -> float:
-        # solve p(x) = f on [1, e]; p increasing with p(1)=0, p(e)=1: bisect
-        # until the bracket holds two adjacent doubles, take the nearer one
-        if f <= 0.0:
-            return 1.0
-        if f >= 1.0:
-            return _E
-        lo, hi = 1.0, _E
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if self.seed(mid) < f:
-                lo = mid
-            else:
-                hi = mid
-        return lo if abs(self.seed(lo) - f) <= abs(self.seed(hi) - f) else hi
+            xs[i] = x
+        return xs[0] if ys.ndim == 0 else np.array(xs).reshape(ys.shape)
 
     def check_transexp(self, i: int, x: float) -> bool:
         """True iff the inverse exceeds the i-fold exponential at x, tested in
@@ -427,7 +441,7 @@ class AbelFunction:
         # of the seed can show, so they are always included
         g = np.linspace(lo, hi, count)
         extra = [x for x in (0.0, 1.0) if lo <= x <= hi]
-        return np.unique(np.concatenate([g, extra]))
+        return distinct_sorted(g, extra)
 
     def check_domination(self, n: int, x_lo: float, x_hi: float,
                          samples: int = 4096) -> "DominationReport":

@@ -474,19 +474,26 @@ def oracle_zero_count(system, grid: GridSpec):
     For systems whose zeros are isolated and grid-separated this equals
     the number of zeros; tests double-check residuals at the centers.
     """
-    mask = zero_cell_mask(system, grid)
-    labels, count = _label(mask)
-    if not count:
+    return _clusters(zero_cell_mask(system, grid), grid.cell_axes[2])
+
+
+def _clusters(mask: np.ndarray, mids) -> tuple:
+    """(count, centres) of the components (2n-connectivity) of a mask's
+    cells, each centre the mean of its cells' ``mids`` (one array of cell
+    midpoints per axis), labelled on the box that bounds the cells."""
+    box = _bounding_box(mask)
+    if box is None:
         return 0, []
-    # the zero cells in C order, grouped by label in a stable order, so
-    # each centre averages its cells in the order a scan of the grid meets
-    # them
-    cells, labs = np.argwhere(mask), labels[mask]
+    start, inner = box
+    labels, count = _label(inner)
+    # the cells in C order (a crop keeps it), grouped by label in a stable
+    # order, so each centre averages its cells in the order a scan of the
+    # grid meets them
+    cells, labs = np.argwhere(inner) + start, labels[inner]
     order = np.argsort(labs, kind="stable")
     clusters = np.split(cells[order], np.flatnonzero(np.diff(labs[order])) + 1)
-    mids = grid.cell_axes[2]
     return count, [[float(np.mean(mids[ax][idx[:, ax]]))
-                    for ax in range(grid.n)] for idx in clusters]
+                    for ax in range(mask.ndim)] for idx in clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +537,24 @@ def membership_mask(dnf, grid: GridSpec, abel,
     return mask
 
 
-def _count(mask: np.ndarray) -> int:
-    """Components (2n-connectivity) of a mask's cells: 0, with no label,
-    where no cell is in, and otherwise the label count of the box that
-    bounds the cells in, which holds every component whole and joins
-    none."""
+def _bounding_box(mask: np.ndarray):
+    """(first index on each axis, the mask cropped to them) of the box that
+    bounds a mask's cells, which holds every component whole and joins
+    none; None where no cell is in."""
     spans = [np.flatnonzero(mask.any(axis=tuple(
         d for d in range(mask.ndim) if d != ax))) for ax in range(mask.ndim)]
     if not spans[0].size:
-        return 0
-    _, count = _label(mask[tuple(slice(s[0], s[-1] + 1) for s in spans)])
-    return int(count)
+        return None
+    return ([int(s[0]) for s in spans],
+            mask[tuple(slice(s[0], s[-1] + 1) for s in spans)])
+
+
+def _count(mask: np.ndarray) -> int:
+    """Components (2n-connectivity) of a mask's cells: 0, with no label,
+    where no cell is in, and otherwise the label count of the box that
+    bounds the cells in."""
+    box = _bounding_box(mask)
+    return 0 if box is None else int(_label(box[1])[1])
 
 
 def flood_components(dnf, grid: GridSpec, abel,

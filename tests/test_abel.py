@@ -5,13 +5,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from slogcensus.abel import (AbelFunction, _horner, build_abel,
-                             get_default_abel)
+                             distinct_sorted, get_default_abel)
 from slogcensus.errors import BuildError, DomainError
-from slogcensus.terms import exp_n, log_n
+from slogcensus.terms import EXP_MAX, exp_n, log_n
 
 _E = math.e
 
@@ -38,6 +39,26 @@ def test_junction_jumps_within_tol(abel):
 
 def test_abel_equation_residual(abel):
     assert abel.abel_residual(abel.residual_grid(-5.0, 5.0, 10_000)) <= 1e-8
+
+
+@pytest.mark.parametrize("lo, hi, count", [
+    (-5.0, 5.0, 10_000), (0.5, 3.0, 101), (-1.0, 0.0, 7), (2.0, 3.0, 9)])
+def test_the_residual_grid_is_numpys_unique(abel, lo, hi, count):
+    parts = [np.linspace(lo, hi, count), [x for x in (0.0, 1.0) if lo <= x <= hi]]
+    assert abel.residual_grid(lo, hi, count).tobytes() == \
+        np.unique(np.concatenate(parts)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(arrays(float, st.integers(0, 9), elements=st.sampled_from(
+    [-0.0, 0.0, 1.0, -1.5, 2.0, 5e-324, math.inf])), min_size=1, max_size=3))
+def test_distinct_sorted_is_numpys_unique(parts):
+    # slog-check's strict-growth grid, then drawn parts with repeats and
+    # signed zeros
+    grid = (np.linspace(-30.0, 5.0, 3_000), np.geomspace(5.0, 1e8, 3_000))
+    for ps in (grid, parts):
+        assert distinct_sorted(*ps).tobytes() == \
+            np.unique(np.concatenate(ps)).tobytes()
 
 
 def test_abel_equation_far_left(abel):
@@ -247,9 +268,9 @@ def test_trans_exp_anchors(abel):
 
 
 def test_trans_exp_roundtrip(abel):
-    for x in np.geomspace(0.1, 1e4, 301):
-        y = abel.trans_exp(abel.eval_phi(float(x)))
-        assert abs(y - x) <= 1e-9 * (1.0 + abs(x))
+    xs = np.geomspace(0.1, 1e4, 301)
+    ys = abel.trans_exp([abel.eval_phi(float(x)) for x in xs])
+    assert np.all(np.abs(ys - xs) <= 1e-9 * (1.0 + np.abs(xs)))
 
 
 def test_trans_exp_domain(abel):
@@ -261,7 +282,113 @@ def test_trans_exp_domain(abel):
 
 
 def test_phi_top_value(abel):
-    assert abel.phi_top == pytest.approx(3.639250548464765, rel=1e-12)
+    assert abel.phi_top == pytest.approx(_PHI_TOP, rel=1e-12)
+
+
+_PHI_TOP = 3.639250548464765
+
+
+def _scalar_trans_exp(abel, y):
+    """The inverse as one scalar bisection per value: the reference that
+    the lockstep bisection of trans_exp keeps the bits of."""
+    y = float(y)
+    if not math.isfinite(y):
+        raise DomainError(f"inverse argument must be finite, got {y}")
+    if y <= -2.0:
+        raise DomainError("phi never reaches values <= -2")
+    if y > abel.phi_top:
+        raise DomainError("inverse exceeds double range")
+    m = math.floor(y)
+    f = y - m
+    if f <= 0.0:
+        x = 1.0
+    elif f >= 1.0:
+        x = _E
+    else:
+        lo, hi = 1.0, _E
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if abel.seed(mid) < f:
+                lo = mid
+            else:
+                hi = mid
+        x = lo if abs(abel.seed(lo) - f) <= abs(abel.seed(hi) - f) else hi
+    if m >= 0:
+        for _ in range(m):
+            if x > EXP_MAX:
+                raise DomainError("inverse exceeds double range")
+            x = math.exp(x)
+    else:
+        for _ in range(-m):
+            if x <= 0.0:
+                raise DomainError("inverse undefined: log of non-positive")
+            x = math.log(x)
+    return x
+
+
+# integers, values whose fractional part is 0, just above 0 or just below 1
+# (nextafter(m, -inf) has a fractional part that rounds to 1), and the
+# neighbours of the domain's ends
+_INVERSE_EDGES = sorted({
+    v for m in range(-1, 4)
+    for v in (float(m), math.nextafter(m, math.inf), math.nextafter(m, -math.inf),
+              m - 0.5 ** 40)} | {
+    math.nextafter(-2.0, 0.0), -2.0 + 0.5 ** 40,
+    _PHI_TOP, math.nextafter(_PHI_TOP, 0.0)})
+
+_inverse_args = st.one_of(
+    st.floats(-2.0, _PHI_TOP, exclude_min=True), st.sampled_from(_INVERSE_EDGES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_inverse_args, min_size=1, max_size=12))
+def test_the_lockstep_inverse_is_the_scalar_bisection(abel, ys):
+    want = [_scalar_trans_exp(abel, y).hex() for y in ys]
+    assert [x.hex() for x in abel.trans_exp(np.array(ys)).tolist()] == want
+    assert abel.trans_exp(ys[0]).hex() == want[0]
+    assert abel.trans_exp(np.array(ys[0])).hex() == want[0]
+    if len(ys) % 2 == 0:
+        square = abel.trans_exp(np.array(ys).reshape(2, -1))
+        assert square.shape == (2, len(ys) // 2)
+        assert [x.hex() for x in square.ravel().tolist()] == want
+
+
+def test_the_lockstep_inverse_keeps_every_edge_bit(abel):
+    want = [_scalar_trans_exp(abel, y).hex() for y in _INVERSE_EDGES]
+    assert [x.hex() for x in abel.trans_exp(_INVERSE_EDGES).tolist()] == want
+
+
+def _tall_seed():
+    # unvalidated, steep at 1 and tall at e: phi_top is about 6.5, so that
+    # for y near 5.5 the tower overflows, and just above -2 the seed
+    # inverse is 1 and the second log step meets 0
+    return AbelFunction((4.0, 0.0, 0.0), 1, 1e-8, validate=False)
+
+
+@pytest.mark.parametrize("tall, y, message", [
+    (False, math.nan, "inverse argument must be finite, got nan"),
+    (False, math.inf, "inverse argument must be finite, got inf"),
+    (False, -math.inf, "inverse argument must be finite, got -inf"),
+    (False, -2.0, "phi never reaches values <= -2"),
+    (False, -7.5, "phi never reaches values <= -2"),
+    (False, math.nextafter(_PHI_TOP, math.inf), "inverse exceeds double range"),
+    (True, 5.5, "inverse exceeds double range"),
+    (True, math.nextafter(-2.0, 0.0), "inverse undefined: log of non-positive")])
+def test_an_array_raises_the_error_of_its_first_faulty_entry(abel, tall, y,
+                                                             message):
+    fn = _tall_seed() if tall else abel
+    with pytest.raises(DomainError) as scalar:
+        _scalar_trans_exp(fn, y)
+    assert str(scalar.value) == message
+    # a later faulty entry, of another message where the first has one
+    later = -3.0 if y > -2.0 or math.isnan(y) else math.nan
+    for ys in ([y], [0.5, y, later, 1.5], [[0.25, 1.0], [y, later]],
+               [[0.25, y, 2.0], [later, 0.5, later]]):
+        with pytest.raises(DomainError) as array:
+            fn.trans_exp(np.array(ys))
+        assert str(array.value) == message
+    with pytest.raises(DomainError) as one:
+        fn.trans_exp(y)
+    assert str(one.value) == message
 
 
 def test_check_transexp(abel):

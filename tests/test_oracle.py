@@ -400,6 +400,27 @@ def test_the_subpaving_encloses_few_cells(abel, monkeypatch):
     assert 0 < sum(sizes) < grid.cells // 100
 
 
+def _hex(centers):
+    return [[c.hex() for c in p] for p in centers]
+
+
+def _hex_clusters(clusters):
+    return clusters[0], _hex(clusters[1])
+
+
+def _full_grid_clusters(mask, mids):
+    """(count, centres) as oracle_zero_count found them when it labelled
+    the whole grid: the reference for the cropped labelling."""
+    labels, count = gridoracle._label(mask)
+    if not count:
+        return 0, []
+    cells, labs = np.argwhere(mask), labels[mask]
+    order = np.argsort(labs, kind="stable")
+    clusters = np.split(cells[order], np.flatnonzero(np.diff(labs[order])) + 1)
+    return count, [[float(np.mean(mids[ax][idx[:, ax]]))
+                    for ax in range(mask.ndim)] for idx in clusters]
+
+
 def _scan_centers(mask, grid):
     """Cluster centres by one scan of the grid per label: the form that
     oracle_zero_count took before it grouped the kept cells."""
@@ -428,8 +449,9 @@ def test_subpaved_zero_cells_and_centres_equal_the_flat_walk(abel, name, eqs,
     count, centers = oracle_zero_count(system, grid)
     want = _scan_centers(mask, grid)
     assert count == len(want) > 0
-    assert [[c.hex() for c in p] for p in centers] == \
-        [[c.hex() for c in p] for p in want]
+    assert _hex(centers) == _hex(want)
+    assert (count, _hex(centers)) == _hex_clusters(
+        _full_grid_clusters(mask, grid.cell_axes[2]))
 
 
 @pytest.mark.parametrize("eqs, any_zero", [
@@ -681,6 +703,10 @@ def test_fill_sets_exactly_the_cells_of_its_blocks(data):
 @given(arrays(bool, array_shapes(min_dims=1, max_dims=3, max_side=9)))
 def test_the_cropped_count_is_the_full_grids(mask):
     assert gridoracle._count(mask) == gridoracle._label(mask)[1]
+    # midpoints whose means round, so that a change of summation order shows
+    mids = [np.sqrt(np.arange(1.0, side + 1.0)) / 3.0 for side in mask.shape]
+    assert _hex_clusters(gridoracle._clusters(mask, mids)) == \
+        _hex_clusters(_full_grid_clusters(mask, mids))
 
 
 def test_empty_sets_count_without_a_label(abel, monkeypatch):
@@ -696,6 +722,8 @@ def test_empty_sets_count_without_a_label(abel, monkeypatch):
     _, tube, ball = _gamma_tube(22, abel)
     assert flood_components_sublevel(
         tube, GridSpec.square(ball, 2, 1024), abel) == 0
+    assert oracle_zero_count(build_system(["x1*x1 + 1", "x2"], abel=abel),
+                             grid) == (0, [])
 
 
 # ---------------------------------------------------------------------------
