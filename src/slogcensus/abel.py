@@ -384,8 +384,9 @@ class AbelFunction:
         ys = np.asarray(y, dtype=float)
         flat = ys.ravel()
         ok = np.isfinite(flat) & (flat > -2.0) & (flat <= self.phi_top)
-        m = np.floor(np.where(ok, flat, 0.0))
-        f = np.where(ok, flat, 0.0) - m
+        safe = np.where(ok, flat, 0.0)
+        m = np.floor(safe)
+        f = safe - m
         # solve p(x) = f on [1, e], p increasing with p(1)=0 and p(e)=1: all
         # entries bisect in lockstep until each bracket holds two adjacent
         # doubles, then take the nearer end; f <= 0 starts at [1, 1] and
@@ -393,7 +394,7 @@ class AbelFunction:
         lo = np.where(f < 1.0, 1.0, _E)
         hi = np.where(f > 0.0, _E, 1.0)
         while (go := (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
-            below = _horner(self._p_desc, mid - 1.0) < f
+            below = self.seed(mid) < f
             lo = np.where(go & below, mid, lo)
             hi = np.where(go & ~below, mid, hi)
         near = np.abs(self.seed(lo) - f) <= np.abs(self.seed(hi) - f)

@@ -281,11 +281,11 @@ def test_trans_exp_domain(abel):
     assert math.isfinite(abel.trans_exp(abel.phi_top))
 
 
+_PHI_TOP = 3.639250548464765
+
+
 def test_phi_top_value(abel):
     assert abel.phi_top == pytest.approx(_PHI_TOP, rel=1e-12)
-
-
-_PHI_TOP = 3.639250548464765
 
 
 def _scalar_trans_exp(abel, y):
